@@ -241,6 +241,9 @@ def _case_separable_report(preset, digits: int, d_max: int) -> dict:
             e_parts.append(cache[g][0])
             variational += cache[g][1]
         total = mp.fsum(e_parts)
+        # Exact agreement (the harmonic limit λ = 0) certifies every digit.
+        gap = abs(total - variational)
+        agreement = digits if gap == 0 else int(mp.floor(-mp.log10(gap / abs(total))))
         report = {
             "rotation_angle": _fmt(angle),
             "map": {"label": mp2.label, "entries": [[str(v) for v in row] for row in mp2.entries()]},
@@ -248,9 +251,7 @@ def _case_separable_report(preset, digits: int, d_max: int) -> dict:
             "factor_couplings": [str(g) for g in ab],
             "ground_energy_rpm": mp.nstr(total, digits),
             "ground_energy_variational": _fmt(variational),
-            "agreement_digits": int(
-                mp.floor(-mp.log10(abs(total - variational) / abs(total)))
-            ),
+            "agreement_digits": agreement,
         }
     return report
 
@@ -305,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, case_required=True):
+    def common(p):
         p.add_argument("--lambda", dest="lam", default=None, help="coupling (exact decimal or fraction)")
         p.add_argument("--format", choices=("json", "csv", "text"), default="json")
         p.add_argument("--out", dest="out_path", default=None, help="write output to this path")

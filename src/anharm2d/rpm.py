@@ -10,6 +10,14 @@ Riccati equation gives the closed recursion
 Eigenvalues are the E-roots of the Hankel determinants
 H_D^d(E) = det[f_{i+j+d+1}(E)], which stabilize rapidly as D grows; roots are
 polished by Newton in arbitrary precision, each dimension seeding the next.
+
+The recursion and the determinants run on raw `mpmath.libmp` tuples at the
+working precision's rounding (`mp.mp._prec_rounding`). The LU is mpmath's own
+scaled-partial-pivot algorithm (`mp.det`/`LU_decomp` of mpmath 1.3), operation
+for operation, so every value is bit-identical to `mp.det(mp.matrix(...))`
+without its per-element indexing and mpf allocation. Like `mp.det`, a block
+with a pivot at or below the singularity threshold ||A||_1 * eps has
+determinant `int 0`.
 """
 
 from __future__ import annotations
@@ -20,6 +28,21 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import mpmath as mp
+from mpmath.libmp import (
+    MPZ_ONE,
+    fzero,
+    from_int,
+    mpf_abs,
+    mpf_add,
+    mpf_div,
+    mpf_gt,
+    mpf_le,
+    mpf_mul,
+    mpf_mul_int,
+    mpf_rdiv_int,
+    mpf_sub,
+    mpf_sum,
+)
 
 
 class InsufficientCoefficients(ValueError):
@@ -79,32 +102,84 @@ def riccati_coeffs(v, s: int, e_value, m_max: int) -> RiccatiSeries:
         raise ValueError("parity s must be 0 or 1")
     vs = [_to_mpf(c) for c in v]
     energy = _to_mpf(e_value)
-    coeffs = []
+    prec, rnd = mp.mp._prec_rounding
+    raw = []
     for m in range(m_max + 1):
-        total = mp.fsum(coeffs[j] * coeffs[m - 1 - j] for j in range(m))
-        total -= vs[m] if m < len(vs) else mp.mpf(0)
+        # f_j f_{m-1-j} for j < m; the products are symmetric in j <-> m-1-j
+        half = [mpf_mul(raw[j], raw[m - 1 - j], prec, rnd) for j in range((m + 1) // 2)]
+        total = mpf_sum(half + half[: m // 2][::-1], prec, rnd)
+        if m < len(vs):
+            total = mpf_sub(total, vs[m]._mpf_, prec, rnd)
         if m == 0:
-            total += energy
-        coeffs.append(total / (2 * m + 2 * s + 1))
-    return RiccatiSeries(s=s, v=tuple(vs), coeffs=tuple(coeffs), e_value=energy)
+            total = mpf_add(total, energy._mpf_, prec, rnd)
+        raw.append(mpf_div(total, from_int(2 * m + 2 * s + 1), prec, rnd))
+    coeffs = tuple(mp.mp.make_mpf(c) for c in raw)
+    return RiccatiSeries(s=s, v=tuple(vs), coeffs=coeffs, e_value=energy)
 
 
 def hankel_det(series: RiccatiSeries, spec: HankelSpec):
-    """det[f_{i+j+d+1}], i, j = 0..D-1, evaluated by LU at working precision.
+    """det[f_{i+j+d+1}], i, j = 0..D-1, by LU at the working precision.
 
     In the 1-based form of the Riccati-Padé literature this is
     H_D^d = |f_{i+j+d-1}|, i, j = 1..D; D = 1 gives f_{d+1}.
+
+    The LU is mpmath 1.3's scaled-partial-pivot `LU_decomp`, run on libmp
+    tuples with the working precision's rounding: the pivot row maximizes
+    |a_kj| / sum_l |a_kl| over the remaining rows, and each multiplier,
+    product and difference is rounded once, in mpmath's order. The result is
+    the mpf `mp.det` returns, bit for bit. When a row sum or a pivot is at or
+    below the singularity threshold |(||A||_1 * eps)|, the result is `int 0`,
+    as from `mp.det`. It is also `int 0` when the remaining column is exactly
+    zero, where mpmath 1.3 finds no pivot row and fails with a TypeError.
     """
     if len(series.coeffs) <= spec.max_index:
         raise InsufficientCoefficients(
             f"need coefficients up to index {spec.max_index}, have {len(series.coeffs) - 1}"
         )
     D, d = spec.D, spec.d
-    block = mp.matrix(D, D)
-    for i in range(D):
-        for j in range(D):
-            block[i, j] = series.coeffs[i + j + d + 1]
-    return mp.det(block)
+    prec, rnd = mp.mp._prec_rounding
+    f = [c._mpf_ for c in series.coeffs[d + 1 : d + 2 * D]]
+    # Each row holds only the columns not yet eliminated: rows[0][0] is the
+    # next pivot. Multipliers (the L factor) are not needed for det.
+    rows = [f[i : i + D] for i in range(D)]
+    norm = None  # ||A||_1, the largest column sum; compared as numbers, not tuples
+    for col in rows:  # the block is symmetric: its columns are its rows
+        total = mpf_sum([mpf_abs(x) for x in col], prec, rnd, True)
+        if norm is None or mpf_gt(total, norm):
+            norm = total
+    tol = mpf_abs(mpf_mul(norm, (0, MPZ_ONE, 1 - prec, 1), prec, rnd), prec, rnd)
+    sign = 1
+    pivots = []
+    while rows:
+        if len(rows) > 1:  # mpmath searches no pivot row for the last column
+            biggest, k_max = fzero, None
+            for k, row in enumerate(rows):
+                total = mpf_sum([mpf_abs(x, prec, rnd) for x in row], prec, rnd)
+                if mpf_le(mpf_abs(total, prec, rnd), tol):
+                    return 0
+                current = mpf_mul(mpf_rdiv_int(1, total, prec, rnd), mpf_abs(row[0], prec, rnd), prec, rnd)
+                if mpf_gt(current, biggest):
+                    biggest, k_max = current, k
+            if k_max:  # None when the column is exactly zero: the pivot test returns 0
+                rows[0], rows[k_max] = rows[k_max], rows[0]
+                sign = -sign
+        top = rows[0]
+        head = top[0]
+        if mpf_le(mpf_abs(head, prec, rnd), tol):
+            return 0
+        pivots.append(head)
+        tail = top[1:]
+        eliminated = []
+        for row in rows[1:]:
+            factor = mpf_div(row[0], head, prec, rnd)
+            eliminated.append(
+                [mpf_sub(x, mpf_mul(factor, y, prec, rnd), prec, rnd) for x, y in zip(row[1:], tail)]
+            )
+        rows = eliminated
+    det = mpf_mul_int(pivots[0], sign, prec, rnd)
+    for pivot in pivots[1:]:
+        det = mpf_mul(det, pivot, prec, rnd)
+    return mp.mp.make_mpf(det)
 
 
 def _det_at(v, s: int, energy, D: int, d: int):

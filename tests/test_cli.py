@@ -1,9 +1,18 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def run_cli(*args, env=None):
+    """Run the CLI in a child interpreter that imports the package from src/."""
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
     cmd = [sys.executable, "-m", "anharm2d.cli", *args]
     return subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=600)
 
@@ -50,12 +59,19 @@ def test_rpm_command_digits(tmp_path):
 
 
 def test_rpm_env_var_overrides_default_digits():
-    import os
-
     env = dict(os.environ, OSC_PRECISION_DIGITS="30")
     proc = run_cli("rpm", "--g", "4", "--dmax", "8", env=env)
     payload = json.loads(proc.stdout)
     assert payload["precision_digits"] == 30
+
+
+@pytest.mark.parametrize("case", ["1", "2"])
+def test_separable_case_at_zero_coupling_is_harmonic(case):
+    proc = run_cli("case", case, "--lambda", "0", "--digits", "30", "--dmax", "6")
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert float(payload["ground_energy_rpm"]) == 2
+    assert payload["agreement_digits"] == 30
 
 
 def test_spectrum_case5():

@@ -4,11 +4,13 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+from anharm2d import rpm
 from anharm2d.eig import eig_selfadjoint
 from anharm2d.oscbasis import build_hamiltonian_1d, optimal_omega
 from anharm2d.rpm import (
     HankelSpec,
     InsufficientCoefficients,
+    RiccatiSeries,
     hankel_det,
     riccati_coeffs,
     rpm_eigenvalue,
@@ -65,6 +67,27 @@ def test_recursion_matches_ode_series_oracle(g, s):
             oracle = _ode_series_logderiv([0, 1, g], s, energy, 50)
             for a, b in zip(mine, oracle):
                 assert abs(a - b) <= mp.mpf(10) ** (-45) * max(1, abs(a))
+
+
+def _mpf_recursion(v, s, energy, m_max):
+    """The recursion in mpf arithmetic: mp.fsum of the products f_j f_{m-1-j}."""
+    coeffs = []
+    for m in range(m_max + 1):
+        total = mp.fsum(coeffs[j] * coeffs[m - 1 - j] for j in range(m))
+        total -= v[m] if m < len(v) else 0
+        if m == 0:
+            total += energy
+        coeffs.append(total / (2 * m + 2 * s + 1))
+    return coeffs
+
+
+@pytest.mark.parametrize("s", [0, 1])
+def test_recursion_is_bit_identical_to_mpf_arithmetic(s):
+    with mp.workdps(50):
+        v = [mp.mpf(0), mp.mpf(1), mp.mpf(5) / 4]
+        for energy in (mp.mpf("1.3"), mp.mpf("4.6488"), mp.pi):
+            mine = riccati_coeffs(v, s=s, e_value=energy, m_max=40).coeffs
+            assert [c._mpf_ for c in mine] == [c._mpf_ for c in _mpf_recursion(v, s, energy, 40)]
 
 
 def test_hankel_harmonic_is_exactly_zero():
@@ -154,3 +177,78 @@ def test_trail_report_json():
     assert [entry["D"] for entry in report["roots"]] == [2, 3, 4, 5, 6]
     assert report["roots"][-1]["E"].startswith("1.90313")
     assert report["stabilized_digits"] == result.stabilized_digits
+
+
+def _mp_det_oracle(series, spec):
+    """Reference determinant: mpmath's own LU on an mp.matrix of the block."""
+    D, d = spec.D, spec.d
+    return mp.det(mp.matrix([[series.coeffs[i + j + d + 1] for j in range(D)] for i in range(D)]))
+
+
+def _assert_same_det(series, spec):
+    mine, ref = hankel_det(series, spec), _mp_det_oracle(series, spec)
+    assert type(mine) is type(ref)
+    if isinstance(ref, mp.mpf):
+        assert mine._mpf_ == ref._mpf_
+    else:
+        assert mine == ref
+    return ref
+
+
+def test_hankel_matches_mp_det_when_pivoting_swaps_rows():
+    # At E = 1.9 the scaled pivot rule swaps rows once for D = 3 and twice
+    # for D = 4, so the sign bookkeeping is exercised.
+    with mp.workdps(40):
+        for D in (2, 3, 4):
+            series = riccati_coeffs([0, 1, 4], 0, mp.mpf("1.9"), 2 * D - 1)
+            assert isinstance(_assert_same_det(series, HankelSpec(D=D)), mp.mpf)
+        for d in (1, 2):
+            series = riccati_coeffs([0, 1, Fraction(1, 10)], 1, mp.mpf("0.5"), 2 * 6 - 1 + d)
+            _assert_same_det(series, HankelSpec(D=6, d=d))
+
+
+def test_hankel_matches_mp_det_on_the_harmonic_series():
+    with mp.workdps(40):
+        series = riccati_coeffs([0, 1], s=0, e_value=1, m_max=11)
+        for D in (1, 2, 5):
+            assert _assert_same_det(series, HankelSpec(D=D)) == 0
+
+
+def test_hankel_matches_mp_det_below_the_singularity_threshold():
+    # A Newton iterate of rpm_eigenvalue([0, 1, 1], s=1, D_max=25, seed=<variational>)
+    # at 80 digits. At D = 16 its last pivot is below ||A||_1 * eps, so mp.det
+    # returns int 0; the largest column sum decides that, and comparing the
+    # sums as raw tuples would pick a smaller one and miss the threshold.
+    with mp.workdps(80):
+        energy = mp.mpf((551214833145542759595461655893291741944393698487717823256927585795641601746067609, -266))
+        series = riccati_coeffs([0, 1, 1], s=1, e_value=energy, m_max=2 * 16 - 1)
+        assert _assert_same_det(series, HankelSpec(D=16)) == 0
+        assert isinstance(_assert_same_det(series, HankelSpec(D=4)), mp.mpf)
+
+
+def test_hankel_matches_mp_det_at_dimension_one():
+    with mp.workdps(40):
+        series = riccati_coeffs([0, 1, 4], s=0, e_value=mp.mpf("1.9"), m_max=3)
+        for d in (0, 1, 2):
+            _assert_same_det(series, HankelSpec(D=1, d=d))
+
+
+def test_hankel_exactly_zero_column_is_singular():
+    # [[1,1,1],[1,1,1],[1,1,0]]: after the first elimination the second column
+    # is exactly zero, so no pivot row exists (mpmath 1.3's det fails there).
+    coeffs = tuple(mp.mpf(c) for c in (0, 1, 1, 1, 1, 0))
+    det = hankel_det(RiccatiSeries(s=0, v=(), coeffs=coeffs), HankelSpec(D=3))
+    assert type(det) is int and det == 0
+
+
+@pytest.mark.parametrize(
+    "v, s, seed, d_max, dps",
+    [([0, 1, 4], 0, 1.9, 10, 40), ([0, 1, 1], 1, 4.6488, 12, 50)],
+)
+def test_rpm_result_identical_to_mp_det_path(monkeypatch, v, s, seed, d_max, dps):
+    mine = rpm_eigenvalue(v, s=s, D_max=d_max, seed=seed, precision_digits=dps)
+    monkeypatch.setattr(rpm, "hankel_det", _mp_det_oracle)
+    ref = rpm_eigenvalue(v, s=s, D_max=d_max, seed=seed, precision_digits=dps)
+    assert mine.e_value._mpf_ == ref.e_value._mpf_
+    assert [(D, root._mpf_) for D, root in mine.trail] == [(D, root._mpf_) for D, root in ref.trail]
+    assert mine.stabilized_digits == ref.stabilized_digits
