@@ -35,9 +35,11 @@ def _fmt(x: float) -> str:
     return format(float(x), ".12g")
 
 
-def _default_digits() -> int:
-    env = os.environ.get("OSC_PRECISION_DIGITS")
-    return int(env) if env else 80
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text} is not a positive integer")
+    return value
 
 
 def _emit(payload, fmt: str, out_path: str | None) -> None:
@@ -89,20 +91,18 @@ def _separated_quartic_coeffs(poly) -> tuple[Fraction, Fraction] | None:
     return coeffs[0], coeffs[1]
 
 
+def _levels_1d(g: float, n_max: int) -> np.ndarray:
+    """Variational levels of p^2 + x^2 + g x^4 in the basis at optimal_omega(g)."""
+    ham = build_hamiltonian_1d({2: 1.0, 4: g}, n_max=n_max, omega=optimal_omega(g))
+    return eig_selfadjoint(ham).eigenvalues
+
+
 def _rpm_ground(g: Fraction, digits: int, d_max: int):
     """High-precision even ground state of p^2 + x^2 + g x^4 (g rational)."""
     if g == 0:
-        return mp.mpf(1), None
-    omega = optimal_omega(float(g))
-    ham = build_hamiltonian_1d({2: 1.0, 4: float(g)}, n_max=40, omega=omega)
-    seed = float(eig_selfadjoint(ham).eigenvalues[0])
-    result = rpm_eigenvalue([0, 1, g], s=0, d=0, D_max=d_max, seed=seed, precision_digits=digits)
-    return result.e_value, result
-
-
-def _variational_ground_1d(g: float, n_max: int = 60) -> float:
-    ham = build_hamiltonian_1d({2: 1.0, 4: g}, n_max=n_max, omega=optimal_omega(g))
-    return float(eig_selfadjoint(ham).eigenvalues[0])
+        return mp.mpf(1)
+    seed = float(_levels_1d(float(g), 40)[0])
+    return rpm_eigenvalue([0, 1, g], s=0, d=0, D_max=d_max, seed=seed, precision_digits=digits).e_value
 
 
 def _cmd_transform(args) -> dict:
@@ -159,35 +159,27 @@ def _cmd_spectrum(args) -> dict:
     omega = _omega_for(args, preset.potential)
     basis = BasisSpec(args.nmax, args.nmax, omega=omega)
     result = eig_selfadjoint(build_hamiltonian(preset.potential, basis))
-    count = min(args.count, len(result.eigenvalues))
     return {
         "case": args.case,
         "lambda": str(preset.lam),
         "nmax": args.nmax,
         "omega": _fmt(omega),
-        "eigenvalues": [_fmt(e) for e in result.eigenvalues[:count]],
+        "eigenvalues": [_fmt(e) for e in result.eigenvalues[: args.count]],
     }
-
-
-def _resonance_rows(lams, nmax: int, window, steps: int):
-    rows = []
-    for lam in lams:
-        preset = case_preset(3, lam)
-        basis = BasisSpec(nmax, nmax, omega=1.0)
-        rows.append(
-            find_lowest_resonance(
-                preset.potential, basis, theta_window=window, n_points=steps, lam=float(lam)
-            )
-        )
-    return rows
 
 
 def _cmd_resonance(args) -> dict | str:
     if args.case != 3:
         raise ValueError("resonances are computed for the unbounded case 3")
     window = (args.theta_min * math.pi, args.theta_max * math.pi)
-    lams = TABLE1_LAMBDAS if (args.emit_table1 and args.lam is None) else (exact_lambda(args.lam if args.lam is not None else Fraction(1, 10)),)
-    rows = _resonance_rows(lams, args.nmax, window, args.theta_steps)
+    basis = BasisSpec(args.nmax, args.nmax, omega=1.0)
+    lams = TABLE1_LAMBDAS if (args.emit_table1 and args.lam is None) else (case_preset(3, args.lam).lam,)
+    rows = [
+        find_lowest_resonance(
+            case_preset(3, lam).potential, basis, theta_window=window, n_points=args.theta_steps, lam=float(lam)
+        )
+        for lam in lams
+    ]
     if args.emit_table1:
         return table_csv(rows)
     res = rows[0]
@@ -206,9 +198,7 @@ def _cmd_resonance(args) -> dict | str:
 def _cmd_rpm(args) -> dict:
     digits = args.digits
     g = exact_lambda(args.g)
-    omega = optimal_omega(float(g))
-    ham = build_hamiltonian_1d({2: 1.0, 4: float(g)}, n_max=40, omega=omega)
-    eigs = eig_selfadjoint(ham).eigenvalues
+    eigs = _levels_1d(float(g), 40)
     s = 0 if args.state == "even" else 1
     seed = args.seed if args.seed is not None else float(eigs[s])
     result = rpm_eigenvalue(
@@ -227,24 +217,18 @@ def _cmd_rpm(args) -> dict:
 
 
 def _case_separable_report(preset, digits: int, d_max: int) -> dict:
-    found = separating_rotation(preset.potential)
-    angle, mp2 = found
+    angle, mp2 = separating_rotation(preset.potential)
     transformed = apply_linear_map(preset.potential, mp2)
     ab = _separated_quartic_coeffs(transformed)
     with mp.workdps(digits):
-        cache = {}
-        e_parts = []
-        variational = 0.0
-        for g in ab:
-            if g not in cache:
-                cache[g] = (_rpm_ground(g, digits, d_max)[0], _variational_ground_1d(float(g)))
-            e_parts.append(cache[g][0])
-            variational += cache[g][1]
-        total = mp.fsum(e_parts)
+        # (RPM, variational) ground energies, once per distinct coupling
+        grounds = {g: (_rpm_ground(g, digits, d_max), float(_levels_1d(float(g), 60)[0])) for g in dict.fromkeys(ab)}
+        total = mp.fsum(grounds[g][0] for g in ab)
+        variational = sum(grounds[g][1] for g in ab)
         # Exact agreement (the harmonic limit λ = 0) certifies every digit.
         gap = abs(total - variational)
         agreement = digits if gap == 0 else int(mp.floor(-mp.log10(gap / abs(total))))
-        report = {
+        return {
             "rotation_angle": _fmt(angle),
             "map": {"label": mp2.label, "entries": [[str(v) for v in row] for row in mp2.entries()]},
             "transformed": _poly_dict(transformed),
@@ -253,11 +237,11 @@ def _case_separable_report(preset, digits: int, d_max: int) -> dict:
             "ground_energy_variational": _fmt(variational),
             "agreement_digits": agreement,
         }
-    return report
 
 
 def _cmd_case(args) -> dict | str:
-    digits = args.digits
+    if args.nmax is None:
+        args.nmax = 30 if args.case == 3 else 20
     preset = case_preset(args.case, args.lam)
     payload = {
         "case": args.case,
@@ -266,23 +250,15 @@ def _cmd_case(args) -> dict | str:
         "group_order": detect_group(preset.potential).order,
     }
     if args.case in (1, 2):
-        payload.update(_case_separable_report(preset, digits, args.dmax))
+        payload.update(_case_separable_report(preset, args.digits, args.dmax))
     elif args.case == 3:
         if args.emit_table1:
-            window = (args.theta_min * math.pi, args.theta_max * math.pi)
-            lams = TABLE1_LAMBDAS if args.lam is None else (preset.lam,)
-            return table_csv(_resonance_rows(lams, args.nmax, window, args.theta_steps))
+            return _cmd_resonance(args)
         qmin, angle = quartic_form_min(preset.potential)
         payload["quartic_form_min"] = _fmt(qmin)
         payload["quartic_form_argmin"] = _fmt(angle)
-        window = (args.theta_min * math.pi, args.theta_max * math.pi)
-        res = _resonance_rows((preset.lam,), args.nmax, window, args.theta_steps)[0]
-        payload.update(
-            re_e=_fmt(res.energy.real),
-            im_e=_fmt(res.energy.imag),
-            theta_star=_fmt(res.theta_star),
-            converged=res.converged,
-        )
+        res = _cmd_resonance(args)
+        payload.update((key, res[key]) for key in ("re_e", "im_e", "theta_star", "converged"))
     elif args.case == 4:
         twin = case_preset(1, preset.lam)
         flip = flip_x()
@@ -320,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sym.add_argument("--case", type=int, choices=range(1, 6), required=True)
     p_sp = common(sub.add_parser("spectrum", help="lowest Rayleigh-Ritz eigenvalues"))
     p_sp.add_argument("--case", type=int, choices=range(1, 6), required=True)
-    p_sp.add_argument("--count", type=int, default=10)
+    p_sp.add_argument("--count", type=_positive_int, default=10)
     p_res = common(sub.add_parser("resonance", help="lowest complex-rotation resonance"))
     p_res.add_argument("--case", type=int, default=3)
     p_rpm = common(sub.add_parser("rpm", help="high-precision 1D quartic eigenvalue"))
@@ -329,15 +305,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_rpm.add_argument("--seed", type=float, default=None, help="Newton seed (default: variational)")
     p_rpm.add_argument("--displacement", type=int, default=0)
 
-    for p in (p_case, p_sp, p_res):
-        p.add_argument("--nmax", type=int, default=None, help="basis functions per mode")
+    for p, nmax in ((p_case, None), (p_sp, 20), (p_res, 30)):
+        # case picks its own default: 30 for case 3, 20 otherwise
+        p.add_argument("--nmax", type=_positive_int, default=nmax, help="basis functions per mode")
     for p in (p_case, p_res):
         p.add_argument("--theta-min", type=float, default=0.03, help="window start in units of pi")
         p.add_argument("--theta-max", type=float, default=0.10, help="window end in units of pi")
         p.add_argument("--theta-steps", type=int, default=15)
         p.add_argument("--emit-table1", action="store_true", help="emit the resonance table as CSV")
     for p in (p_case, p_rpm):
-        p.add_argument("--digits", type=int, default=_default_digits())
+        # argparse converts a string default with `type`, only for these commands
+        digits = os.environ.get("OSC_PRECISION_DIGITS") or "80"
+        p.add_argument("--digits", type=_positive_int, default=digits)
         p.add_argument("--dmax", type=int, default=25, help="largest Hankel dimension")
     p_sp.add_argument("--omega", default="fixed:1", help="basis frequency: fixed:<val> or optimal")
     return parser
@@ -352,17 +331,11 @@ _HANDLERS = {
     "rpm": _cmd_rpm,
 }
 
-_DEFAULT_NMAX = {"case": 20, "resonance": 30, "spectrum": 20}
-
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "nmax", None) is None and args.command in _DEFAULT_NMAX:
-        args.nmax = 30 if (args.command == "case" and getattr(args, "case", None) == 3) else _DEFAULT_NMAX[args.command]
     try:
-        if getattr(args, "nmax", 1) < 1:
-            raise ValueError("--nmax must be >= 1")
         if hasattr(args, "theta_min") and not (0.0 < args.theta_min < args.theta_max < 0.25):
             raise ValueError("theta window must satisfy 0 < min < max < 0.25 (units of pi)")
         payload = _HANDLERS[args.command](args)

@@ -49,7 +49,7 @@ def eig_selfadjoint(mat: OperatorMatrix, want_vectors: bool = False) -> Spectral
     if not mat.hermitian_flag:
         raise NotHermitian("matrix lacks the hermitian certificate")
     a = mat.entries
-    if np.abs(a.imag).max() == 0.0:
+    if np.iscomplexobj(a) and not a.imag.any():
         a = a.real
     try:
         if want_vectors:

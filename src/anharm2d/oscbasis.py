@@ -4,12 +4,12 @@ Basis convention: eigenfunctions of h0 = p^2 + omega^2 x^2 (energies
 omega*(2n+1)), so at omega = 1 the unperturbed 2D levels are 2(nx+ny)+2.
 Complex scaling x -> x e^{i theta} enters as analytic continuation of the
 matrix elements: the kinetic block picks up e^{-2i theta} and a potential
-term of total degree k picks up e^{i k theta}.
+term of total degree k picks up e^{i k theta}. At theta = 0 every phase is
+1, and the Hermitian matrix is built and stored as real float64.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 from math import cos, pi, sin
 
@@ -48,7 +48,11 @@ class BasisSpec:
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Dense complex matrix with a Hermiticity certificate."""
+    """Dense matrix with a Hermiticity certificate.
+
+    The builders below return Hermitian matrices as real float64 and rotated
+    ones as complex128. The check guards matrices that callers build.
+    """
 
     dim: int
     entries: np.ndarray = field(repr=False)
@@ -102,6 +106,22 @@ def _position_powers(n_max: int, omega: float, max_power: int) -> list[np.ndarra
     return powers
 
 
+def _assemble(kin: np.ndarray, terms, theta: float) -> OperatorMatrix:
+    """e^{-2i theta} kin + sum coeff e^{i degree theta} matrix over (coeff, degree, matrix).
+
+    At theta = 0 every phase is the float 1.0, so the sum stays real.
+    """
+    hermitian = theta == 0.0
+
+    def phase(degree: int):
+        return 1.0 if hermitian else np.exp(1j * degree * theta)
+
+    ham = phase(-2) * kin
+    for coeff, degree, mat in terms:
+        ham = ham + (coeff * phase(degree)) * mat
+    return OperatorMatrix(dim=kin.shape[0], entries=ham, hermitian_flag=hermitian)
+
+
 def build_hamiltonian(poly: PolynomialPotential, basis: BasisSpec) -> OperatorMatrix:
     """Matrix of e^{-2i theta}(px^2+py^2) + sum c_ij e^{i(i+j)theta} X^i Y^j."""
     for (i, j) in poly.terms:
@@ -109,20 +129,16 @@ def build_hamiltonian(poly: PolynomialPotential, basis: BasisSpec) -> OperatorMa
             raise DegreeTooHigh(
                 f"term x^{i} y^{j} exceeds the pad-{_PAD} exact truncation policy"
             )
-    nx, ny, omega, theta = basis.n_max_x, basis.n_max_y, basis.omega, basis.theta
+    nx, ny, omega = basis.n_max_x, basis.n_max_y, basis.omega
     xpow = _position_powers(nx, omega, _PAD)
     ypow = xpow if ny == nx else _position_powers(ny, omega, _PAD)
     ix, iy = np.eye(nx), np.eye(ny)
-
     kin = np.kron(kinetic_matrix_1d(nx, omega), iy) + np.kron(ix, kinetic_matrix_1d(ny, omega))
-    ham = np.exp(-2j * theta) * kin
-    for (i, j), coeff in poly.float_terms().items():
-        ham = ham + (coeff * np.exp(1j * (i + j) * theta)) * np.kron(xpow[i], ypow[j])
-
-    hermitian = theta == 0.0
-    if hermitian:
-        ham = ham.real.astype(np.complex128)
-    return OperatorMatrix(dim=basis.dim, entries=ham, hermitian_flag=hermitian)
+    terms = (
+        (coeff, i + j, np.kron(xpow[i], ypow[j]))
+        for (i, j), coeff in poly.float_terms().items()
+    )
+    return _assemble(kin, terms, basis.theta)
 
 
 def build_hamiltonian_1d(
@@ -136,13 +152,8 @@ def build_hamiltonian_1d(
     if any(k > _PAD or k < 0 for k in coeffs):
         raise DegreeTooHigh(f"power beyond the pad-{_PAD} truncation policy")
     xpow = _position_powers(n_max, omega, _PAD)
-    ham = np.exp(-2j * theta) * kinetic_matrix_1d(n_max, omega).astype(np.complex128)
-    for k, c in coeffs.items():
-        ham = ham + (c * np.exp(1j * k * theta)) * xpow[k]
-    hermitian = theta == 0.0
-    if hermitian:
-        ham = ham.real.astype(np.complex128)
-    return OperatorMatrix(dim=n_max, entries=ham, hermitian_flag=hermitian)
+    terms = ((c, k, xpow[k]) for k, c in coeffs.items())
+    return _assemble(kinetic_matrix_1d(n_max, omega), terms, theta)
 
 
 def optimal_omega(g: float) -> float:
@@ -164,35 +175,3 @@ def optimal_omega(g: float) -> float:
     fp = 3.0 * omega**2 - 1.0
     return omega - f / fp
 
-
-# -- binary matrix dump ------------------------------------------------------
-
-_MAGIC = b"OSCM"
-_VERSION = 1
-_FLAG_HERMITIAN = 1
-
-
-def write_matrix(path, mat: OperatorMatrix) -> None:
-    """Little-endian dump: 16-byte header (magic, version, dim, flags), then
-    row-major interleaved (re, im) float64 entries."""
-    flags = _FLAG_HERMITIAN if mat.hermitian_flag else 0
-    header = _MAGIC + struct.pack("<III", _VERSION, mat.dim, flags)
-    inter = np.empty((mat.dim, mat.dim, 2))
-    inter[:, :, 0] = mat.entries.real
-    inter[:, :, 1] = mat.entries.imag
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(inter.astype("<f8").tobytes())
-
-
-def read_matrix(path) -> OperatorMatrix:
-    with open(path, "rb") as fh:
-        header = fh.read(16)
-        if header[:4] != _MAGIC:
-            raise ValueError("not an OSCM matrix dump")
-        version, dim, flags = struct.unpack("<III", header[4:])
-        if version != _VERSION:
-            raise ValueError(f"unsupported OSCM version {version}")
-        raw = np.frombuffer(fh.read(), dtype="<f8").reshape(dim, dim, 2)
-    entries = raw[:, :, 0] + 1j * raw[:, :, 1]
-    return OperatorMatrix(dim=dim, entries=entries, hermitian_flag=bool(flags & _FLAG_HERMITIAN))

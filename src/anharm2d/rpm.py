@@ -62,18 +62,15 @@ class RiccatiSeries:
     """Coefficients f_j(E) of the regularized logarithmic derivative."""
 
     s: int
-    v: tuple
     coeffs: tuple = field(repr=False)
-    e_value: object = None
 
 
 @dataclass(frozen=True)
 class HankelSpec:
-    """Determinant block: dimension D, displacement d, working precision."""
+    """Determinant block: dimension D and displacement d."""
 
     D: int
     d: int = 0
-    precision_digits: int = 80
 
     def __post_init__(self):
         if self.D < 1 or self.d < 0:
@@ -114,7 +111,7 @@ def riccati_coeffs(v, s: int, e_value, m_max: int) -> RiccatiSeries:
             total = mpf_add(total, energy._mpf_, prec, rnd)
         raw.append(mpf_div(total, from_int(2 * m + 2 * s + 1), prec, rnd))
     coeffs = tuple(mp.mp.make_mpf(c) for c in raw)
-    return RiccatiSeries(s=s, v=tuple(vs), coeffs=coeffs, e_value=energy)
+    return RiccatiSeries(s=s, coeffs=coeffs)
 
 
 def hankel_det(series: RiccatiSeries, spec: HankelSpec):

@@ -11,8 +11,6 @@ import json
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .maps import OrthogonalMap2, dihedral16, rotation
 from .poly2d import PolynomialPotential, apply_linear_map, is_separable
 
@@ -116,43 +114,15 @@ def conjugate_group(group: SymmetryGroup, mp: OrthogonalMap2) -> SymmetryGroup:
 def separating_rotation(
     poly: PolynomialPotential,
 ) -> tuple[float, OrthogonalMap2] | None:
-    """Rotation angle killing every mixed term, if one exists on the pi/4 grid.
+    """Rotation by 0 or -pi/4 that kills every mixed term, checked exactly.
 
-    A dense angle scan locates (numerically) a zero of the mixed-coefficient
-    residual; the angle is then snapped to the nearest multiple of pi/4 and
-    the separation re-verified exactly. Angles that do not snap are rejected.
+    These two cover every rotation by k*pi/4: rotation(k + 2) is rotation(k)
+    followed by (x, y) -> (-y, x), which maps each monomial x^i y^j to
+    +-x^j y^i, so k and k + 2 separate together. Of that pair, -pi/4 rather
+    than +pi/4 gives the canonical "quartic lands on y" orientation of the
+    benchmark transforms.
     """
-    float_terms = poly.float_terms()
-
-    def residual(alpha: float) -> float:
-        c, s = math.cos(alpha), math.sin(alpha)
-        mixed: dict[tuple[int, int], float] = {}
-        for (i, j), coeff in float_terms.items():
-            for k in range(i + 1):
-                for m in range(j + 1):
-                    key = (k + m, (i - k) + (j - m))
-                    if key[0] == 0 or key[1] == 0:
-                        continue
-                    mixed[key] = mixed.get(key, 0.0) + (
-                        coeff
-                        * math.comb(i, k) * c**k * (-s) ** (i - k)
-                        * math.comb(j, m) * s**m * c ** (j - m)
-                    )
-        return sum(abs(v) for v in mixed.values())
-
-    # The quartic and quadratic parts both have period pi under rotation, so
-    # scanning [-pi/2, pi/2] covers all rotations.
-    grid = np.linspace(-math.pi / 2.0, math.pi / 2.0, 4097)
-    tol = 1e-8 * max(1.0, max(abs(v) for v in float_terms.values()))
-    hit_ks: set[int] = set()
-    for alpha, value in zip(grid, (residual(a) for a in grid)):
-        if value < tol:
-            k = round(alpha / (math.pi / 4.0))
-            if abs(alpha - k * math.pi / 4.0) < 1e-6:
-                hit_ks.add(k)
-    # Smallest rotation first; -pi/4 ahead of +pi/4 so the canonical
-    # "quartic lands on y" orientation of the benchmark transforms wins.
-    for k in sorted(hit_ks, key=lambda k: (abs(k), k)):
+    for k in (0, -1):
         exact_map = rotation(k)
         if is_separable(apply_linear_map(poly, exact_map)):
             return k * math.pi / 4.0, exact_map

@@ -121,6 +121,17 @@ def test_validation_failures_exit_2():
     assert run_cli("spectrum", "--case", "1", "--omega", "fixed:-1").returncode == 2
     assert run_cli("rpm", "--g", "4", "--dmax", "2").returncode == 2
     assert run_cli("case", "3", "--theta-min", "0.2", "--theta-max", "0.1").returncode == 2
+    for count in ("-1", "0"):
+        assert run_cli("spectrum", "--case", "5", "--nmax", "3", "--count", count).returncode == 2
+    assert run_cli("spectrum", "--case", "5", "--nmax", "0").returncode == 2
+    assert run_cli("rpm", "--g", "1", "--digits", "0").returncode == 2
+    assert run_cli("case", "1", "--digits", "0").returncode == 2
+
+
+def test_precision_variable_is_read_only_by_commands_with_digits():
+    env = dict(os.environ, OSC_PRECISION_DIGITS="abc")
+    assert run_cli("symmetry", "--case", "5", env=env).returncode == 0
+    assert run_cli("rpm", "--g", "1", env=env).returncode == 2
 
 
 def test_numerical_failure_exits_3_with_json_error():

@@ -11,13 +11,12 @@ from anharm2d.oscbasis import (
     BasisSpec,
     DegreeTooHigh,
     OperatorMatrix,
+    _position_powers,
     build_hamiltonian,
     build_hamiltonian_1d,
     kinetic_matrix_1d,
     optimal_omega,
     position_matrix_1d,
-    read_matrix,
-    write_matrix,
 )
 from anharm2d.poly2d import PolynomialPotential, apply_linear_map, make_quartic
 from anharm2d.exactnum import SqrtTwoRational
@@ -127,6 +126,44 @@ def test_complex_scaling_phases():
     assert not ham.hermitian_flag
 
 
+def _complex_formula(kin, terms, theta):
+    """e^{-2i theta} kin + sum c e^{i k theta} M over (c, k, M), in complex128."""
+    ham = np.exp(-2j * theta) * kin.astype(np.complex128)
+    for c, k, mat in terms:
+        ham = ham + (c * np.exp(1j * k * theta)) * mat
+    return ham
+
+
+def test_hermitian_builds_are_real_float64():
+    n, omega = 6, 1.7
+    poly = case_preset(1, "0.3").potential
+    xpow = _position_powers(n, omega, 4)
+    k1 = kinetic_matrix_1d(n, omega)
+    kin = np.kron(k1, np.eye(n)) + np.kron(np.eye(n), k1)
+    terms = [(c, i + j, np.kron(xpow[i], xpow[j])) for (i, j), c in poly.float_terms().items()]
+    ham = build_hamiltonian(poly, BasisSpec(n, n, omega=omega))
+    assert ham.entries.dtype == np.float64
+    assert np.array_equal(ham.entries, _complex_formula(kin, terms, 0.0).real)
+
+    ham1 = build_hamiltonian_1d({2: 1.0, 4: 0.7}, n, omega)
+    assert ham1.entries.dtype == np.float64
+    terms1 = [(1.0, 2, xpow[2]), (0.7, 4, xpow[4])]
+    assert np.array_equal(ham1.entries, _complex_formula(k1, terms1, 0.0).real)
+
+
+def test_rotated_1d_builder_phases():
+    theta = 0.05 * math.pi
+    n, omega, coeffs = 7, 1.3, {2: 1.0, 4: 0.4}
+    ham = build_hamiltonian_1d(coeffs, n, omega, theta=theta)
+    x = position_matrix_1d(n, omega, pad=4)
+    expected = np.exp(-2j * theta) * kinetic_matrix_1d(n, omega) + sum(
+        c * np.exp(1j * k * theta) * np.linalg.matrix_power(x, k)[:n, :n] for k, c in coeffs.items()
+    )
+    assert ham.entries.dtype == np.complex128
+    assert not ham.hermitian_flag
+    assert np.abs(ham.entries - expected).max() < 1e-13
+
+
 def test_degree_above_padding_rejected():
     poly = PolynomialPotential({(5, 0): SqrtTwoRational(1)})
     with pytest.raises(DegreeTooHigh):
@@ -211,20 +248,5 @@ def test_operator_matrix_flag_validation():
     bad = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     with pytest.raises(ValueError):
         OperatorMatrix(2, bad, hermitian_flag=True)
-
-
-def test_matrix_dump_round_trip(tmp_path):
-    ham = build_hamiltonian(case_preset(3, "0.1").potential, BasisSpec(4, 4, theta=0.05))
-    path = tmp_path / "ham.oscm"
-    write_matrix(path, ham)
-    raw = path.read_bytes()
-    assert raw[:4] == b"OSCM"
-    assert len(raw) == 16 + 16 * ham.dim * ham.dim
-    again = read_matrix(path)
-    assert again.dim == ham.dim
-    assert again.hermitian_flag == ham.hermitian_flag
-    assert np.array_equal(again.entries, ham.entries)
     with pytest.raises(ValueError):
-        bad = tmp_path / "bad.oscm"
-        bad.write_bytes(b"NOPE" + raw[4:])
-        read_matrix(bad)
+        OperatorMatrix(2, bad.real, hermitian_flag=True)

@@ -237,7 +237,7 @@ def test_hankel_exactly_zero_column_is_singular():
     # [[1,1,1],[1,1,1],[1,1,0]]: after the first elimination the second column
     # is exactly zero, so no pivot row exists (mpmath 1.3's det fails there).
     coeffs = tuple(mp.mpf(c) for c in (0, 1, 1, 1, 1, 0))
-    det = hankel_det(RiccatiSeries(s=0, v=(), coeffs=coeffs), HankelSpec(D=3))
+    det = hankel_det(RiccatiSeries(s=0, coeffs=coeffs), HankelSpec(D=3))
     assert type(det) is int and det == 0
 
 

@@ -1,15 +1,18 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anharm2d.cases import case_preset
 from anharm2d.eig import eig_selfadjoint
 from anharm2d.exactnum import HALF_SQRT2
 from anharm2d.maps import OrthogonalMap2, dihedral16, flip_x, identity, rotation, swap_xy
 from anharm2d.oscbasis import BasisSpec, build_hamiltonian
-from anharm2d.poly2d import apply_linear_map, is_separable, make_quartic
+from anharm2d.poly2d import PolynomialPotential, apply_linear_map, is_separable, make_quartic
 from anharm2d.symmetry import (
     NotClosed,
     conjugate_group,
@@ -127,6 +130,45 @@ def test_separating_rotation_already_separable():
     angle, mp2 = separating_rotation(make_quartic(1, 0, 0, 0, 1, 1))
     assert angle == 0.0
     assert mp2.same_entries(identity())
+
+
+_COEFF = st.one_of(st.just(Fraction(0)), st.fractions(min_value=-3, max_value=3, max_denominator=4))
+
+
+def _quartics(terms):
+    return st.fixed_dictionaries({ij: _COEFF for ij in terms}).map(PolynomialPotential)
+
+
+_EVEN_TERMS = ((2, 0), (1, 1), (0, 2), (4, 0), (3, 1), (2, 2), (1, 3), (0, 4))
+
+
+def _separates(poly, k):
+    return is_separable(apply_linear_map(poly, rotation(k)))
+
+
+def _check_separating_rotation(poly):
+    """A map iff some k*pi/4 rotation separates; then the first k in (0, -1, 1, -2, 2)."""
+    found = separating_rotation(poly)
+    assert (found is not None) == any(_separates(poly, k) for k in range(8))
+    if found is not None:
+        angle, mp2 = found
+        assert is_separable(apply_linear_map(poly, mp2))
+        first = next(k for k in (0, -1, 1, -2, 2) if _separates(poly, k))
+        assert angle == first * math.pi / 4
+        assert mp2.same_entries(rotation(first))
+    return found
+
+
+@settings(max_examples=60, deadline=None)
+@given(_quartics(_EVEN_TERMS))
+def test_separating_rotation_is_exact_and_complete(poly):
+    _check_separating_rotation(poly)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_quartics(((2, 0), (0, 2), (4, 0), (0, 4))), st.integers(0, 7))
+def test_rotated_separable_quartic_is_found(separable, k):
+    assert _check_separating_rotation(apply_linear_map(separable, rotation(k).transpose())) is not None
 
 
 def test_swap_degeneracy_witness_case5():
