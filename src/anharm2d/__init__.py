@@ -8,7 +8,7 @@ Hankel-determinant high-precision 1D eigenvalues.
 from .cases import CasePreset, case_preset, exact_lambda
 from .eig import SpectralResult, eig_complex, eig_selfadjoint
 from .exactnum import SqrtTwoRational
-from .maps import OrthogonalMap2, dihedral16, flip_x, flip_y, reflection, rotation, swap_xy
+from .maps import OrthogonalMap2, dihedral16, flip_x, reflection, rotation, swap_xy
 from .oscbasis import (
     BasisSpec,
     OperatorMatrix,
@@ -65,7 +65,6 @@ __all__ = [
     "exact_lambda",
     "find_lowest_resonance",
     "flip_x",
-    "flip_y",
     "hankel_det",
     "is_bounded_below",
     "is_separable",

@@ -1,6 +1,9 @@
 """Command-line front end: case pipelines, transforms, spectra, resonances,
 and high-precision 1D eigenvalues.
 
+This is the only module that formats output: the library returns computed
+values, and the JSON, CSV and text renderings are all built here.
+
 Exit codes: 0 success, 2 flag/validation error (argparse convention), 3
 numerical failure (the error name goes to stderr as a one-line JSON object).
 """
@@ -24,7 +27,7 @@ from .eig import eig_selfadjoint
 from .maps import flip_x
 from .oscbasis import BasisSpec, build_hamiltonian, build_hamiltonian_1d, optimal_omega
 from .poly2d import apply_linear_map, is_bounded_below, quartic_form_min
-from .resonance import find_lowest_resonance, table_csv
+from .resonance import find_lowest_resonance
 from .rpm import rpm_eigenvalue
 from .symmetry import detect_group, separating_rotation
 
@@ -48,11 +51,7 @@ def _emit(payload, fmt: str, out_path: str | None) -> None:
     elif fmt == "json":
         text = json.dumps(payload, indent=2) + "\n"
     elif fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        for key, value in _flatten(payload):
-            writer.writerow([key, value])
-        text = buf.getvalue()
+        text = _csv(_flatten(payload))
     else:
         text = "".join(f"{key}: {value}\n" for key, value in _flatten(payload))
     if out_path:
@@ -73,8 +72,34 @@ def _flatten(payload, prefix=""):
         yield prefix.rstrip("."), payload
 
 
+def _frac_str(f: Fraction) -> str:
+    return f"{f.numerator}/{f.denominator}"
+
+
 def _poly_dict(poly) -> dict:
-    return json.loads(poly.to_json())
+    """Exact form of a potential: terms sorted by (i, j), coefficient p + q*sqrt(2)
+    with p and q as "num/den" strings."""
+    return {
+        "terms": [
+            {"i": i, "j": j, "p": _frac_str(c.p), "q": _frac_str(c.q)}
+            for (i, j), c in sorted(poly.terms.items())
+        ]
+    }
+
+
+def _csv(rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+def _table1_csv(lams, resonances, nmax: int) -> str:
+    """Table 1 of the paper: one CSV row per coupling, floats to 10 significant figures."""
+    rows = [["lambda", "re_e", "im_e", "theta_star", "nmax"]]
+    for lam, res in zip(lams, resonances):
+        values = (lam, res.energy.real, res.energy.imag, res.theta_star)
+        rows.append([format(float(v), ".10g") for v in values] + [nmax])
+    return _csv(rows)
 
 
 def _separated_quartic_coeffs(poly) -> tuple[Fraction, Fraction] | None:
@@ -132,7 +157,11 @@ def _cmd_symmetry(args) -> dict:
     return {
         "case": args.case,
         "lambda": str(preset.lam),
-        "group": json.loads(group.to_json()),
+        "group": {
+            "order": group.order,
+            "elements": [el.label for el in group.elements],
+            "table": [list(row) for row in group.table],
+        },
         "boundedness": bounded.value,
         "quartic_form_min": _fmt(qmin),
         "quartic_form_argmin": _fmt(angle),
@@ -142,10 +171,8 @@ def _cmd_symmetry(args) -> dict:
 def _omega_for(args, poly) -> float:
     policy = args.omega
     if policy.startswith("fixed:"):
-        value = float(policy.split(":", 1)[1])
-        if value <= 0:
-            raise ValueError("--omega fixed:<val> needs a positive value")
-        return value
+        # BasisSpec rejects a value that is not positive and finite
+        return float(policy.split(":", 1)[1])
     if policy == "optimal":
         # strongest quartic growth direction sets the effective 1D coupling
         neg = poly.homogeneous_part(4).scale(-1)
@@ -169,19 +196,17 @@ def _cmd_spectrum(args) -> dict:
 
 
 def _cmd_resonance(args) -> dict | str:
-    if args.case != 3:
-        raise ValueError("resonances are computed for the unbounded case 3")
     window = (args.theta_min * math.pi, args.theta_max * math.pi)
     basis = BasisSpec(args.nmax, args.nmax, omega=1.0)
     lams = TABLE1_LAMBDAS if (args.emit_table1 and args.lam is None) else (case_preset(3, args.lam).lam,)
     rows = [
         find_lowest_resonance(
-            case_preset(3, lam).potential, basis, theta_window=window, n_points=args.theta_steps, lam=float(lam)
+            case_preset(3, lam).potential, basis, theta_window=window, n_points=args.theta_steps
         )
         for lam in lams
     ]
     if args.emit_table1:
-        return table_csv(rows)
+        return _table1_csv(lams, rows, args.nmax)
     res = rows[0]
     return {
         "case": 3,
@@ -190,7 +215,7 @@ def _cmd_resonance(args) -> dict | str:
         "im_e": _fmt(res.energy.imag),
         "theta_star": _fmt(res.theta_star),
         "stability": _fmt(res.stability),
-        "nmax": res.basis_used.n_max_x,
+        "nmax": args.nmax,
         "converged": res.converged,
     }
 
@@ -212,7 +237,7 @@ def _cmd_rpm(args) -> dict:
         "precision_digits": digits,
         "energy": mp.nstr(result.e_value, digits),
         "stabilized_digits": result.stabilized_digits,
-        "trail": json.loads(result.to_json(g=float(g), s=s, d=args.displacement, digits=digits))["roots"],
+        "trail": [{"D": D, "E": mp.nstr(root, digits)} for D, root in result.trail],
     }
 
 
@@ -298,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sp.add_argument("--case", type=int, choices=range(1, 6), required=True)
     p_sp.add_argument("--count", type=_positive_int, default=10)
     p_res = common(sub.add_parser("resonance", help="lowest complex-rotation resonance"))
-    p_res.add_argument("--case", type=int, default=3)
+    p_res.add_argument("--case", type=int, choices=(3,), default=3)
     p_rpm = common(sub.add_parser("rpm", help="high-precision 1D quartic eigenvalue"))
     p_rpm.add_argument("--g", required=True, help="coefficient of x^4 in p^2 + x^2 + g x^4")
     p_rpm.add_argument("--state", choices=("even", "odd"), default="even")

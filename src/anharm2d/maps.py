@@ -73,9 +73,6 @@ class OrthogonalMap2:
     def transpose(self) -> "OrthogonalMap2":
         return OrthogonalMap2(self.a, self.c, self.b, self.d, label=f"{self.label}^T")
 
-    # For orthogonal matrices the transpose is the inverse.
-    inverse = transpose
-
     def compose(self, other: "OrthogonalMap2", label: str | None = None) -> "OrthogonalMap2":
         """Matrix product self @ other (apply `other` first)."""
         a = self.a * other.a + self.b * other.c
@@ -85,9 +82,6 @@ class OrthogonalMap2:
         if label is None:
             label = f"{self.label}*{other.label}"
         return OrthogonalMap2(a, b, c, d, label=label)
-
-    def __matmul__(self, other):
-        return self.compose(other)
 
     def apply(self, x: float, y: float) -> tuple[float, float]:
         """Apply the map to a floating-point point."""
@@ -136,11 +130,6 @@ def reflection(k: int) -> OrthogonalMap2:
 def flip_x() -> OrthogonalMap2:
     """(x, y) -> (-x, y)."""
     return OrthogonalMap2(-1, 0, 0, 1, label="flip_x")
-
-
-def flip_y() -> OrthogonalMap2:
-    """(x, y) -> (x, -y)."""
-    return OrthogonalMap2(1, 0, 0, -1, label="flip_y")
 
 
 def swap_xy() -> OrthogonalMap2:

@@ -11,7 +11,7 @@ term of total degree k picks up e^{i k theta}. At theta = 0 every phase is
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import cos, pi, sin
+from math import inf, pi
 
 import numpy as np
 
@@ -36,8 +36,8 @@ class BasisSpec:
     def __post_init__(self):
         if self.n_max_x < 1 or self.n_max_y < 1:
             raise ValueError("basis sizes must be >= 1")
-        if not self.omega > 0:
-            raise ValueError("omega must be positive")
+        if not 0 < self.omega < inf:
+            raise ValueError("omega must be positive and finite")
         if not abs(self.theta) < pi / 4:
             raise ValueError("|theta| must stay below pi/4")
 

@@ -7,7 +7,6 @@ pi/4-type rotations and reflections are loss-free.
 
 from __future__ import annotations
 
-import json
 import math
 from enum import Enum
 from fractions import Fraction
@@ -16,7 +15,7 @@ from math import comb
 import numpy as np
 
 from .exactnum import SqrtTwoRational
-from .maps import NonOrthogonalMap, OrthogonalMap2
+from .maps import OrthogonalMap2
 
 
 class NoQuarticPart(ValueError):
@@ -51,10 +50,6 @@ class PolynomialPotential:
     def __setattr__(self, name, value):
         raise AttributeError("PolynomialPotential is immutable")
 
-    @property
-    def degree_bound(self) -> int:
-        return max((i + j for i, j in self.terms), default=0)
-
     def coefficient(self, i: int, j: int) -> SqrtTwoRational:
         return self.terms.get((i, j), SqrtTwoRational(0))
 
@@ -78,12 +73,6 @@ class PolynomialPotential:
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
-    def __add__(self, other: "PolynomialPotential") -> "PolynomialPotential":
-        out = dict(self.terms)
-        for ij, c in other.terms.items():
-            out[ij] = out.get(ij, SqrtTwoRational(0)) + c
-        return PolynomialPotential(out)
-
     def scale(self, factor) -> "PolynomialPotential":
         factor = SqrtTwoRational.coerce(factor)
         return PolynomialPotential({ij: c * factor for ij, c in self.terms.items()})
@@ -101,39 +90,6 @@ class PolynomialPotential:
             ) or "1"
             bits.append(f"({c})*{mono}")
         return "PolynomialPotential(" + " + ".join(bits) + ")"
-
-    # -- serialization -------------------------------------------------------
-
-    def to_json(self) -> str:
-        """JSON form {"terms": [{"i", "j", "p": "num/den", "q": "num/den"}]}.
-
-        Terms are sorted by (i, j) and rationals are printed as num/den
-        strings, so the encoding is canonical: serialize/parse round trips
-        bit-exactly.
-        """
-        items = [
-            {
-                "i": i,
-                "j": j,
-                "p": _frac_str(self.terms[(i, j)].p),
-                "q": _frac_str(self.terms[(i, j)].q),
-            }
-            for (i, j) in sorted(self.terms)
-        ]
-        return json.dumps({"terms": items})
-
-    @staticmethod
-    def from_json(text: str) -> "PolynomialPotential":
-        data = json.loads(text)
-        terms = {}
-        for item in data["terms"]:
-            coeff = SqrtTwoRational(Fraction(item["p"]), Fraction(item["q"]))
-            terms[(int(item["i"]), int(item["j"]))] = coeff
-        return PolynomialPotential(terms)
-
-
-def _frac_str(f: Fraction) -> str:
-    return f"{f.numerator}/{f.denominator}"
 
 
 def make_quartic(a_xx, b_xy, c_xy, b_yx, a_yy, lam) -> PolynomialPotential:
@@ -157,13 +113,7 @@ def make_quartic(a_xx, b_xy, c_xy, b_yx, a_yy, lam) -> PolynomialPotential:
 
 
 def apply_linear_map(poly: PolynomialPotential, mp: OrthogonalMap2) -> PolynomialPotential:
-    """Exact substitution V(M (x, y)): x -> a x + b y, y -> c x + d y.
-
-    Raises NonOrthogonalMap if the map fails the exact orthogonality test
-    (cannot happen for a normally constructed OrthogonalMap2).
-    """
-    if not mp._is_orthogonal():
-        raise NonOrthogonalMap("map entries are not orthogonal")
+    """Exact substitution V(M (x, y)): x -> a x + b y, y -> c x + d y."""
     a, b, c, d = mp.a, mp.b, mp.c, mp.d
     out: dict[tuple[int, int], SqrtTwoRational] = {}
     for (i, j), coeff in poly.terms.items():

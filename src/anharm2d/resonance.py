@@ -8,8 +8,6 @@ and the resonance is the theta-stationary point of the stalled trajectory.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, field
 
@@ -18,6 +16,10 @@ import numpy as np
 from .eig import eig_complex
 from .oscbasis import BasisSpec, build_hamiltonian
 from .poly2d import PolynomialPotential
+
+
+# Largest centred-difference |dE/dtheta| of a trajectory counted as stationary.
+_STABILITY_TOL = 5e-2
 
 
 class NoStationaryPoint(RuntimeError):
@@ -41,11 +43,9 @@ class ThetaScan:
 
 @dataclass(frozen=True)
 class Resonance:
-    lam: float | None
     energy: complex
     theta_star: float
     stability: float
-    basis_used: BasisSpec
     converged: bool
 
     def __post_init__(self):
@@ -112,8 +112,6 @@ def find_lowest_resonance(
     basis: BasisSpec,
     theta_window: tuple[float, float] = (0.03 * math.pi, 0.10 * math.pi),
     n_points: int = 15,
-    lam: float | None = None,
-    stability_tol: float = 5e-2,
     drift_tol: float = 1e-4,
     check_convergence: bool = True,
 ) -> Resonance:
@@ -121,7 +119,7 @@ def find_lowest_resonance(
 
     Sweeps the window, scores every trajectory by the centred difference
     |E(theta+h) - E(theta-h)| / 2h, keeps those that are stable (score below
-    `stability_tol`) and decay (Im E < 0), and returns the one with the
+    `_STABILITY_TOL` = 5e-2) and decay (Im E < 0), and returns the one with the
     smallest Re E. Convergence is certified by re-diagonalizing at the
     stationary angle with 5 more basis functions per mode.
     """
@@ -141,7 +139,7 @@ def find_lowest_resonance(
         k = int(np.argmin(scores)) + 1
         stability = float(scores[k - 1])
         energy = path[k]
-        if stability > stability_tol or energy.imag >= 0:
+        if stability > _STABILITY_TOL or energy.imag >= 0:
             continue
         if best is None or energy.real < best[1].real:
             best = (r, energy, k, stability)
@@ -158,35 +156,8 @@ def find_lowest_resonance(
         bigger = BasisSpec(basis.n_max_x + 5, basis.n_max_y + 5, basis.omega, theta_star)
         result = eig_complex(build_hamiltonian(poly, bigger))
         drift = float(np.min(np.abs(result.eigenvalues - energy)))
-        converged = stability < stability_tol and drift < drift_tol
+        converged = stability < _STABILITY_TOL and drift < drift_tol
 
     return Resonance(
-        lam=lam,
-        energy=complex(energy),
-        theta_star=theta_star,
-        stability=stability,
-        basis_used=BasisSpec(basis.n_max_x, basis.n_max_y, basis.omega, theta_star),
-        converged=converged,
+        energy=complex(energy), theta_star=theta_star, stability=stability, converged=converged
     )
-
-
-def table_csv(resonances: list[Resonance]) -> str:
-    """CSV with columns lambda, re_e, im_e, theta_star, nmax."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["lambda", "re_e", "im_e", "theta_star", "nmax"])
-    for res in resonances:
-        writer.writerow(
-            [
-                _fmt(res.lam),
-                _fmt(res.energy.real),
-                _fmt(res.energy.imag),
-                _fmt(res.theta_star),
-                res.basis_used.n_max_x,
-            ]
-        )
-    return buf.getvalue()
-
-
-def _fmt(value) -> str:
-    return "" if value is None else format(value, ".10g")

@@ -22,7 +22,6 @@ determinant `int 0`.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -254,18 +253,6 @@ class RpmResult:
     stabilized_digits: int
     trail: tuple  # ((D, root), ...)
 
-    def to_json(self, g=None, s: int = 0, d: int = 0, digits: int | None = None) -> str:
-        digits = digits or mp.mp.dps
-        return json.dumps(
-            {
-                "g": None if g is None else float(g),
-                "s": s,
-                "d": d,
-                "roots": [{"D": D, "E": mp.nstr(root, digits)} for D, root in self.trail],
-                "stabilized_digits": self.stabilized_digits,
-            }
-        )
-
 
 def rpm_eigenvalue(
     v,
@@ -288,8 +275,8 @@ def rpm_eigenvalue(
     unchanged (the cancellation noise of the working precision). The root and
     trail themselves come from the working precision only.
     """
-    if seed is None:
-        raise ValueError("an explicit seed (e.g. a variational estimate) is required")
+    if seed is None or not mp.isfinite(_to_mpf(seed)):
+        raise ValueError("an explicit finite seed (e.g. a variational estimate) is required")
     if D_max < 3:
         raise ValueError("D_max must be >= 3")
     with mp.workdps(precision_digits):

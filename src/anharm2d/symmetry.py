@@ -7,7 +7,6 @@ so group detection reduces to exact polynomial identity checks.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -15,15 +14,11 @@ from .maps import OrthogonalMap2, dihedral16, rotation
 from .poly2d import PolynomialPotential, apply_linear_map, is_separable
 
 
-class NotClosed(RuntimeError):
-    """The invariant subset of the candidates is not closed under products."""
-
-
 @dataclass(frozen=True)
 class SymmetryGroup:
     """A finite group of exact orthogonal maps with its Cayley table.
 
-    table[i][j] is the index of elements[i] @ elements[j] in `elements`;
+    table[i][j] is the index of elements[i].compose(elements[j]) in `elements`;
     equality of tables (as plain index arrays) witnesses isomorphism for
     conjugated groups.
     """
@@ -35,70 +30,22 @@ class SymmetryGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def index_of(self, mp: OrthogonalMap2) -> int:
-        for idx, el in enumerate(self.elements):
-            if el.same_entries(mp):
-                return idx
-        raise KeyError(f"{mp!r} is not a group element")
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "order": self.order,
-                "elements": [el.label for el in self.elements],
-                "table": [list(row) for row in self.table],
-            }
-        )
-
 
 def leaves_invariant(poly: PolynomialPotential, mp: OrthogonalMap2) -> bool:
     """True iff the potential is exactly unchanged by the coordinate map."""
     return apply_linear_map(poly, mp) == poly
 
 
-def _build_table(elements: list[OrthogonalMap2]) -> tuple[tuple[int, ...], ...]:
-    def find(mp: OrthogonalMap2) -> int:
-        for idx, el in enumerate(elements):
-            if el.same_entries(mp):
-                return idx
-        raise NotClosed(f"product {mp!r} escapes the candidate set")
+def detect_group(poly: PolynomialPotential) -> SymmetryGroup:
+    """Elements of the order-16 dihedral group that leave the potential
+    invariant, in `dihedral16` order, with their Cayley table.
 
-    return tuple(
-        tuple(find(gi.compose(gj)) for gj in elements) for gi in elements
-    )
-
-
-def detect_group(
-    poly: PolynomialPotential, candidates: list[OrthogonalMap2] | None = None
-) -> SymmetryGroup:
-    """Subset of `candidates` leaving the potential invariant, as a group.
-
-    The default candidate set is the full order-16 dihedral group, for which
-    the invariant subset is automatically closed; a custom candidate set that
-    breaks closure raises NotClosed.
+    The invariant subset is the stabilizer of the potential, so it is a
+    group: it holds the identity and is closed under products and inverses.
     """
-    if candidates is None:
-        candidates = dihedral16()
-    kept = [mp for mp in candidates if leaves_invariant(poly, mp)]
-    table = _build_table(kept)
-    group = SymmetryGroup(elements=tuple(kept), table=table)
-    _check_axioms(group)
-    return group
-
-
-def _check_axioms(group: SymmetryGroup) -> None:
-    n = group.order
-    ident = [
-        i
-        for i, el in enumerate(group.elements)
-        if el.a == 1 and el.d == 1 and el.b.is_zero() and el.c.is_zero()
-    ]
-    if not ident:
-        raise NotClosed("identity element missing from the invariant subset")
-    e = ident[0]
-    for i in range(n):
-        if e not in group.table[i]:
-            raise NotClosed(f"element {i} has no inverse in the set")
+    kept = [mp for mp in dihedral16() if leaves_invariant(poly, mp)]
+    table = tuple(tuple(kept.index(a.compose(b)) for b in kept) for a in kept)
+    return SymmetryGroup(elements=tuple(kept), table=table)
 
 
 def conjugate_group(group: SymmetryGroup, mp: OrthogonalMap2) -> SymmetryGroup:

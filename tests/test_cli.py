@@ -6,7 +6,10 @@ from pathlib import Path
 
 import pytest
 
-SRC = str(Path(__file__).resolve().parent.parent / "src")
+from anharm2d import cli
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = str(ROOT / "src")
 
 
 def run_cli(*args, env=None):
@@ -45,6 +48,10 @@ def test_symmetry_case3_reports_unbounded():
     proc = run_cli("symmetry", "--case", "3", "--lambda", "1")
     payload = json.loads(proc.stdout)
     assert payload["group"]["order"] == 4
+    assert len(payload["group"]["elements"]) == 4
+    table = payload["group"]["table"]
+    assert len(table) == 4 and all(len(row) == 4 for row in table)
+    assert table[0] == [0, 1, 2, 3]
     assert payload["boundedness"] == "Unbounded"
 
 
@@ -55,7 +62,8 @@ def test_rpm_command_digits(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["energy"].startswith("1.90313694545900002229")
     assert payload["stabilized_digits"] >= 15
-    assert payload["trail"][0]["D"] == 2
+    assert [entry["D"] for entry in payload["trail"]] == list(range(2, 13))
+    assert payload["trail"][-1]["E"].startswith("1.90313")
 
 
 def test_rpm_env_var_overrides_default_digits():
@@ -119,6 +127,9 @@ def test_validation_failures_exit_2():
     assert run_cli("resonance", "--case", "1").returncode == 2
     assert run_cli("case", "7").returncode == 2
     assert run_cli("spectrum", "--case", "1", "--omega", "fixed:-1").returncode == 2
+    assert run_cli("spectrum", "--case", "1", "--nmax", "4", "--omega", "fixed:inf").returncode == 2
+    for seed in ("nan", "inf"):
+        assert run_cli("rpm", "--g", "1", "--seed", seed).returncode == 2
     assert run_cli("rpm", "--g", "4", "--dmax", "2").returncode == 2
     assert run_cli("case", "3", "--theta-min", "0.2", "--theta-max", "0.1").returncode == 2
     for count in ("-1", "0"):
@@ -132,6 +143,25 @@ def test_precision_variable_is_read_only_by_commands_with_digits():
     env = dict(os.environ, OSC_PRECISION_DIGITS="abc")
     assert run_cli("symmetry", "--case", "5", env=env).returncode == 0
     assert run_cli("rpm", "--g", "1", env=env).returncode == 2
+
+
+# The exact survey reports, compared with the benchmark's stored outputs.
+SURVEY_REFS = json.loads((ROOT / "perfbench" / "refs" / "out_survey.json").read_text())
+FLOAT_FIELDS = ("quartic_form_min", "quartic_form_argmin")
+
+
+@pytest.mark.parametrize("lam", [None, "1/2"])
+@pytest.mark.parametrize("command", ["transform", "symmetry"])
+@pytest.mark.parametrize("case", range(1, 6))
+def test_exact_reports_match_stored_outputs(capsys, case, command, lam):
+    argv = [command, "--case", str(case)] + ([] if lam is None else ["--lambda", lam])
+    assert cli.main(argv) == 0
+    got = json.loads(capsys.readouterr().out)
+    want = SURVEY_REFS["default" if lam is None else lam][" ".join(argv)]
+    for key in FLOAT_FIELDS:
+        if key in want:
+            assert float(got.pop(key)) == pytest.approx(float(want.pop(key)), rel=1e-10, abs=0)
+    assert got == want
 
 
 def test_numerical_failure_exits_3_with_json_error():

@@ -240,6 +240,8 @@ def test_basis_spec_validation():
     with pytest.raises(ValueError):
         BasisSpec(5, 5, omega=0.0)
     with pytest.raises(ValueError):
+        BasisSpec(5, 5, omega=math.inf)
+    with pytest.raises(ValueError):
         BasisSpec(5, 5, theta=math.pi / 4)
     assert BasisSpec(6, 7).dim == 42
 

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -5,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from anharm2d import cli
 from anharm2d.cases import case_preset
 from anharm2d.exactnum import HALF_SQRT2, SqrtTwoRational
 from anharm2d.maps import NonOrthogonalMap, dihedral16
@@ -211,19 +213,26 @@ def test_canonical_form_drops_zero_terms():
     assert (1, 1) not in poly.terms
 
 
+def _parse_poly_dict(payload):
+    """Test-side reader of the CLI's exact polynomial form."""
+    return PolynomialPotential(
+        {(t["i"], t["j"]): SqrtTwoRational(Fraction(t["p"]), Fraction(t["q"])) for t in payload["terms"]}
+    )
+
+
 def test_json_round_trip_is_bit_exact():
     for cid in range(1, 6):
         poly = case_preset(cid, Fraction(1, 10)).potential
-        text = poly.to_json()
-        again = PolynomialPotential.from_json(text)
+        text = json.dumps(cli._poly_dict(poly))
+        payload = json.loads(text)
+        assert [(t["i"], t["j"]) for t in payload["terms"]] == sorted(poly.terms)
+        again = _parse_poly_dict(payload)
         assert again == poly
-        assert again.to_json() == text
+        assert json.dumps(cli._poly_dict(again)) == text
 
 
 def test_json_preserves_sqrt2_components():
     poly = PolynomialPotential(
         {(3, 1): SqrtTwoRational(Fraction(-2, 3), Fraction(5, 7))}
     )
-    again = PolynomialPotential.from_json(poly.to_json())
-    assert again.coefficient(3, 1).p == Fraction(-2, 3)
-    assert again.coefficient(3, 1).q == Fraction(5, 7)
+    assert cli._poly_dict(poly) == {"terms": [{"i": 3, "j": 1, "p": "-2/3", "q": "5/7"}]}

@@ -1,15 +1,16 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from anharm2d import cli
 from anharm2d.cases import case_preset
 from anharm2d.oscbasis import BasisSpec
 from anharm2d.resonance import (
     NoStationaryPoint,
     Resonance,
     find_lowest_resonance,
-    table_csv,
     theta_trajectory,
 )
 
@@ -81,7 +82,6 @@ def test_small_basis_resonance_is_already_close():
         case_preset(3, "0.1").potential,
         BasisSpec(12, 12),
         n_points=5,
-        lam=0.1,
         check_convergence=False,
     )
     assert res.energy.real == pytest.approx(2.0733, abs=5e-4)
@@ -95,11 +95,9 @@ def test_convergence_certificate_small_basis():
         case_preset(3, "0.1").potential,
         BasisSpec(12, 12),
         n_points=5,
-        lam=0.1,
         drift_tol=1e-3,
     )
     assert res.converged
-    assert res.basis_used.n_max_x == 12
 
 
 def test_no_stationary_point_raised():
@@ -115,28 +113,19 @@ def test_no_stationary_point_raised():
 
 def test_resonance_rejects_positive_imaginary_part():
     with pytest.raises(ValueError):
-        Resonance(
-            lam=0.1,
-            energy=2.0 + 1e-3j,
-            theta_star=0.1,
-            stability=1e-6,
-            basis_used=BasisSpec(4, 4),
-            converged=False,
-        )
+        Resonance(energy=2.0 + 1e-3j, theta_star=0.1, stability=1e-6, converged=False)
 
 
 def test_table_csv_layout():
     rows = [
         Resonance(
-            lam=0.1,
             energy=2.07335064 - 0.000459014j,
             theta_star=0.06 * math.pi,
             stability=1e-8,
-            basis_used=BasisSpec(30, 30),
             converged=True,
         )
     ]
-    text = table_csv(rows)
+    text = cli._table1_csv([Fraction(1, 10)], rows, 30)
     lines = text.splitlines()
     assert lines[0] == "lambda,re_e,im_e,theta_star,nmax"
     fields = lines[1].split(",")

@@ -1,4 +1,3 @@
-import json
 from fractions import Fraction
 
 import mpmath as mp
@@ -166,17 +165,9 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         rpm_eigenvalue([0, 1, 4], s=0, D_max=10, seed=None)
     with pytest.raises(ValueError):
+        rpm_eigenvalue([0, 1, 4], s=0, D_max=6, seed=float("nan"))
+    with pytest.raises(ValueError):
         riccati_coeffs([0, 1], s=2, e_value=1, m_max=3)
-
-
-def test_trail_report_json():
-    result = rpm_eigenvalue([0, 1, 4], s=0, D_max=6, seed=1.9, precision_digits=40)
-    report = json.loads(result.to_json(g=4, s=0, d=0, digits=40))
-    assert report["g"] == 4.0
-    assert report["s"] == 0 and report["d"] == 0
-    assert [entry["D"] for entry in report["roots"]] == [2, 3, 4, 5, 6]
-    assert report["roots"][-1]["E"].startswith("1.90313")
-    assert report["stabilized_digits"] == result.stabilized_digits
 
 
 def _mp_det_oracle(series, spec):

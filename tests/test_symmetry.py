@@ -1,10 +1,9 @@
-import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from anharm2d.cases import case_preset
@@ -14,7 +13,6 @@ from anharm2d.maps import OrthogonalMap2, dihedral16, flip_x, identity, rotation
 from anharm2d.oscbasis import BasisSpec, build_hamiltonian
 from anharm2d.poly2d import PolynomialPotential, apply_linear_map, is_separable, make_quartic
 from anharm2d.symmetry import (
-    NotClosed,
     conjugate_group,
     detect_group,
     leaves_invariant,
@@ -93,20 +91,6 @@ def test_conjugated_c4v_leaves_rotated_potential_invariant():
         assert apply_linear_map(rotated, el) == rotated
 
 
-def test_group_report_json():
-    report = json.loads(detect_group(case_preset(3, 1).potential).to_json())
-    assert report["order"] == 4
-    assert len(report["elements"]) == 4
-    assert len(report["table"]) == 4 and all(len(row) == 4 for row in report["table"])
-    assert report["table"][0] == [0, 1, 2, 3]
-
-
-def test_not_closed_for_bad_candidate_set():
-    poly = make_quartic(0, 0, 0, 0, 0, 1)  # fully symmetric
-    with pytest.raises(NotClosed):
-        detect_group(poly, candidates=[identity(), rotation(1)])
-
-
 def test_separating_rotation_case1():
     angle, mp2 = separating_rotation(case_preset(1, 1).potential)
     assert angle == pytest.approx(-math.pi / 4)
@@ -169,6 +153,25 @@ def test_separating_rotation_is_exact_and_complete(poly):
 @given(_quartics(((2, 0), (0, 2), (4, 0), (0, 4))), st.integers(0, 7))
 def test_rotated_separable_quartic_is_found(separable, k):
     assert _check_separating_rotation(apply_linear_map(separable, rotation(k).transpose())) is not None
+
+
+# Coefficients from a small set, so that symmetric forms come up often.
+_SMALL_QUARTICS = st.tuples(*[st.sampled_from((0, 1, -1, 2))] * 5).map(lambda c: make_quartic(*c, 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_SMALL_QUARTICS)
+@example(make_quartic(1, 0, 0, 0, 1, 1))  # C4v, not abelian
+@example(make_quartic(0, 0, 0, 0, 0, 1))  # x^2 + y^2: all 16 elements
+def test_detect_group_is_the_stabilizer_with_its_cayley_table(poly):
+    group = detect_group(poly)
+    stabilizer = [g for g in dihedral16() if apply_linear_map(poly, g) == poly]
+    assert [(g.label, g) for g in group.elements] == [(g.label, g) for g in stabilizer]
+    assert identity() in group.elements
+    for i, a in enumerate(group.elements):
+        for j, b in enumerate(group.elements):
+            assert group.elements[group.table[i][j]] == a.compose(b)
+        assert sorted(group.table[i]) == list(range(group.order))
 
 
 def test_swap_degeneracy_witness_case5():
