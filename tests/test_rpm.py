@@ -1,9 +1,10 @@
+import json
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
-from anharm2d import rpm
+from anharm2d import cli, rpm
 from anharm2d.eig import eig_selfadjoint
 from anharm2d.oscbasis import build_hamiltonian_1d, optimal_omega
 from anharm2d.rpm import (
@@ -148,6 +149,19 @@ def test_trail_contracts_with_dimension():
     meaningful = [e for e in errors[3:] if e > mp.mpf(10) ** (-50)]
     assert all(b < a for a, b in zip(meaningful, meaningful[1:]))
     assert result.stabilized_digits >= 20
+
+
+def test_trail_report_json(capsys):
+    """The trail report, which only cli.py formats, matches the library's result."""
+    argv = ["rpm", "--g", "4", "--digits", "40", "--dmax", "6", "--seed", "1.9"]
+    assert cli.main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    result = rpm_eigenvalue([0, 1, 4], s=0, D_max=6, seed=1.9, precision_digits=40)
+    assert report["g"] == "4"
+    assert report["state"] == "even" and report["d"] == 0
+    assert [entry["D"] for entry in report["trail"]] == [2, 3, 4, 5, 6]
+    assert report["trail"][-1]["E"].startswith("1.90313")
+    assert report["stabilized_digits"] == result.stabilized_digits
 
 
 def test_precision_scaling_only_extends_digits():

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from anharm2d import cli
 from anharm2d.cases import case_preset
 from anharm2d.eig import eig_selfadjoint
 from anharm2d.exactnum import HALF_SQRT2
@@ -89,6 +91,16 @@ def test_conjugated_c4v_leaves_rotated_potential_invariant():
     assert conj.order == 8
     for el in conj.elements:
         assert apply_linear_map(rotated, el) == rotated
+
+
+def test_group_report_json(capsys):
+    """The group report, which only cli.py formats, carries order, labels and table."""
+    assert cli.main(["symmetry", "--case", "3", "--lambda", "1"]) == 0
+    report = json.loads(capsys.readouterr().out)["group"]
+    assert report["order"] == 4
+    assert len(report["elements"]) == 4
+    assert len(report["table"]) == 4 and all(len(row) == 4 for row in report["table"])
+    assert report["table"][0] == [0, 1, 2, 3]
 
 
 def test_separating_rotation_case1():
