@@ -223,9 +223,8 @@ def _cmd_resonance(args) -> dict | str:
 def _cmd_rpm(args) -> dict:
     digits = args.digits
     g = exact_lambda(args.g)
-    eigs = _levels_1d(float(g), 40)
     s = 0 if args.state == "even" else 1
-    seed = args.seed if args.seed is not None else float(eigs[s])
+    seed = args.seed if args.seed is not None else float(_levels_1d(float(g), 40)[s])
     result = rpm_eigenvalue(
         [0, 1, g], s=s, d=args.displacement, D_max=args.dmax, seed=seed, precision_digits=digits
     )

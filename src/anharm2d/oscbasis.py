@@ -18,6 +18,9 @@ import numpy as np
 from .poly2d import PolynomialPotential
 
 _PAD = 4  # assemble x on n_max+_PAD states so x^k (k <= 4) truncates exactly
+# Rows per in-place update in _assemble: the scaled term is built one block at
+# a time, so no temporary of the full matrix's size is made.
+_ROW_BLOCK = 64
 
 
 class DegreeTooHigh(ValueError):
@@ -109,7 +112,9 @@ def _position_powers(n_max: int, omega: float, max_power: int) -> list[np.ndarra
 def _assemble(kin: np.ndarray, terms, theta: float) -> OperatorMatrix:
     """e^{-2i theta} kin + sum coeff e^{i degree theta} matrix over (coeff, degree, matrix).
 
-    At theta = 0 every phase is the float 1.0, so the sum stays real.
+    At theta = 0 every phase is the float 1.0, so the sum stays real. Terms
+    are added in place, _ROW_BLOCK rows at a time, with the same elementwise
+    products and sums as adding whole matrices.
     """
     hermitian = theta == 0.0
 
@@ -118,7 +123,9 @@ def _assemble(kin: np.ndarray, terms, theta: float) -> OperatorMatrix:
 
     ham = phase(-2) * kin
     for coeff, degree, mat in terms:
-        ham = ham + (coeff * phase(degree)) * mat
+        scale = coeff * phase(degree)
+        for lo in range(0, ham.shape[0], _ROW_BLOCK):
+            ham[lo : lo + _ROW_BLOCK] += scale * mat[lo : lo + _ROW_BLOCK]
     return OperatorMatrix(dim=kin.shape[0], entries=ham, hermitian_flag=hermitian)
 
 

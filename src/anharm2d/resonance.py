@@ -4,6 +4,9 @@ Each rotation angle theta gives a non-Hermitian matrix whose spectrum rotates
 with theta except near resonances, where one eigenvalue stalls. Eigenvalues
 are linked across neighbouring angles by greedy nearest-neighbour matching,
 and the resonance is the theta-stationary point of the stalled trajectory.
+The greedy matching is computed as rounds of mutual-nearest pairs, which give
+the same links as taking pairs in ascending distance with ties in row-major
+order.
 """
 
 from __future__ import annotations
@@ -56,17 +59,34 @@ class Resonance:
 def theta_trajectory(
     poly: PolynomialPotential, basis: BasisSpec, thetas
 ) -> ThetaScan:
-    """Full rotated spectra for each theta, linked into trajectories."""
+    """Full rotated spectra for each theta, linked into trajectories.
+
+    Two spectra are solved at once: for each pair of angles one helper thread
+    diagonalizes the second matrix while the calling thread builds and
+    diagonalizes the first. numpy's LAPACK call releases the GIL, so the two
+    eigensolves overlap. Every matrix is built on the calling thread, because
+    a build in the helper thread leaves about 40 MB of freed buffers in that
+    thread's malloc arena.
+    """
+    from concurrent.futures import ThreadPoolExecutor
+
     thetas = np.asarray(list(thetas), dtype=float)
     if np.any(np.diff(thetas) <= 0):
         raise ValueError("thetas must be strictly ascending")
     if np.any(thetas >= math.pi / 4) or np.any(thetas < 0):
         raise ValueError("thetas must lie in [0, pi/4)")
-    spectra = []
-    for theta in thetas:
+
+    def build(theta):
         spec_basis = BasisSpec(basis.n_max_x, basis.n_max_y, basis.omega, float(theta))
-        result = eig_complex(build_hamiltonian(poly, spec_basis))
-        spectra.append(np.sort_complex(result.eigenvalues))
+        return build_hamiltonian(poly, spec_basis)
+
+    spectra = []
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        for a in range(0, len(thetas), 2):
+            # the helper solves thetas[a + 1] while this thread builds and solves thetas[a]
+            pending = [helper.submit(eig_complex, build(theta)) for theta in thetas[a + 1 : a + 2]]
+            solved = [eig_complex(build(thetas[a]))] + [job.result() for job in pending]
+            spectra.extend(np.sort_complex(result.eigenvalues) for result in solved)
     trajectories, ambiguous = _link(spectra)
     return ThetaScan(
         thetas=thetas, spectra=spectra, trajectories=trajectories, ambiguous=ambiguous
@@ -74,7 +94,16 @@ def theta_trajectory(
 
 
 def _link(spectra: list) -> tuple[np.ndarray, np.ndarray]:
-    """Greedy minimal-distance matching between consecutive spectra."""
+    """Greedy minimal-distance matching between consecutive spectra.
+
+    The greedy order takes pairs by ascending distance, ties by row-major
+    (stable flat-index) order. A pair (r, c) where c is the first nearest
+    column of row r and r the first nearest row of column c comes before every
+    other pair in its row and column, so greedy always takes it. Each round
+    therefore assigns all such mutual-nearest pairs at once and repeats on the
+    remaining rows and columns, which gives exactly the greedy matching. A
+    link is ambiguous when it is not its row's first nearest column.
+    """
     dim, steps = len(spectra[0]), len(spectra)
     traj = np.empty((dim, steps), dtype=complex)
     ambig = np.zeros((dim, steps), dtype=bool)
@@ -83,25 +112,17 @@ def _link(spectra: list) -> tuple[np.ndarray, np.ndarray]:
     for k in range(1, steps):
         prev, nxt = spectra[k - 1], spectra[k]
         dist = np.abs(prev[current][:, None] - nxt[None, :])
-        order = np.argsort(dist, axis=None, kind="stable")
-        taken_r = np.zeros(dim, dtype=bool)
-        taken_c = np.zeros(dim, dtype=bool)
         new_idx = np.empty(dim, dtype=int)
-        # first-choice targets; collisions mark the losing links ambiguous
-        first_choice = np.argmin(dist, axis=1)
-        assigned = 0
-        for flat in order:
-            r, c = divmod(int(flat), dim)
-            if taken_r[r] or taken_c[c]:
-                continue
-            new_idx[r] = c
-            if c != first_choice[r]:
-                ambig[r, k] = True
-            taken_r[r] = True
-            taken_c[c] = True
-            assigned += 1
-            if assigned == dim:
-                break
+        rows, cols, left = np.arange(dim), np.arange(dim), dist
+        while rows.size:
+            best_c = np.argmin(left, axis=1)
+            mutual = np.argmin(left, axis=0)[best_c] == np.arange(rows.size)
+            new_idx[rows[mutual]] = cols[best_c[mutual]]
+            free_c = np.ones(cols.size, dtype=bool)
+            free_c[best_c[mutual]] = False
+            rows, cols = rows[~mutual], cols[free_c]
+            left = left[~mutual][:, free_c]
+        ambig[:, k] = new_idx != np.argmin(dist, axis=1)
         current = new_idx
         traj[:, k] = nxt[current]
     return traj, ambig

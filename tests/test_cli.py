@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -12,12 +14,16 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = str(ROOT / "src")
 
 
-def run_cli(*args, env=None):
-    """Run the CLI in a child interpreter that imports the package from src/."""
+def run_python(*args, env=None):
+    """Run a child interpreter that imports the package from src/."""
     env = dict(os.environ if env is None else env)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
-    cmd = [sys.executable, "-m", "anharm2d.cli", *args]
-    return subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=600)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=600)
+
+
+def run_cli(*args, env=None):
+    """Run the CLI in a child interpreter that imports the package from src/."""
+    return run_python("-m", "anharm2d.cli", *args, env=env)
 
 
 def test_transform_case1_emits_exact_map_and_potential():
@@ -182,3 +188,32 @@ def test_text_format():
     proc = run_cli("symmetry", "--case", "3", "--format", "text")
     assert proc.returncode == 0
     assert "group.order: 4" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv, rc",
+    [
+        (["rpm", "--g", "4", "--dmax", "6", "--digits", "30", "--seed", "1.9"], 0),
+        (["rpm", "--g", "1", "--seed", "nan"], 2),
+    ],
+)
+def test_rpm_with_seed_skips_the_variational_solve(monkeypatch, argv, rc):
+    calls = []
+    levels = cli._levels_1d
+    monkeypatch.setattr(cli, "_levels_1d", lambda *a: calls.append(a) or levels(*a))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            got = cli.main(argv)
+        except SystemExit as exc:
+            got = exc.code
+    assert (got, calls) == (rc, [])
+    if rc == 0:
+        assert out.getvalue() == run_cli(*argv).stdout
+
+
+def test_cli_import_does_not_load_concurrent_futures():
+    # theta_trajectory imports it on first use; commands without a sweep never pay for it
+    proc = run_python("-c", "import sys, anharm2d.cli; print('concurrent.futures' in sys.modules)")
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "False"

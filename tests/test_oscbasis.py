@@ -151,6 +151,24 @@ def test_hermitian_builds_are_real_float64():
     assert np.array_equal(ham1.entries, _complex_formula(k1, terms1, 0.0).real)
 
 
+@pytest.mark.parametrize("theta", [0.0, 0.1])
+@pytest.mark.parametrize("case", range(1, 6))
+def test_build_is_bitwise_the_explicit_sum(case, theta):
+    # n = 35 gives 1225 rows, many row blocks of the in-place assembly
+    n = 35
+    poly = case_preset(case, None).potential
+    xpow = _position_powers(n, 1.0, 4)
+    k1 = kinetic_matrix_1d(n, 1.0)
+    kin = np.kron(k1, np.eye(n)) + np.kron(np.eye(n), k1)
+    terms = [(c, i + j, np.kron(xpow[i], xpow[j])) for (i, j), c in poly.float_terms().items()]
+    want = _complex_formula(kin, terms, theta)
+    if theta == 0.0:
+        want = np.ascontiguousarray(want.real)
+    got = build_hamiltonian(poly, BasisSpec(n, n, theta=theta)).entries
+    assert got.dtype == want.dtype
+    assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
+
+
 def test_rotated_1d_builder_phases():
     theta = 0.05 * math.pi
     n, omega, coeffs = 7, 1.3, {2: 1.0, 4: 0.4}

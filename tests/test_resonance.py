@@ -1,15 +1,23 @@
+import contextlib
+import io
+import json
 import math
+import threading
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from anharm2d import cli
+from anharm2d import cli, resonance
 from anharm2d.cases import case_preset
-from anharm2d.oscbasis import BasisSpec
+from anharm2d.eig import ConvergenceFailure, eig_complex
+from anharm2d.oscbasis import BasisSpec, build_hamiltonian
 from anharm2d.resonance import (
     NoStationaryPoint,
     Resonance,
+    _link,
     find_lowest_resonance,
     theta_trajectory,
 )
@@ -133,3 +141,118 @@ def test_table_csv_layout():
     assert fields[1].startswith("2.073350")
     assert fields[2].startswith("-0.000459")
     assert fields[4] == "30"
+
+
+def _greedy_link_oracle(spectra):
+    """Reference: greedy matching by one pass over the stable argsort of all distances."""
+    dim, steps = len(spectra[0]), len(spectra)
+    traj = np.empty((dim, steps), dtype=complex)
+    ambig = np.zeros((dim, steps), dtype=bool)
+    traj[:, 0] = spectra[0]
+    current = np.arange(dim)  # trajectory r currently sits at index current[r]
+    for k in range(1, steps):
+        prev, nxt = spectra[k - 1], spectra[k]
+        dist = np.abs(prev[current][:, None] - nxt[None, :])
+        order = np.argsort(dist, axis=None, kind="stable")
+        taken_r = np.zeros(dim, dtype=bool)
+        taken_c = np.zeros(dim, dtype=bool)
+        new_idx = np.empty(dim, dtype=int)
+        # first-choice targets; collisions mark the losing links ambiguous
+        first_choice = np.argmin(dist, axis=1)
+        assigned = 0
+        for flat in order:
+            r, c = divmod(int(flat), dim)
+            if taken_r[r] or taken_c[c]:
+                continue
+            new_idx[r] = c
+            if c != first_choice[r]:
+                ambig[r, k] = True
+            taken_r[r] = True
+            taken_c[c] = True
+            assigned += 1
+            if assigned == dim:
+                break
+        current = new_idx
+        traj[:, k] = nxt[current]
+    return traj, ambig
+
+
+def _assert_same_links(spectra):
+    traj, ambig = _link(spectra)
+    want_traj, want_ambig = _greedy_link_oracle(spectra)
+    assert np.array_equal(traj, want_traj)
+    assert np.array_equal(ambig, want_ambig)
+
+
+# Spectra on a small complex-integer grid, so that equal distances are common.
+_GRID_SPECTRA = st.integers(1, 12).flatmap(
+    lambda dim: st.lists(
+        st.lists(
+            st.builds(complex, st.integers(-2, 2), st.integers(-2, 2)), min_size=dim, max_size=dim
+        ).map(np.array),
+        min_size=2,
+        max_size=5,
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_GRID_SPECTRA)
+def test_link_is_the_greedy_matching_on_tied_spectra(spectra):
+    _assert_same_links(spectra)
+
+
+def test_link_is_the_greedy_matching_on_a_case3_sweep():
+    scan = theta_trajectory(
+        case_preset(3, None).potential, BasisSpec(12, 12), np.linspace(0.03, 0.10, 6) * math.pi
+    )
+    _assert_same_links(scan.spectra)
+    assert scan.ambiguous.any()
+
+
+@pytest.mark.parametrize("points", [1, 2, 5, 6])
+def test_concurrent_sweep_equals_serial_sweep(points):
+    poly = case_preset(3, None).potential
+    thetas = np.linspace(0.03, 0.10, points) * math.pi
+    scan = theta_trajectory(poly, BasisSpec(10, 10), thetas)
+    assert len(scan.spectra) == points
+    for theta, got in zip(thetas, scan.spectra):
+        matrix = build_hamiltonian(poly, BasisSpec(10, 10, theta=float(theta)))
+        want = np.sort_complex(eig_complex(matrix).eigenvalues)
+        assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
+
+
+@pytest.mark.parametrize("failing_index, on_helper", [(1, True), (2, False)])
+def test_eigensolver_failure_propagates_from_either_thread(monkeypatch, failing_index, on_helper):
+    thetas = np.linspace(0.03, 0.10, 4) * math.pi
+    theta_of = {}
+    failed_on = []
+
+    def tagged_build(poly, basis):
+        matrix = build_hamiltonian(poly, basis)
+        theta_of[id(matrix)] = basis.theta
+        return matrix
+
+    def failing_eig(matrix):
+        if theta_of[id(matrix)] == thetas[failing_index]:
+            failed_on.append(threading.current_thread() is not threading.main_thread())
+            raise ConvergenceFailure("injected")
+        return eig_complex(matrix)
+
+    monkeypatch.setattr(resonance, "build_hamiltonian", tagged_build)
+    monkeypatch.setattr(resonance, "eig_complex", failing_eig)
+    with pytest.raises(ConvergenceFailure, match="injected"):
+        theta_trajectory(case_preset(3, None).potential, BasisSpec(6, 6), thetas)
+    assert failed_on == [on_helper]
+
+
+def test_case3_exits_3_on_eigensolver_failure(monkeypatch):
+    def failing_eig(matrix):
+        raise ConvergenceFailure("injected")
+
+    monkeypatch.setattr(resonance, "eig_complex", failing_eig)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main(["case", "3", "--nmax", "6", "--theta-steps", "4"])
+    assert rc == 3
+    assert json.loads(err.getvalue())["error"] == "ConvergenceFailure"
