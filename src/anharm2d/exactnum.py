@@ -109,7 +109,8 @@ class SqrtTwoRational:
         return self.p == other.p and self.q == other.q
 
     def __hash__(self):
-        return hash((self.p, self.q))
+        # a rational value equals its int or Fraction, so it hashes like one
+        return hash(self.p) if self.q == 0 else hash((self.p, self.q))
 
     def __bool__(self):
         return not self.is_zero()

@@ -2,14 +2,15 @@
 
 The potentials under study are x^2 + y^2 + lambda * (quartic form); all
 coefficient arithmetic happens in Q(sqrt(2)) so that coordinate changes by
-pi/4-type rotations and reflections are loss-free.
+pi/4-type rotations and reflections are loss-free. Whether the quartic form
+is bounded from below is decided in the same field, by square-free
+decomposition and Sturm counts of Q(1, t), with no tolerance.
 """
 
 from __future__ import annotations
 
 import math
 from enum import Enum
-from fractions import Fraction
 from math import comb
 
 import numpy as np
@@ -146,142 +147,127 @@ def is_separable(poly: PolynomialPotential) -> bool:
 def quartic_form_min(poly: PolynomialPotential) -> tuple[float, float]:
     """Minimum of the degree-4 homogeneous part over the unit circle.
 
-    Returns (min_value, angle): a negative minimum certifies that the full
-    potential is unbounded from below along that direction. Stationary
-    angles are found from the closed-form quartic in t = tan(phi) (companion
-    matrix roots), with a dense-scan fallback for degenerate cases.
+    Returns (min_value, angle): a negative minimum shows a direction along
+    which the full potential is unbounded from below. A MARGINAL form (see
+    is_bounded_below) gives exactly 0.0, at atan of a real root of
+    q(t) = Q(1, t), or at pi/2 when q has none. Otherwise the float values at
+    pi/2 and at the real roots (companion matrix) of the stationarity quartic
+    in t = tan(phi) are compared.
     """
-    quartic = poly.homogeneous_part(4)
-    if not quartic.terms:
+    q = _tan_poly(poly)
+    if not q:
         raise NoQuarticPart("degree-4 homogeneous part is identically zero")
-    q = [float(quartic.coefficient(4 - k, k)) for k in range(5)]
+    verdict, repeated = _verdict(q)
+    if verdict is Boundedness.MARGINAL:
+        return 0.0, _root_angle(repeated)
+    f = [float(poly.coefficient(4 - k, k)) for k in range(5)]
 
     def val(phi: float) -> float:
         c, s = math.cos(phi), math.sin(phi)
-        return sum(q[k] * c ** (4 - k) * s**k for k in range(5))
+        return sum(f[k] * c ** (4 - k) * s**k for k in range(5))
 
     # d/dphi Q(cos, sin) = 0 reduces to a quartic in t = tan(phi)
     deriv = [
-        -q[3],
-        -2.0 * q[2] + 4.0 * q[4],
-        3.0 * (q[3] - q[1]),
-        -4.0 * q[0] + 2.0 * q[2],
-        q[1],
+        -f[3],
+        -2.0 * f[2] + 4.0 * f[4],
+        3.0 * (f[3] - f[1]),
+        -4.0 * f[0] + 2.0 * f[2],
+        f[1],
     ]
-    candidates = [math.pi / 2.0]  # cos(phi) = 0 endpoint excluded from t-space
-    scale = max(abs(v) for v in deriv)
-    if scale > 0.0:
-        roots = np.roots(deriv)
-        for r in roots:
+    candidates = [math.pi / 2.0]  # cos(phi) = 0 is not a finite t
+    if any(deriv):  # all zero only for c (x^2 + y^2)^2, constant on the circle
+        for r in np.roots(deriv):
             if abs(r.imag) < 1e-9 * max(1.0, abs(r)):
                 candidates.append(math.atan(float(r.real)))
-    if scale == 0.0 or len(candidates) < 2:
-        # Degenerate stationarity equation (e.g. radially symmetric form):
-        # dense scan plus golden-section polish.
-        grid = np.linspace(-math.pi / 2.0, math.pi / 2.0, 4097)
-        values = [val(p) for p in grid]
-        best = int(np.argmin(values))
-        lo = grid[max(best - 1, 0)]
-        hi = grid[min(best + 1, len(grid) - 1)]
-        candidates.append(_golden_min(val, lo, hi))
-
-    # Companion-matrix roots of multiplicity > 1 (perfect fourth powers) are
-    # only O(eps^(1/3)) accurate; a local golden-section polish restores full
-    # precision at genuine minima and never raises the candidate's value.
-    candidates.extend(_golden_min(val, phi - 1e-3, phi + 1e-3) for phi in list(candidates))
     best_phi = min(candidates, key=val)
-    best_val = val(best_phi)
-
-    # Perfect powers evaluate with total cancellation, leaving O(eps) noise.
-    # When the minimizing direction snaps to an exact tangent, the exact value
-    # replaces the noisy one (this is what makes the minimum certifiable).
-    snapped = _snap_direction(quartic, best_phi)
-    if snapped is not None:
-        exact_val, snapped_phi = snapped
-        if abs(exact_val - best_val) <= 1e-9 * max(1.0, max(abs(v) for v in q)):
-            return exact_val, snapped_phi
-    return best_val, best_phi
-
-
-def _golden_min(f, lo: float, hi: float, tol: float = 1e-13) -> float:
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    while b - a > tol:
-        if f(c) < f(d):
-            b, d = d, c
-            c = b - invphi * (b - a)
-        else:
-            a, c = c, d
-            d = a + invphi * (b - a)
-    return 0.5 * (a + b)
-
-
-# Directions with exact tangent in Q(sqrt(2)) used to certify a marginal
-# (zero) circle minimum; covers every pi/8-type direction plus small rationals.
-_SNAP_TANGENTS = [
-    SqrtTwoRational(t)
-    for t in (0, 1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2), 3, -3)
-] + [
-    SqrtTwoRational(0, 1),
-    SqrtTwoRational(0, -1),  # +-sqrt(2)
-    SqrtTwoRational(0, Fraction(1, 2)),
-    SqrtTwoRational(0, Fraction(-1, 2)),  # +-1/sqrt(2)
-    SqrtTwoRational(1, 1),
-    SqrtTwoRational(-1, -1),  # tan(3pi/8) = 1 + sqrt(2)
-    SqrtTwoRational(-1, 1),
-    SqrtTwoRational(1, -1),  # tan(pi/8) = sqrt(2) - 1
-]
-
-
-def _snap_direction(
-    quartic: PolynomialPotential, phi: float
-) -> tuple[float, float] | None:
-    """Exact circle value along phi when tan(phi) snaps to a known tangent.
-
-    Returns (exact value as float, snapped angle) or None. The circle value
-    along direction (1, t) is Q(1, t) / (1 + t^2)^2, computed in Q(sqrt(2)).
-    """
-    if abs(abs(phi) - math.pi / 2.0) < 1e-5:
-        value = _exact_quartic_at(quartic, SqrtTwoRational(0), SqrtTwoRational(1))
-        return float(value), math.copysign(math.pi / 2.0, phi)
-    tan_phi = math.tan(phi)
-    for t in _SNAP_TANGENTS:
-        if abs(float(t) - tan_phi) < 1e-5:
-            norm = SqrtTwoRational(1) + t * t
-            value = _exact_quartic_at(quartic, SqrtTwoRational(1), t) / (norm * norm)
-            return float(value), math.atan(float(t))
-    return None
+    return val(best_phi), best_phi
 
 
 def is_bounded_below(poly: PolynomialPotential) -> Boundedness:
-    """Classify by the sign of the quartic form's minimum over the circle.
+    """Exact sign class of the quartic form Q, decided in Q(sqrt(2)).
 
-    MARGINAL means the quartic form vanishes along some ray; lower-degree
-    terms would decide actual boundedness there and this classifier does not
-    attempt that refinement. Zero minima at snappable directions come out of
-    quartic_form_min exactly; any other minimum within tolerance of zero is
-    reported MARGINAL as the honest verdict.
+    With q(t) = Q(1, t) of true degree d: UNBOUNDED iff d is odd, the leading
+    coefficient is negative, or q has a simple real root. Otherwise MARGINAL
+    iff Q vanishes on a ray: d < 4 (the y-axis) or a real root of q. Otherwise
+    BOUNDED. Sturm counts find the real roots, so the verdict does not depend
+    on the scale of lambda. On a MARGINAL ray the lower-degree terms decide,
+    which this classifier does not attempt; no quartic part is MARGINAL too.
     """
-    try:
-        min_value, _ = quartic_form_min(poly)
-    except NoQuarticPart:
-        # No quartic part at all: the quartic test is vacuous, which is the
-        # marginal verdict (here the x^2 + y^2 confinement decides, but that
-        # refinement is out of contract).
-        return Boundedness.MARGINAL
-    quartic = poly.homogeneous_part(4)
-    tol = 1e-10 * max(1.0, max(abs(float(c)) for c in quartic.terms.values()))
-    if min_value < -tol:
-        return Boundedness.UNBOUNDED
-    if min_value > tol:
-        return Boundedness.BOUNDED
-    return Boundedness.MARGINAL
+    q = _tan_poly(poly)
+    return _verdict(q)[0] if q else Boundedness.MARGINAL
 
 
-def _exact_quartic_at(quartic: PolynomialPotential, x: SqrtTwoRational, y: SqrtTwoRational) -> SqrtTwoRational:
-    total = SqrtTwoRational(0)
-    for (i, j), c in quartic.terms.items():
-        total = total + c * _ipow(x, i) * _ipow(y, j)
-    return total
+# Polynomials in t over Q(sqrt(2)) are coefficient lists, constant term first,
+# with no zero leading coefficient; the zero polynomial is [].
+
+
+def _tan_poly(poly: PolynomialPotential) -> list[SqrtTwoRational]:
+    """q(t) = Q(1, t) for the quartic part Q, with t = tan(phi)."""
+    return _trim([poly.coefficient(4 - k, k) for k in range(5)])
+
+
+def _verdict(q: list[SqrtTwoRational]) -> tuple[Boundedness, list[SqrtTwoRational]]:
+    """Sign class of Q from q(t) = Q(1, t), and the product of q's repeated factors.
+
+    s = q / gcd(q, q') is square-free; r = gcd(s, q / s) has the roots of
+    multiplicity >= 2 and s / r the simple ones. For degree <= 4 a real
+    triple root comes with a real simple root or an odd degree, so every
+    sign change shows as one of the two.
+    """
+    square_free = _divmod(q, _gcd(q, _derivative(q)))[0]
+    repeated = _gcd(square_free, _divmod(q, square_free)[0])
+    if len(q) % 2 == 0 or q[-1].sign() < 0 or _has_real_root(_divmod(square_free, repeated)[0]):
+        return Boundedness.UNBOUNDED, repeated
+    if len(q) < 5 or _has_real_root(repeated):
+        return Boundedness.MARGINAL, repeated
+    return Boundedness.BOUNDED, repeated
+
+
+def _root_angle(p: list[SqrtTwoRational]) -> float:
+    """atan of a real root of the square-free p, exact when p is linear; pi/2 if none."""
+    if len(p) == 2:
+        return math.atan(float(-p[0] / p[1]))
+    if not _has_real_root(p):
+        return math.pi / 2.0
+    roots = np.roots([float(c) for c in reversed(p)])
+    return math.atan(float(min(roots, key=lambda r: abs(r.imag)).real))
+
+
+def _trim(p: list[SqrtTwoRational]) -> list[SqrtTwoRational]:
+    while p and p[-1].is_zero():
+        p = p[:-1]
+    return p
+
+
+def _derivative(p: list[SqrtTwoRational]) -> list[SqrtTwoRational]:
+    return [c * k for k, c in enumerate(p)][1:]
+
+
+def _divmod(a, b):
+    """Quotient and remainder of a by the nonzero b."""
+    rem, quot = list(a), []
+    inv = b[-1].inverse()
+    for k in range(len(a) - len(b), -1, -1):
+        c = rem[k + len(b) - 1] * inv
+        quot.append(c)
+        for i, bc in enumerate(b):
+            rem[k + i] = rem[k + i] - c * bc
+    return quot[::-1], _trim(rem[: len(b) - 1])
+
+
+def _gcd(a, b):
+    """A greatest common divisor; its scale is arbitrary."""
+    while b:
+        a, b = b, _divmod(a, b)[1]
+    return a
+
+
+def _has_real_root(p: list[SqrtTwoRational]) -> bool:
+    """Sturm's theorem: the sequence p, p', -rem(...) loses sign changes
+    between -inf and +inf exactly when p has a real root."""
+    seq = [p, _derivative(p)]
+    while seq[-1]:
+        seq.append([-c for c in _divmod(seq[-2], seq[-1])[1]])
+    pos = [f[-1].sign() for f in seq[:-1]]
+    neg = [s if len(f) % 2 else -s for s, f in zip(pos, seq)]
+    return sum(a != b for a, b in zip(neg, neg[1:])) > sum(a != b for a, b in zip(pos, pos[1:]))

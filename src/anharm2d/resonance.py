@@ -71,8 +71,8 @@ def theta_trajectory(
     from concurrent.futures import ThreadPoolExecutor
 
     thetas = np.asarray(list(thetas), dtype=float)
-    if np.any(np.diff(thetas) <= 0):
-        raise ValueError("thetas must be strictly ascending")
+    if thetas.size == 0 or np.any(np.diff(thetas) <= 0):
+        raise ValueError("thetas must be nonempty and strictly ascending")
     if np.any(thetas >= math.pi / 4) or np.any(thetas < 0):
         raise ValueError("thetas must lie in [0, pi/4)")
 

@@ -156,7 +156,7 @@ SURVEY_REFS = json.loads((ROOT / "perfbench" / "refs" / "out_survey.json").read_
 FLOAT_FIELDS = ("quartic_form_min", "quartic_form_argmin")
 
 
-@pytest.mark.parametrize("lam", [None, "1/2"])
+@pytest.mark.parametrize("lam", [None, "1/2", "3/10", "2"])
 @pytest.mark.parametrize("command", ["transform", "symmetry"])
 @pytest.mark.parametrize("case", range(1, 6))
 def test_exact_reports_match_stored_outputs(capsys, case, command, lam):
@@ -168,6 +168,27 @@ def test_exact_reports_match_stored_outputs(capsys, case, command, lam):
         if key in want:
             assert float(got.pop(key)) == pytest.approx(float(want.pop(key)), rel=1e-10, abs=0)
     assert got == want
+
+
+@pytest.mark.parametrize(
+    "case, lam, verdict, qmin, argmin",
+    [
+        ("3", "1/10000000000000", "Unbounded", None, None),
+        ("2", "1/10000000000000", "Bounded", None, None),
+        ("1", "-1/10000000000000", "Unbounded", None, None),
+        ("5", "-1/10000000000000", "Unbounded", None, None),
+        ("1", "1/10000000000", "Marginal", "0", "-0.785398163397"),
+        ("4", "1/10000000000", "Marginal", "0", "0.785398163397"),
+    ],
+)
+def test_tiny_coupling_gets_the_exact_verdict(capsys, case, lam, verdict, qmin, argmin):
+    assert cli.main(["symmetry", "--case", case, f"--lambda={lam}"]) == 0
+    got = json.loads(capsys.readouterr().out)
+    assert got["boundedness"] == verdict
+    if verdict == "Marginal":
+        assert (got["quartic_form_min"], got["quartic_form_argmin"]) == (qmin, argmin)
+    else:
+        assert (float(got["quartic_form_min"]) > 0) == (verdict == "Bounded")
 
 
 def test_numerical_failure_exits_3_with_json_error():

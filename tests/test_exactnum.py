@@ -69,6 +69,13 @@ def test_equality_hash_and_float():
     assert float(a) == pytest.approx(0.5 + 0.5 * math.sqrt(2.0), abs=1e-15)
 
 
+@pytest.mark.parametrize("value", [0, 3, -7, 2**70, Fraction(5, 3), Fraction(-1, 10**13)])
+def test_rational_values_hash_like_the_equal_int_or_fraction(value):
+    x = SqrtTwoRational(value)
+    assert x == value and hash(x) == hash(value)
+    assert x in {value} and value in {x}
+
+
 def test_floats_are_rejected():
     with pytest.raises(TypeError):
         SqrtTwoRational.coerce(0.1)

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from anharm2d import cli
 from anharm2d.cases import case_preset
@@ -196,9 +198,86 @@ def test_quartic_form_min_needs_a_quartic_part():
 
 
 def test_boundedness_classification():
-    assert is_bounded_below(case_preset(3, 1).potential) is Boundedness.UNBOUNDED
-    assert is_bounded_below(case_preset(2, 1).potential) is Boundedness.BOUNDED
-    assert is_bounded_below(case_preset(1, 1).potential) is Boundedness.MARGINAL
+    for lam in (Fraction(1, 10**13), Fraction(1, 10**10), 1, 10**6):
+        assert is_bounded_below(case_preset(3, lam).potential) is Boundedness.UNBOUNDED
+        assert is_bounded_below(case_preset(2, lam).potential) is Boundedness.BOUNDED
+        for cid in (1, 4, 5):
+            assert is_bounded_below(case_preset(cid, lam).potential) is Boundedness.MARGINAL
+            assert is_bounded_below(case_preset(cid, -lam).potential) is Boundedness.UNBOUNDED
+
+
+# Binary forms as coefficient lists [c_0, ..., c_n] of x^(n-k) y^k, entries in
+# Q(sqrt(2)). Products of two quadratics, squares included, make the zero,
+# double-root and perfect-power forms that random coefficients almost never hit;
+# sums of two squares make the nonnegative ones.
+_SQ2 = st.builds(SqrtTwoRational, st.integers(-2, 2), st.integers(-1, 1))
+
+
+def _times(f, g):
+    out = [SqrtTwoRational(0)] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] = out[i + j] + a * b
+    return out
+
+
+_QUADRATIC = st.one_of(st.tuples(_SQ2, _SQ2, _SQ2), st.tuples(_SQ2, _SQ2).map(lambda lin: _times(lin, lin)))
+_FORMS = st.one_of(
+    st.tuples(*[_SQ2] * 5),
+    st.builds(lambda c, f, g: [c * a for a in _times(f, g)], _SQ2, _QUADRATIC, _QUADRATIC),
+    st.builds(lambda f, g: [a + b for a, b in zip(_times(f, f), _times(g, g))], _QUADRATIC, _QUADRATIC),
+).filter(any)
+
+
+def _potential(form, scale=1):
+    terms = {(4 - k, k): c * scale for k, c in enumerate(form)}
+    terms[(2, 0)] = terms[(0, 2)] = SqrtTwoRational(1)
+    return PolynomialPotential(terms)
+
+
+_SCALES = st.one_of(
+    st.fractions(min_value=Fraction(1, 1000), max_value=1000),
+    st.sampled_from([Fraction(1, 10**15), Fraction(10**15)]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_FORMS, _SCALES)
+@example([SqrtTwoRational(c) for c in (0, 4, 6, 4, 0)], Fraction(1, 10**15))  # case 3
+def test_verdict_is_invariant_under_positive_scaling(form, c):
+    assert is_bounded_below(_potential(form, c)) is is_bounded_below(_potential(form))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_FORMS)
+@example([SqrtTwoRational(c) for c in (1, 0, 0, 0, 0)])  # x^4
+def test_verdict_is_invariant_under_every_dihedral_map(form):
+    poly = _potential(form)
+    verdict = is_bounded_below(poly)
+    assert all(is_bounded_below(apply_linear_map(poly, g)) is verdict for g in dihedral16())
+
+
+@settings(max_examples=100, deadline=None)
+@given(_FORMS)
+def test_verdict_matches_the_sign_of_a_dense_minimum(form):
+    poly = _potential(form)
+    dense, _ = _scan_min(poly, 200001)
+    if abs(dense) > 1e-6:
+        want = Boundedness.BOUNDED if dense > 0 else Boundedness.UNBOUNDED
+        assert is_bounded_below(poly) is want
+
+
+@settings(max_examples=150, deadline=None)
+@given(_FORMS)
+@example([SqrtTwoRational(c) for c in (1, 0, 0, 0, 0)])  # x^4: zero on the y-axis only
+@example(_times(*[[SqrtTwoRational(1), SqrtTwoRational(0), SqrtTwoRational(-2)]] * 2))  # (x^2 - 2 y^2)^2
+def test_marginal_forms_have_an_exact_zero_minimum_on_a_zero_ray(form):
+    poly = _potential(form)
+    if is_bounded_below(poly) is Boundedness.MARGINAL:
+        value, angle = quartic_form_min(poly)
+        assert value == 0.0
+        scale = max(abs(float(c)) for c in form)
+        assert abs(poly.homogeneous_part(4).evaluate(math.cos(angle), math.sin(angle))) <= 1e-12 * scale
 
 
 def test_separability_predicate():

@@ -76,6 +76,8 @@ def test_trajectory_linking_shapes_and_flags():
 def test_theta_validation():
     poly = case_preset(3, "0.1").potential
     with pytest.raises(ValueError):
+        theta_trajectory(poly, BasisSpec(4, 4), [])
+    with pytest.raises(ValueError):
         theta_trajectory(poly, BasisSpec(4, 4), [0.2, 0.1])
     with pytest.raises(ValueError):
         theta_trajectory(poly, BasisSpec(4, 4), [0.1, math.pi / 4])
