@@ -4,13 +4,16 @@ and high-precision 1D eigenvalues.
 This is the only module that formats output: the library returns computed
 values, and the JSON, CSV and text renderings are all built here.
 
-Exit codes: 0 success, 2 flag/validation error (argparse convention), 3
-numerical failure (the error name goes to stderr as a one-line JSON object).
+Exit codes: 0 success, 2 flag/validation error (argparse convention; also an
+--out path that cannot be opened for writing, which is opened before the
+computation, like a shell redirection), 3 numerical failure (the error name
+goes to stderr as a one-line JSON object).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -25,7 +28,7 @@ import numpy as np
 from .cases import case_preset, exact_lambda
 from .eig import eig_selfadjoint
 from .maps import flip_x
-from .oscbasis import BasisSpec, build_hamiltonian, build_hamiltonian_1d, optimal_omega
+from .oscbasis import BasisSpec, build_hamiltonian_1d, optimal_omega, parity_blocks
 from .poly2d import apply_linear_map, is_bounded_below, quartic_form_min
 from .resonance import find_lowest_resonance
 from .rpm import rpm_eigenvalue
@@ -45,7 +48,7 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _emit(payload, fmt: str, out_path: str | None) -> None:
+def _emit(payload, fmt: str, out) -> None:
     if isinstance(payload, str):  # pre-rendered (CSV table)
         text = payload
     elif fmt == "json":
@@ -54,11 +57,7 @@ def _emit(payload, fmt: str, out_path: str | None) -> None:
         text = _csv(_flatten(payload))
     else:
         text = "".join(f"{key}: {value}\n" for key, value in _flatten(payload))
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    out.write(text)
 
 
 def _flatten(payload, prefix=""):
@@ -120,6 +119,17 @@ def _levels_1d(g: float, n_max: int) -> np.ndarray:
     """Variational levels of p^2 + x^2 + g x^4 in the basis at optimal_omega(g)."""
     ham = build_hamiltonian_1d({2: 1.0, 4: g}, n_max=n_max, omega=optimal_omega(g))
     return eig_selfadjoint(ham).eigenvalues
+
+
+def _levels_2d(poly, basis: BasisSpec) -> np.ndarray:
+    """Rayleigh-Ritz levels of the 2D Hamiltonian in `basis`, ascending.
+
+    Each parity block (oscbasis.parity_blocks) is diagonalized on its own and
+    the spectra are merged: the blocks are exact submatrices with exactly
+    zero coupling between them, so their union is the full matrix's spectrum.
+    """
+    blocks = parity_blocks(poly, basis)
+    return np.sort(np.concatenate([eig_selfadjoint(mat).eigenvalues for mat in blocks]))
 
 
 def _rpm_ground(g: Fraction, digits: int, d_max: int):
@@ -185,13 +195,13 @@ def _cmd_spectrum(args) -> dict:
     preset = case_preset(args.case, args.lam)
     omega = _omega_for(args, preset.potential)
     basis = BasisSpec(args.nmax, args.nmax, omega=omega)
-    result = eig_selfadjoint(build_hamiltonian(preset.potential, basis))
+    levels = _levels_2d(preset.potential, basis)
     return {
         "case": args.case,
         "lambda": str(preset.lam),
         "nmax": args.nmax,
         "omega": _fmt(omega),
-        "eigenvalues": [_fmt(e) for e in result.eigenvalues[: args.count]],
+        "eigenvalues": [_fmt(e) for e in levels[: args.count]],
     }
 
 
@@ -288,13 +298,13 @@ def _cmd_case(args) -> dict | str:
         flip = flip_x()
         payload["flip_conjugation_exact"] = apply_linear_map(preset.potential, flip) == twin.potential
         basis = BasisSpec(args.nmax, args.nmax, omega=1.0)
-        ours = eig_selfadjoint(build_hamiltonian(preset.potential, basis)).eigenvalues[:10]
-        theirs = eig_selfadjoint(build_hamiltonian(twin.potential, basis)).eigenvalues[:10]
+        ours = _levels_2d(preset.potential, basis)[:10]
+        theirs = _levels_2d(twin.potential, basis)[:10]
         payload["isospectral_max_diff"] = _fmt(float(np.max(np.abs(ours - theirs))))
         payload["lowest_eigenvalues"] = [_fmt(e) for e in ours]
     elif args.case == 5:
         basis = BasisSpec(args.nmax, args.nmax, omega=1.0)
-        eigs = eig_selfadjoint(build_hamiltonian(preset.potential, basis)).eigenvalues[:10]
+        eigs = _levels_2d(preset.potential, basis)[:10]
         payload["lowest_eigenvalues"] = [_fmt(e) for e in eigs]
     return payload
 
@@ -360,15 +370,20 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if hasattr(args, "theta_min") and not (0.0 < args.theta_min < args.theta_max < 0.25):
-            raise ValueError("theta window must satisfy 0 < min < max < 0.25 (units of pi)")
-        payload = _HANDLERS[args.command](args)
-    except (ValueError, KeyError) as exc:
+        out = open(args.out_path, "w") if args.out_path else contextlib.nullcontext(sys.stdout)
+    except OSError as exc:
         parser.exit(2, f"error: {exc}\n")
-    except Exception as exc:  # numerical failures -> exit 3 with JSON on stderr
-        sys.stderr.write(json.dumps({"error": type(exc).__name__, "detail": str(exc)}) + "\n")
-        return 3
-    _emit(payload, args.format, args.out_path)
+    with out as fh:
+        try:
+            if hasattr(args, "theta_min") and not (0.0 < args.theta_min < args.theta_max < 0.25):
+                raise ValueError("theta window must satisfy 0 < min < max < 0.25 (units of pi)")
+            payload = _HANDLERS[args.command](args)
+        except (ValueError, KeyError) as exc:
+            parser.exit(2, f"error: {exc}\n")
+        except Exception as exc:  # numerical failures -> exit 3 with JSON on stderr
+            sys.stderr.write(json.dumps({"error": type(exc).__name__, "detail": str(exc)}) + "\n")
+            return 3
+        _emit(payload, args.format, fh)
     return 0
 
 

@@ -6,6 +6,18 @@ Complex scaling x -> x e^{i theta} enters as analytic continuation of the
 matrix elements: the kinetic block picks up e^{-2i theta} and a potential
 term of total degree k picks up e^{i k theta}. At theta = 0 every phase is
 1, and the Hermitian matrix is built and stored as real float64.
+
+Parity sectors: x^i y^j only couples states whose (nx mod 2, ny mod 2)
+differ by (i mod 2, j mod 2), and the kinetic term keeps both parities.
+`parity_blocks` joins two sectors when their parity difference is (0, 0) or
+that of a key of `poly.terms`, and each connected group of sectors is one
+block: ee, eo, oe and oo apart when every term is even in x and in y (cases
+2 and 5), {ee, oo} and {eo, oe} when the other terms are odd in both (cases
+1, 3 and 4), one block when terms of two different odd parities are
+present (x and y, say). It reads only the exact term keys, so no tolerance
+is involved. Each block is assembled from the same products, added in the
+same order, as `build_hamiltonian`, so it is bitwise equal to the matching
+submatrix, and the entries between blocks are exactly zero.
 """
 
 from __future__ import annotations
@@ -112,16 +124,17 @@ def _position_powers(n_max: int, omega: float, max_power: int) -> list[np.ndarra
 def _assemble(kin: np.ndarray, terms, theta: float) -> OperatorMatrix:
     """e^{-2i theta} kin + sum coeff e^{i degree theta} matrix over (coeff, degree, matrix).
 
-    At theta = 0 every phase is the float 1.0, so the sum stays real. Terms
-    are added in place, _ROW_BLOCK rows at a time, with the same elementwise
-    products and sums as adding whole matrices.
+    At theta = 0 every phase is the float 1.0, so the sum stays real and is
+    accumulated in `kin` itself, which 1.0 * kin would equal bit for bit.
+    Terms are added in place, _ROW_BLOCK rows at a time, with the same
+    elementwise products and sums as adding whole matrices.
     """
     hermitian = theta == 0.0
 
     def phase(degree: int):
         return 1.0 if hermitian else np.exp(1j * degree * theta)
 
-    ham = phase(-2) * kin
+    ham = kin if hermitian else phase(-2) * kin
     for coeff, degree, mat in terms:
         scale = coeff * phase(degree)
         for lo in range(0, ham.shape[0], _ROW_BLOCK):
@@ -129,8 +142,26 @@ def _assemble(kin: np.ndarray, terms, theta: float) -> OperatorMatrix:
     return OperatorMatrix(dim=kin.shape[0], entries=ham, hermitian_flag=hermitian)
 
 
-def build_hamiltonian(poly: PolynomialPotential, basis: BasisSpec) -> OperatorMatrix:
-    """Matrix of e^{-2i theta}(px^2+py^2) + sum c_ij e^{i(i+j)theta} X^i Y^j."""
+def _kron_pieces(a: np.ndarray, b: np.ndarray, pieces) -> np.ndarray:
+    """kron(a, b) on a union of product sets of basis states.
+
+    `pieces` lists (x states, y states) index arrays. Rows and columns run
+    through the pieces in order, each piece in kron order, and every entry is
+    the product a[r, c] * b[s, t] that np.kron forms.
+    """
+    edges = np.cumsum([0] + [px.size * py.size for px, py in pieces])
+    out = np.empty((edges[-1], edges[-1]))
+    for (rx, ry), r0, r1 in zip(pieces, edges, edges[1:]):
+        for (cx, cy), c0, c1 in zip(pieces, edges, edges[1:]):
+            # the (row piece, column piece) block as kron's 4-index outer product; a
+            # reshape that only splits axes of a slice is always a view of `out`
+            view = out[r0:r1, c0:c1].reshape(rx.size, ry.size, cx.size, cy.size)
+            np.multiply(a[np.ix_(rx, cx)][:, None, :, None], b[np.ix_(ry, cy)][None, :, None, :], out=view)
+    return out
+
+
+def _build_pieces(poly: PolynomialPotential, basis: BasisSpec, pieces) -> OperatorMatrix:
+    """The Hamiltonian of build_hamiltonian restricted to the product pieces."""
     for (i, j) in poly.terms:
         if i > _PAD or j > _PAD:
             raise DegreeTooHigh(
@@ -139,13 +170,58 @@ def build_hamiltonian(poly: PolynomialPotential, basis: BasisSpec) -> OperatorMa
     nx, ny, omega = basis.n_max_x, basis.n_max_y, basis.omega
     xpow = _position_powers(nx, omega, _PAD)
     ypow = xpow if ny == nx else _position_powers(ny, omega, _PAD)
-    ix, iy = np.eye(nx), np.eye(ny)
-    kin = np.kron(kinetic_matrix_1d(nx, omega), iy) + np.kron(ix, kinetic_matrix_1d(ny, omega))
+    kin = _kron_pieces(kinetic_matrix_1d(nx, omega), np.eye(ny), pieces) + _kron_pieces(
+        np.eye(nx), kinetic_matrix_1d(ny, omega), pieces
+    )
     terms = (
-        (coeff, i + j, np.kron(xpow[i], ypow[j]))
+        (coeff, i + j, _kron_pieces(xpow[i], ypow[j], pieces))
         for (i, j), coeff in poly.float_terms().items()
     )
     return _assemble(kin, terms, basis.theta)
+
+
+def build_hamiltonian(poly: PolynomialPotential, basis: BasisSpec) -> OperatorMatrix:
+    """Matrix of e^{-2i theta}(px^2+py^2) + sum c_ij e^{i(i+j)theta} X^i Y^j."""
+    return _build_pieces(poly, basis, [(np.arange(basis.n_max_x), np.arange(basis.n_max_y))])
+
+
+_SECTORS = ((0, 0), (0, 1), (1, 0), (1, 1))  # (nx mod 2, ny mod 2)
+
+
+def _sector_blocks(keys) -> list[list[tuple[int, int]]]:
+    """The parity sectors grouped into the blocks that terms x^i y^j, (i, j) in keys, couple.
+
+    Sectors s and t are joined when s - t (mod 2) is the parity of the
+    kinetic term, (0, 0), or of some key. A block is then s plus the group
+    those parities generate under addition mod 2; in Z2 x Z2 two different
+    nonzero parities generate all four.
+    """
+    shifts = {(0, 0)} | {(i % 2, j % 2) for i, j in keys}
+    group = shifts if len(shifts) <= 2 else _SECTORS
+    blocks = []
+    for a, b in _SECTORS:
+        block = sorted((a ^ c, b ^ d) for c, d in group)
+        if block not in blocks:
+            blocks.append(block)
+    return blocks
+
+
+def parity_blocks(poly: PolynomialPotential, basis: BasisSpec) -> list[OperatorMatrix]:
+    """The parity blocks of build_hamiltonian(poly, basis), as matrices.
+
+    A block's rows are its sectors' states in sector order (ee, eo, oe, oo),
+    each sector x-major, and its matrix is the full matrix at those rows and
+    columns, bit for bit. Sectors without states are skipped, and so is a
+    block without any.
+    """
+    nx, ny = basis.n_max_x, basis.n_max_y
+    blocks = []
+    for sectors in _sector_blocks(poly.terms):
+        pieces = [(np.arange(a, nx, 2), np.arange(b, ny, 2)) for a, b in sectors]
+        pieces = [(px, py) for px, py in pieces if px.size and py.size]
+        if pieces:
+            blocks.append(_build_pieces(poly, basis, pieces))
+    return blocks
 
 
 def build_hamiltonian_1d(

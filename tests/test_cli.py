@@ -145,29 +145,65 @@ def test_validation_failures_exit_2():
     assert run_cli("case", "1", "--digits", "0").returncode == 2
 
 
+def test_unwritable_out_path_exits_2(capsys, tmp_path, monkeypatch):
+    # the path is checked before anything is computed
+    monkeypatch.setitem(cli._HANDLERS, "transform", lambda args: pytest.fail("computed first"))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["transform", "--case", "1", "--out", str(tmp_path / "missing" / "x.json")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_precision_variable_is_read_only_by_commands_with_digits():
     env = dict(os.environ, OSC_PRECISION_DIGITS="abc")
     assert run_cli("symmetry", "--case", "5", env=env).returncode == 0
     assert run_cli("rpm", "--g", "1", env=env).returncode == 2
 
 
-# The exact survey reports, compared with the benchmark's stored outputs.
+# The survey reports, compared with the benchmark's stored outputs: floats
+# (12 significant figures, single or listed) to 1e-10 relative, round-off
+# measures below 1e-10, every other field exactly.
 SURVEY_REFS = json.loads((ROOT / "perfbench" / "refs" / "out_survey.json").read_text())
-FLOAT_FIELDS = ("quartic_form_min", "quartic_form_argmin")
+FLOAT_FIELDS = ("quartic_form_min", "quartic_form_argmin", "omega", "eigenvalues", "lowest_eigenvalues")
+NOISE_FIELDS = ("isospectral_max_diff",)
+SURVEY_COUPLINGS = [None, "1/2", "3/10", "2"]
 
 
-@pytest.mark.parametrize("lam", [None, "1/2", "3/10", "2"])
-@pytest.mark.parametrize("command", ["transform", "symmetry"])
-@pytest.mark.parametrize("case", range(1, 6))
-def test_exact_reports_match_stored_outputs(capsys, case, command, lam):
-    argv = [command, "--case", str(case)] + ([] if lam is None else ["--lambda", lam])
+def _floats(value):
+    return [float(v) for v in (value if isinstance(value, list) else [value])]
+
+
+def _assert_matches_survey_ref(capsys, argv, lam):
+    argv = argv + ([] if lam is None else ["--lambda", lam])
     assert cli.main(argv) == 0
     got = json.loads(capsys.readouterr().out)
     want = SURVEY_REFS["default" if lam is None else lam][" ".join(argv)]
     for key in FLOAT_FIELDS:
         if key in want:
-            assert float(got.pop(key)) == pytest.approx(float(want.pop(key)), rel=1e-10, abs=0)
+            assert _floats(got.pop(key)) == pytest.approx(_floats(want.pop(key)), rel=1e-10, abs=0)
+    for key in NOISE_FIELDS:
+        if key in want:
+            want.pop(key)
+            assert float(got.pop(key)) <= 1e-10
     assert got == want
+
+
+@pytest.mark.parametrize("lam", SURVEY_COUPLINGS)
+@pytest.mark.parametrize("command", ["transform", "symmetry"])
+@pytest.mark.parametrize("case", range(1, 6))
+def test_exact_reports_match_stored_outputs(capsys, case, command, lam):
+    _assert_matches_survey_ref(capsys, [command, "--case", str(case)], lam)
+
+
+@pytest.mark.parametrize("lam", SURVEY_COUPLINGS)
+@pytest.mark.parametrize(
+    "argv",
+    [["spectrum", "--case", "1"], ["spectrum", "--case", "2"], ["case", "4"], ["case", "5"]],
+    ids=" ".join,
+)
+def test_hermitian_spectra_match_stored_outputs(capsys, argv, lam):
+    _assert_matches_survey_ref(capsys, argv + ["--nmax", "40"], lam)
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anharm2d.cases import case_preset
 from anharm2d.eig import eig_complex, eig_selfadjoint
@@ -16,6 +19,7 @@ from anharm2d.oscbasis import (
     build_hamiltonian_1d,
     kinetic_matrix_1d,
     optimal_omega,
+    parity_blocks,
     position_matrix_1d,
 )
 from anharm2d.poly2d import PolynomialPotential, apply_linear_map, make_quartic
@@ -167,6 +171,88 @@ def test_build_is_bitwise_the_explicit_sum(case, theta):
     got = build_hamiltonian(poly, BasisSpec(n, n, theta=theta)).entries
     assert got.dtype == want.dtype
     assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
+
+
+def _expected_blocks(poly, nx, ny):
+    """Oracle: the product-basis rows of each parity block, in documented order.
+
+    Sectors s and t are adjacent when s - t (mod 2) is the parity of the
+    kinetic term or of a term of the potential; blocks are the connected
+    components, ordered by their first sector. A block's rows run through its
+    sectors in order (ee, eo, oe, oo), each sector x-major; empty blocks are
+    dropped.
+    """
+    shifts = {(0, 0)} | {(i % 2, j % 2) for i, j in poly.terms}
+    sectors = [(a, b) for a in (0, 1) for b in (0, 1)]
+    component = {s: {s} for s in sectors}
+    for s in sectors:
+        for t in sectors:
+            if ((s[0] - t[0]) % 2, (s[1] - t[1]) % 2) in shifts:
+                merged = component[s] | component[t]
+                for u in merged:
+                    component[u] = merged
+    blocks = []
+    for s in sectors:
+        if min(component[s]) == s:
+            rows = [
+                kx * ny + ky
+                for a, b in sorted(component[s])
+                for kx in range(a, nx, 2)
+                for ky in range(b, ny, 2)
+            ]
+            if rows:
+                blocks.append(np.array(rows))
+    return blocks
+
+
+_MONOMIALS = [(i, j) for i in range(5) for j in range(5 - i)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    terms=st.dictionaries(
+        st.sampled_from(_MONOMIALS),
+        st.fractions(min_value=-5, max_value=5, max_denominator=30),
+        max_size=8,
+    ),
+    nx=st.integers(1, 8),
+    ny=st.integers(1, 8),
+    theta=st.sampled_from([0.0, 0.1]),
+    omega=st.sampled_from([1.0, 1.7]),
+)
+def test_parity_blocks_are_exact_submatrices(terms, nx, ny, theta, omega):
+    poly = PolynomialPotential({(2, 0): 1, (0, 2): 1, **terms})
+    basis = BasisSpec(nx, ny, omega=omega, theta=theta)
+    full = build_hamiltonian(poly, basis).entries
+    blocks = parity_blocks(poly, basis)
+    expected = _expected_blocks(poly, nx, ny)
+    assert np.array_equal(np.sort(np.concatenate(expected)), np.arange(nx * ny))
+    assert [mat.dim for mat in blocks] == [rows.size for rows in expected]
+    label = np.empty(nx * ny, dtype=int)
+    for k, (rows, mat) in enumerate(zip(expected, blocks)):
+        label[rows] = k
+        assert mat.hermitian_flag == (theta == 0.0)
+        assert mat.entries.dtype == full.dtype
+        assert np.array_equal(mat.entries, full[np.ix_(rows, rows)])
+    assert np.all(full[label[:, None] != label[None, :]] == 0.0)
+    if theta == 0.0:
+        want = np.linalg.eigvalsh(full)
+        got = np.sort(np.concatenate([np.linalg.eigvalsh(mat.entries) for mat in blocks]))
+        assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1.0)
+
+
+@pytest.mark.parametrize(
+    "poly, count",
+    [(case_preset(k, None).potential, n) for k, n in zip(range(1, 6), (2, 4, 2, 2, 4))]
+    + [
+        (PolynomialPotential({(2, 0): 1, (0, 2): 1, (1, 2): Fraction(1, 3)}), 2),
+        (PolynomialPotential({(2, 0): 1, (0, 2): 1, (1, 0): 1, (0, 1): 1}), 1),
+    ],
+)
+def test_parity_block_count(poly, count):
+    assert len(parity_blocks(poly, BasisSpec(6, 5))) == count
+    # a single state per mode leaves only the ee sector
+    assert len(parity_blocks(poly, BasisSpec(1, 1))) == 1
 
 
 def test_rotated_1d_builder_phases():
