@@ -4,10 +4,22 @@ and high-precision 1D eigenvalues.
 This is the only module that formats output: the library returns computed
 values, and the JSON, CSV and text renderings are all built here.
 
+Commands and their own options (every command also takes --format and --out;
+all but rpm take --lambda, the coupling):
+  case K          --nmax, --theta-min/--theta-max/--theta-steps (case 3),
+                  --digits, --dmax (cases 1 and 2)
+  transform, symmetry   --case
+  spectrum        --case, --count, --nmax, --omega fixed:<val>|optimal
+  resonance       (case 3 only) --nmax, --theta-*, --emit-table1
+  rpm             --g, --state, --seed, --displacement, --digits, --dmax
+There are no environment variables.
+
 Exit codes: 0 success, 2 flag/validation error (argparse convention; also an
 --out path that cannot be opened for writing, which is opened before the
 computation, like a shell redirection), 3 numerical failure (the error name
-goes to stderr as a one-line JSON object).
+goes to stderr as a one-line JSON object), e.g. NoStationaryPoint when the
+case-3 sweep finds no decaying trajectory, as at lambda = 0, where case 3 is
+the bounded harmonic oscillator.
 """
 
 from __future__ import annotations
@@ -18,7 +30,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 
@@ -205,22 +216,21 @@ def _cmd_spectrum(args) -> dict:
     }
 
 
-def _cmd_resonance(args) -> dict | str:
+def _lowest_resonance(args, lam: Fraction):
+    """Case-3 resonance at coupling `lam`, swept as --nmax and the --theta-* flags say."""
     window = (args.theta_min * math.pi, args.theta_max * math.pi)
     basis = BasisSpec(args.nmax, args.nmax, omega=1.0)
-    lams = TABLE1_LAMBDAS if (args.emit_table1 and args.lam is None) else (case_preset(3, args.lam).lam,)
-    rows = [
-        find_lowest_resonance(
-            case_preset(3, lam).potential, basis, theta_window=window, n_points=args.theta_steps
-        )
-        for lam in lams
-    ]
-    if args.emit_table1:
-        return _table1_csv(lams, rows, args.nmax)
-    res = rows[0]
+    return find_lowest_resonance(
+        case_preset(3, lam).potential, basis, theta_window=window, n_points=args.theta_steps
+    )
+
+
+def _resonance_report(args) -> dict:
+    lam = case_preset(3, args.lam).lam
+    res = _lowest_resonance(args, lam)
     return {
         "case": 3,
-        "lambda": str(lams[0]),
+        "lambda": str(lam),
         "re_e": _fmt(res.energy.real),
         "im_e": _fmt(res.energy.imag),
         "theta_star": _fmt(res.theta_star),
@@ -228,6 +238,13 @@ def _cmd_resonance(args) -> dict | str:
         "nmax": args.nmax,
         "converged": res.converged,
     }
+
+
+def _cmd_resonance(args) -> dict | str:
+    if not args.emit_table1:
+        return _resonance_report(args)
+    lams = TABLE1_LAMBDAS if args.lam is None else (case_preset(3, args.lam).lam,)
+    return _table1_csv(lams, [_lowest_resonance(args, lam) for lam in lams], args.nmax)
 
 
 def _cmd_rpm(args) -> dict:
@@ -273,7 +290,7 @@ def _case_separable_report(preset, digits: int, d_max: int) -> dict:
         }
 
 
-def _cmd_case(args) -> dict | str:
+def _cmd_case(args) -> dict:
     if args.nmax is None:
         args.nmax = 30 if args.case == 3 else 20
     preset = case_preset(args.case, args.lam)
@@ -286,12 +303,10 @@ def _cmd_case(args) -> dict | str:
     if args.case in (1, 2):
         payload.update(_case_separable_report(preset, args.digits, args.dmax))
     elif args.case == 3:
-        if args.emit_table1:
-            return _cmd_resonance(args)
         qmin, angle = quartic_form_min(preset.potential)
         payload["quartic_form_min"] = _fmt(qmin)
         payload["quartic_form_argmin"] = _fmt(angle)
-        res = _cmd_resonance(args)
+        res = _resonance_report(args)
         payload.update((key, res[key]) for key in ("re_e", "im_e", "theta_star", "converged"))
     elif args.case == 4:
         twin = case_preset(1, preset.lam)
@@ -317,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--lambda", dest="lam", default=None, help="coupling (exact decimal or fraction)")
         p.add_argument("--format", choices=("json", "csv", "text"), default="json")
         p.add_argument("--out", dest="out_path", default=None, help="write output to this path")
         return p
@@ -331,14 +345,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_sp = common(sub.add_parser("spectrum", help="lowest Rayleigh-Ritz eigenvalues"))
     p_sp.add_argument("--case", type=int, choices=range(1, 6), required=True)
     p_sp.add_argument("--count", type=_positive_int, default=10)
-    p_res = common(sub.add_parser("resonance", help="lowest complex-rotation resonance"))
-    p_res.add_argument("--case", type=int, choices=(3,), default=3)
+    p_res = common(sub.add_parser("resonance", help="lowest complex-rotation resonance of case 3"))
+    p_res.add_argument("--emit-table1", action="store_true", help="emit the resonance table as CSV")
     p_rpm = common(sub.add_parser("rpm", help="high-precision 1D quartic eigenvalue"))
     p_rpm.add_argument("--g", required=True, help="coefficient of x^4 in p^2 + x^2 + g x^4")
     p_rpm.add_argument("--state", choices=("even", "odd"), default="even")
     p_rpm.add_argument("--seed", type=float, default=None, help="Newton seed (default: variational)")
     p_rpm.add_argument("--displacement", type=int, default=0)
 
+    for p in (p_case, p_tr, p_sym, p_sp, p_res):
+        p.add_argument("--lambda", dest="lam", default=None, help="coupling (exact decimal or fraction)")
     for p, nmax in ((p_case, None), (p_sp, 20), (p_res, 30)):
         # case picks its own default: 30 for case 3, 20 otherwise
         p.add_argument("--nmax", type=_positive_int, default=nmax, help="basis functions per mode")
@@ -346,11 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--theta-min", type=float, default=0.03, help="window start in units of pi")
         p.add_argument("--theta-max", type=float, default=0.10, help="window end in units of pi")
         p.add_argument("--theta-steps", type=int, default=15)
-        p.add_argument("--emit-table1", action="store_true", help="emit the resonance table as CSV")
     for p in (p_case, p_rpm):
-        # argparse converts a string default with `type`, only for these commands
-        digits = os.environ.get("OSC_PRECISION_DIGITS") or "80"
-        p.add_argument("--digits", type=_positive_int, default=digits)
+        p.add_argument("--digits", type=_positive_int, default=80)
         p.add_argument("--dmax", type=int, default=25, help="largest Hankel dimension")
     p_sp.add_argument("--omega", default="fixed:1", help="basis frequency: fixed:<val> or optimal")
     return parser

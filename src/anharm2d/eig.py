@@ -2,7 +2,9 @@
 
 Two entry points: a real-spectrum solver for self-adjoint matrices
 (Rayleigh-Ritz energies) and a full complex-spectrum solver for the
-complex-scaled, complex-symmetric matrices of the resonance runs.
+complex-scaled, complex-symmetric matrices of the resonance runs. Both
+compute eigenvalues only, and certify them with the a-priori backward-error
+bound of `apriori_bound`.
 """
 
 from __future__ import annotations
@@ -23,9 +25,13 @@ class ConvergenceFailure(RuntimeError):
 
 
 # A-priori backward-error allowance for LAPACK dense solvers, in units of
-# machine epsilon times the dimension; measured residuals replace it whenever
-# eigenvectors are computed.
+# machine epsilon times the dimension.
 _APRIORI_EPS_FACTOR = 64.0
+
+
+def apriori_bound(dim: int) -> float:
+    """Relative backward-error allowance of a dense eigensolve of a dim x dim matrix."""
+    return _APRIORI_EPS_FACTOR * dim * np.finfo(np.float64).eps
 
 
 @dataclass(frozen=True)
@@ -34,17 +40,9 @@ class SpectralResult:
 
     eigenvalues: np.ndarray = field(repr=False)
     residual_bound: float
-    eigenvectors: np.ndarray | None = field(default=None, repr=False)
 
 
-def _measured_bound(mat: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> float:
-    norm = np.linalg.norm(mat, ord=np.inf) or 1.0
-    residuals = mat @ vecs - vecs * vals[np.newaxis, :]
-    worst = np.linalg.norm(residuals, axis=0).max()
-    return float(worst / norm)
-
-
-def eig_selfadjoint(mat: OperatorMatrix, want_vectors: bool = False) -> SpectralResult:
+def eig_selfadjoint(mat: OperatorMatrix) -> SpectralResult:
     """All real eigenvalues of a Hermitian matrix, ascending."""
     if not mat.hermitian_flag:
         raise NotHermitian("matrix lacks the hermitian certificate")
@@ -52,32 +50,16 @@ def eig_selfadjoint(mat: OperatorMatrix, want_vectors: bool = False) -> Spectral
     if np.iscomplexobj(a) and not a.imag.any():
         a = a.real
     try:
-        if want_vectors:
-            vals, vecs = np.linalg.eigh(a)
-        else:
-            vals = np.linalg.eigvalsh(a)
-            vecs = None
+        vals = np.linalg.eigvalsh(a)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc
-    if vecs is not None:
-        bound = _measured_bound(mat.entries, vals.astype(np.complex128), vecs.astype(np.complex128))
-    else:
-        bound = _APRIORI_EPS_FACTOR * mat.dim * np.finfo(np.float64).eps
-    return SpectralResult(eigenvalues=vals, residual_bound=bound, eigenvectors=vecs)
+    return SpectralResult(eigenvalues=vals, residual_bound=apriori_bound(mat.dim))
 
 
-def eig_complex(mat: OperatorMatrix, want_vectors: bool = False) -> SpectralResult:
+def eig_complex(mat: OperatorMatrix) -> SpectralResult:
     """All complex eigenvalues of a general dense matrix (unordered)."""
     try:
-        if want_vectors:
-            vals, vecs = np.linalg.eig(mat.entries)
-        else:
-            vals = np.linalg.eigvals(mat.entries)
-            vecs = None
+        vals = np.linalg.eigvals(mat.entries)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc
-    if vecs is not None:
-        bound = _measured_bound(mat.entries, vals, vecs)
-    else:
-        bound = _APRIORI_EPS_FACTOR * mat.dim * np.finfo(np.float64).eps
-    return SpectralResult(eigenvalues=vals, residual_bound=bound, eigenvectors=vecs)
+    return SpectralResult(eigenvalues=vals, residual_bound=apriori_bound(mat.dim))

@@ -88,18 +88,15 @@ class OrthogonalMap2:
         fa, fb, fc, fd = (float(v) for v in (self.a, self.b, self.c, self.d))
         return fa * x + fb * y, fc * x + fd * y
 
-    def same_entries(self, other: "OrthogonalMap2") -> bool:
+    def __eq__(self, other):
+        if not isinstance(other, OrthogonalMap2):
+            return NotImplemented
         return (
             self.a == other.a
             and self.b == other.b
             and self.c == other.c
             and self.d == other.d
         )
-
-    def __eq__(self, other):
-        if not isinstance(other, OrthogonalMap2):
-            return NotImplemented
-        return self.same_entries(other)
 
     def __hash__(self):
         return hash((self.a, self.b, self.c, self.d))

@@ -19,10 +19,6 @@ from .exactnum import SqrtTwoRational
 from .maps import OrthogonalMap2
 
 
-class NoQuarticPart(ValueError):
-    """Raised when a boundedness query needs a degree-4 part that is absent."""
-
-
 class Boundedness(Enum):
     BOUNDED = "Bounded"
     UNBOUNDED = "Unbounded"
@@ -150,13 +146,14 @@ def quartic_form_min(poly: PolynomialPotential) -> tuple[float, float]:
     Returns (min_value, angle): a negative minimum shows a direction along
     which the full potential is unbounded from below. A MARGINAL form (see
     is_bounded_below) gives exactly 0.0, at atan of a real root of
-    q(t) = Q(1, t), or at pi/2 when q has none. Otherwise the float values at
+    q(t) = Q(1, t), or at pi/2 when q has none; so does a potential without a
+    quartic part (the harmonic limit lambda = 0). Otherwise the float values at
     pi/2 and at the real roots (companion matrix) of the stationarity quartic
     in t = tan(phi) are compared.
     """
     q = _tan_poly(poly)
     if not q:
-        raise NoQuarticPart("degree-4 homogeneous part is identically zero")
+        return 0.0, math.pi / 2
     verdict, repeated = _verdict(q)
     if verdict is Boundedness.MARGINAL:
         return 0.0, _root_angle(repeated)

@@ -16,13 +16,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .eig import eig_complex
+from .eig import apriori_bound, eig_complex
 from .oscbasis import BasisSpec, build_hamiltonian
 from .poly2d import PolynomialPotential
 
 
 # Largest centred-difference |dE/dtheta| of a trajectory counted as stationary.
 _STABILITY_TOL = 5e-2
+# Largest |E(n+5) - E(n)| of a resonance certified as converged.
+_DRIFT_TOL = 1e-4
 
 
 class NoStationaryPoint(RuntimeError):
@@ -133,16 +135,18 @@ def find_lowest_resonance(
     basis: BasisSpec,
     theta_window: tuple[float, float] = (0.03 * math.pi, 0.10 * math.pi),
     n_points: int = 15,
-    drift_tol: float = 1e-4,
-    check_convergence: bool = True,
 ) -> Resonance:
     """Theta-stationary complex eigenvalue with the smallest real part.
 
     Sweeps the window, scores every trajectory by the centred difference
     |E(theta+h) - E(theta-h)| / 2h, keeps those that are stable (score below
-    `_STABILITY_TOL` = 5e-2) and decay (Im E < 0), and returns the one with the
-    smallest Re E. Convergence is certified by re-diagonalizing at the
-    stationary angle with 5 more basis functions per mode.
+    `_STABILITY_TOL` = 5e-2) and decay, and returns the one with the smallest
+    Re E. A trajectory decays when -Im E exceeds the eigensolver's rounding
+    floor, eig.apriori_bound(basis.dim) relative to |E|: a bound state (the
+    whole spectrum at lambda = 0) sits at Im E = 0 up to rounding and is
+    never reported. Convergence is always checked: the stationary angle is
+    re-diagonalized with 5 more basis functions per mode, and the resonance is
+    converged when an eigenvalue there lies within `_DRIFT_TOL` = 1e-4 of it.
     """
     lo, hi = theta_window
     if not (0.0 < lo < hi < math.pi / 4):
@@ -154,13 +158,14 @@ def find_lowest_resonance(
 
     best = None  # (re, energy, theta_idx, stability)
     two_h = thetas[2] - thetas[0]
+    noise = apriori_bound(basis.dim)
     for r in range(scan.trajectories.shape[0]):
         path = scan.trajectories[r]
         scores = np.abs(path[2:] - path[:-2]) / two_h
         k = int(np.argmin(scores)) + 1
         stability = float(scores[k - 1])
         energy = path[k]
-        if stability > _STABILITY_TOL or energy.imag >= 0:
+        if stability > _STABILITY_TOL or -energy.imag <= noise * abs(energy):
             continue
         if best is None or energy.real < best[1].real:
             best = (r, energy, k, stability)
@@ -172,12 +177,10 @@ def find_lowest_resonance(
     r, energy, k, stability = best
     theta_star = float(thetas[k])
 
-    converged = False
-    if check_convergence:
-        bigger = BasisSpec(basis.n_max_x + 5, basis.n_max_y + 5, basis.omega, theta_star)
-        result = eig_complex(build_hamiltonian(poly, bigger))
-        drift = float(np.min(np.abs(result.eigenvalues - energy)))
-        converged = stability < _STABILITY_TOL and drift < drift_tol
+    bigger = BasisSpec(basis.n_max_x + 5, basis.n_max_y + 5, basis.omega, theta_star)
+    result = eig_complex(build_hamiltonian(poly, bigger))
+    drift = float(np.min(np.abs(result.eigenvalues - energy)))
+    converged = stability < _STABILITY_TOL and drift < _DRIFT_TOL
 
     return Resonance(
         energy=complex(energy), theta_star=theta_star, stability=stability, converged=converged

@@ -72,13 +72,6 @@ def test_rpm_command_digits(tmp_path):
     assert payload["trail"][-1]["E"].startswith("1.90313")
 
 
-def test_rpm_env_var_overrides_default_digits():
-    env = dict(os.environ, OSC_PRECISION_DIGITS="30")
-    proc = run_cli("rpm", "--g", "4", "--dmax", "8", env=env)
-    payload = json.loads(proc.stdout)
-    assert payload["precision_digits"] == 30
-
-
 @pytest.mark.parametrize("case", ["1", "2"])
 def test_separable_case_at_zero_coupling_is_harmonic(case):
     proc = run_cli("case", case, "--lambda", "0", "--digits", "30", "--dmax", "6")
@@ -121,7 +114,7 @@ def test_case5_pipeline():
 
 def test_resonance_small_basis():
     proc = run_cli(
-        "resonance", "--case", "3", "--nmax", "10", "--theta-steps", "5", "--lambda", "0.1"
+        "resonance", "--nmax", "10", "--theta-steps", "5", "--lambda", "0.1"
     )
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
@@ -130,7 +123,7 @@ def test_resonance_small_basis():
 
 
 def test_validation_failures_exit_2():
-    assert run_cli("resonance", "--case", "1").returncode == 2
+    assert run_cli("resonance", "--theta-steps", "2").returncode == 2
     assert run_cli("case", "7").returncode == 2
     assert run_cli("spectrum", "--case", "1", "--omega", "fixed:-1").returncode == 2
     assert run_cli("spectrum", "--case", "1", "--nmax", "4", "--omega", "fixed:inf").returncode == 2
@@ -155,10 +148,44 @@ def test_unwritable_out_path_exits_2(capsys, tmp_path, monkeypatch):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-def test_precision_variable_is_read_only_by_commands_with_digits():
-    env = dict(os.environ, OSC_PRECISION_DIGITS="abc")
-    assert run_cli("symmetry", "--case", "5", env=env).returncode == 0
-    assert run_cli("rpm", "--g", "1", env=env).returncode == 2
+def test_removed_settings_are_gone():
+    for argv in (["resonance", "--case", "3"], ["case", "3", "--emit-table1"], ["rpm", "--g", "1", "--lambda", "2"]):
+        assert run_cli(*argv).returncode == 2
+    # --digits is the only precision setting; the environment is not read
+    proc = run_cli("rpm", "--g", "1", "--dmax", "4", env=dict(os.environ, OSC_PRECISION_DIGITS="abc"))
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["precision_digits"] == 80
+
+
+# The harmonic limit lambda = 0 in every command: the Hermitian levels are
+# exactly those of the 2D oscillator, the quartic form is zero (Marginal, at
+# pi/2), and case 3 has no resonance.
+HARMONIC_ARGVS = (
+    [[command, "--case", str(k)] for command in ("transform", "symmetry") for k in range(1, 6)]
+    + [["spectrum", "--case", str(k), "--nmax", "6", "--omega", omega] for k in range(1, 6) for omega in ("fixed:1", "optimal")]
+    + [["case", k, "--digits", "30", "--dmax", "6", "--nmax", "6"] for k in "1245"]
+    + [["case", "3", "--nmax", "6", "--theta-steps", "5"], ["resonance", "--nmax", "6", "--theta-steps", "5"]]
+)
+
+
+@pytest.mark.parametrize("argv", HARMONIC_ARGVS, ids=" ".join)
+def test_harmonic_limit_in_every_command(capsys, argv):
+    rc = cli.main(argv + ["--lambda", "0"])
+    out, err = capsys.readouterr()
+    if argv[:2] == ["case", "3"] or argv[0] == "resonance":
+        assert rc == 3
+        assert json.loads(err)["error"] == "NoStationaryPoint"
+        return
+    assert rc == 0, err
+    got = json.loads(out)
+    levels = got.get("eigenvalues", got.get("lowest_eigenvalues"))
+    if levels is not None:
+        exact = sorted(2 * (nx + ny) + 2 for nx in range(6) for ny in range(6))
+        assert _floats(levels) == pytest.approx(exact[: len(levels)], rel=0, abs=1e-12)
+    if argv[0] == "symmetry":
+        assert (got["boundedness"], got["quartic_form_min"], got["quartic_form_argmin"]) == (
+            "Marginal", "0", "1.57079632679"
+        )
 
 
 # The survey reports, compared with the benchmark's stored outputs: floats
@@ -230,7 +257,6 @@ def test_tiny_coupling_gets_the_exact_verdict(capsys, case, lam, verdict, qmin, 
 def test_numerical_failure_exits_3_with_json_error():
     proc = run_cli(
         "resonance",
-        "--case", "3",
         "--nmax", "4",
         "--theta-min", "0.01",
         "--theta-max", "0.02",

@@ -14,7 +14,6 @@ from anharm2d.exactnum import HALF_SQRT2, SqrtTwoRational
 from anharm2d.maps import NonOrthogonalMap, dihedral16
 from anharm2d.poly2d import (
     Boundedness,
-    NoQuarticPart,
     PolynomialPotential,
     apply_linear_map,
     is_bounded_below,
@@ -192,9 +191,11 @@ def test_quartic_form_min_invariant_under_orthogonal_maps():
             assert moved == pytest.approx(base, abs=1e-10)
 
 
-def test_quartic_form_min_needs_a_quartic_part():
-    with pytest.raises(NoQuarticPart):
-        quartic_form_min(make_quartic(0, 0, 0, 0, 0, 1))
+def test_quartic_form_min_without_a_quartic_part_is_marginal():
+    # the harmonic limit: zero on every ray, reported at pi/2 like a marginal form
+    poly = make_quartic(0, 0, 0, 0, 0, 1)
+    assert quartic_form_min(poly) == (0.0, math.pi / 2)
+    assert is_bounded_below(poly) is Boundedness.MARGINAL
 
 
 def test_boundedness_classification():

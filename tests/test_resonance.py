@@ -92,7 +92,6 @@ def test_small_basis_resonance_is_already_close():
         case_preset(3, "0.1").potential,
         BasisSpec(12, 12),
         n_points=5,
-        check_convergence=False,
     )
     assert res.energy.real == pytest.approx(2.0733, abs=5e-4)
     assert res.energy.imag == pytest.approx(-0.00046, abs=5e-5)
@@ -105,7 +104,6 @@ def test_convergence_certificate_small_basis():
         case_preset(3, "0.1").potential,
         BasisSpec(12, 12),
         n_points=5,
-        drift_tol=1e-3,
     )
     assert res.converged
 
@@ -117,7 +115,6 @@ def test_no_stationary_point_raised():
             BasisSpec(4, 4),
             theta_window=(0.01 * math.pi, 0.02 * math.pi),
             n_points=3,
-            check_convergence=False,
         )
 
 
