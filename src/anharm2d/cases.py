@@ -40,13 +40,12 @@ def exact_lambda(lam) -> Fraction:
     Floats go through their shortest decimal repr, so 0.1 means 1/10 (the
     value a human typed), not the binary double underneath it.
     """
-    if isinstance(lam, Fraction):
-        return lam
-    if isinstance(lam, int):
-        return Fraction(lam)
     if isinstance(lam, float):
         return Fraction(Decimal(repr(lam)))
-    return Fraction(lam)
+    try:
+        return Fraction(lam)
+    except ZeroDivisionError:
+        raise ValueError(f"coupling {lam!r} has a zero denominator") from None
 
 
 def case_preset(case_id: int, lam=None) -> CasePreset:

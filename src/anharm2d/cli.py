@@ -161,13 +161,10 @@ def _cmd_transform(args) -> dict:
         "separable": found is not None,
     }
     if found is not None:
-        angle, mp2 = found
+        angle, mp2, separated = found
         payload["rotation_angle"] = _fmt(angle)
-        payload["map"] = {
-            "label": mp2.label,
-            "entries": [[str(v) for v in row] for row in mp2.entries()],
-        }
-        payload["transformed"] = _poly_dict(apply_linear_map(preset.potential, mp2))
+        payload["map"] = {"label": mp2.label, "entries": [[str(v) for v in row] for row in mp2.entries()]}
+        payload["transformed"] = _poly_dict(separated)
     return payload
 
 
@@ -268,8 +265,7 @@ def _cmd_rpm(args) -> dict:
 
 
 def _case_separable_report(preset, digits: int, d_max: int) -> dict:
-    angle, mp2 = separating_rotation(preset.potential)
-    transformed = apply_linear_map(preset.potential, mp2)
+    angle, mp2, transformed = separating_rotation(preset.potential)
     ab = _separated_quartic_coeffs(transformed)
     with mp.workdps(digits):
         # (RPM, variational) ground energies, once per distinct coupling

@@ -1,10 +1,10 @@
 """Dense eigensolver contracts on top of LAPACK.
 
-Two entry points: a real-spectrum solver for self-adjoint matrices
-(Rayleigh-Ritz energies) and a full complex-spectrum solver for the
-complex-scaled, complex-symmetric matrices of the resonance runs. Both
-compute eigenvalues only, and certify them with the a-priori backward-error
-bound of `apriori_bound`.
+Two entry points: a real-spectrum solver for Hermitian matrices, the one
+place that checks Hermiticity (Rayleigh-Ritz energies), and a full
+complex-spectrum solver for the complex-scaled, complex-symmetric matrices
+of the resonance runs. Both compute eigenvalues only, and certify them with
+the a-priori backward-error bound of `apriori_bound`.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from .oscbasis import OperatorMatrix
 
 
 class NotHermitian(ValueError):
-    """eig_selfadjoint was handed a matrix without the Hermitian certificate."""
+    """eig_selfadjoint was handed a matrix that fails OperatorMatrix.is_hermitian."""
 
 
 class ConvergenceFailure(RuntimeError):
@@ -42,24 +42,21 @@ class SpectralResult:
     residual_bound: float
 
 
-def eig_selfadjoint(mat: OperatorMatrix) -> SpectralResult:
-    """All real eigenvalues of a Hermitian matrix, ascending."""
-    if not mat.hermitian_flag:
-        raise NotHermitian("matrix lacks the hermitian certificate")
-    a = mat.entries
-    if np.iscomplexobj(a) and not a.imag.any():
-        a = a.real
+def _solve(eigvals, mat: OperatorMatrix) -> SpectralResult:
     try:
-        vals = np.linalg.eigvalsh(a)
+        vals = eigvals(mat.entries)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc
     return SpectralResult(eigenvalues=vals, residual_bound=apriori_bound(mat.dim))
+
+
+def eig_selfadjoint(mat: OperatorMatrix) -> SpectralResult:
+    """All real eigenvalues, ascending, of a matrix that passes is_hermitian (LAPACK reads one triangle)."""
+    if not mat.is_hermitian():
+        raise NotHermitian("matrix is not Hermitian to 1e-12 relative")
+    return _solve(np.linalg.eigvalsh, mat)
 
 
 def eig_complex(mat: OperatorMatrix) -> SpectralResult:
     """All complex eigenvalues of a general dense matrix (unordered)."""
-    try:
-        vals = np.linalg.eigvals(mat.entries)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(str(exc)) from exc
-    return SpectralResult(eigenvalues=vals, residual_bound=apriori_bound(mat.dim))
+    return _solve(np.linalg.eigvals, mat)

@@ -30,8 +30,8 @@ import numpy as np
 from .poly2d import PolynomialPotential
 
 _PAD = 4  # assemble x on n_max+_PAD states so x^k (k <= 4) truncates exactly
-# Rows per in-place update in _assemble: the scaled term is built one block at
-# a time, so no temporary of the full matrix's size is made.
+# Rows per slab of _assemble's in-place updates and of OperatorMatrix.is_hermitian,
+# so that neither makes a temporary of the full matrix's size.
 _ROW_BLOCK = 64
 
 
@@ -63,24 +63,32 @@ class BasisSpec:
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Dense matrix with a Hermiticity certificate.
+    """Dense square matrix; eig.eig_selfadjoint checks Hermiticity with `is_hermitian`."""
 
-    The builders below return Hermitian matrices as real float64 and rotated
-    ones as complex128. The check guards matrices that callers build.
-    """
-
-    dim: int
     entries: np.ndarray = field(repr=False)
-    hermitian_flag: bool
 
     def __post_init__(self):
-        if self.entries.shape != (self.dim, self.dim):
-            raise ValueError("entries shape does not match dim")
-        if self.hermitian_flag:
-            scale = np.abs(self.entries).max() or 1.0
-            defect = np.abs(self.entries - self.entries.conj().T).max()
-            if defect > 1e-12 * scale:
-                raise ValueError("hermitian_flag set but matrix is not Hermitian")
+        if self.entries.ndim != 2 or self.entries.shape[0] != self.entries.shape[1]:
+            raise ValueError("entries must be a square 2-D array")
+
+    @property
+    def dim(self) -> int:
+        return self.entries.shape[0]
+
+    def is_hermitian(self) -> bool:
+        """max|A - A^H| <= 1e-12 max|A|, where a max|A| of 0 counts as 1.0.
+
+        A tolerance, as the builders form X^3 and X^4 as X^(k-1) X, which is not
+        bitwise symmetric. The maxima run over _ROW_BLOCK-row slabs, each against
+        its column slab, so no temporary of the matrix's size is made. A NaN
+        survives np.maximum and passes `not >`, so LAPACK reports it.
+        """
+        a, scale, defect = self.entries, 0.0, 0.0
+        for lo in range(0, self.dim, _ROW_BLOCK):
+            rows = a[lo : lo + _ROW_BLOCK]
+            scale = np.maximum(scale, np.abs(rows).max())
+            defect = np.maximum(defect, np.abs(rows - a[:, lo : lo + _ROW_BLOCK].conj().T).max())
+        return not defect > 1e-12 * (scale or 1.0)
 
 
 def position_matrix_1d(n_max: int, omega: float, pad: int = 0) -> np.ndarray:
@@ -139,7 +147,7 @@ def _assemble(kin: np.ndarray, terms, theta: float) -> OperatorMatrix:
         scale = coeff * phase(degree)
         for lo in range(0, ham.shape[0], _ROW_BLOCK):
             ham[lo : lo + _ROW_BLOCK] += scale * mat[lo : lo + _ROW_BLOCK]
-    return OperatorMatrix(dim=kin.shape[0], entries=ham, hermitian_flag=hermitian)
+    return OperatorMatrix(ham)
 
 
 def _kron_pieces(a: np.ndarray, b: np.ndarray, pieces) -> np.ndarray:
@@ -224,10 +232,8 @@ def parity_blocks(poly: PolynomialPotential, basis: BasisSpec) -> list[OperatorM
     return blocks
 
 
-def build_hamiltonian_1d(
-    coeffs: dict[int, float], n_max: int, omega: float, theta: float = 0.0
-) -> OperatorMatrix:
-    """1D operator e^{-2i theta} p^2 + sum_k c_k e^{i k theta} x^k.
+def build_hamiltonian_1d(coeffs: dict[int, float], n_max: int, omega: float) -> OperatorMatrix:
+    """1D operator p^2 + sum_k c_k x^k, Hermitian and real float64.
 
     `coeffs` maps powers of x to real coefficients, e.g. {2: 1.0, 4: g} for
     the separated quartic factors.
@@ -236,7 +242,7 @@ def build_hamiltonian_1d(
         raise DegreeTooHigh(f"power beyond the pad-{_PAD} truncation policy")
     xpow = _position_powers(n_max, omega, _PAD)
     terms = ((c, k, xpow[k]) for k, c in coeffs.items())
-    return _assemble(kinetic_matrix_1d(n_max, omega), terms, theta)
+    return _assemble(kinetic_matrix_1d(n_max, omega), terms, 0.0)
 
 
 def optimal_omega(g: float) -> float:

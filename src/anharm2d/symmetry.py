@@ -58,10 +58,8 @@ def conjugate_group(group: SymmetryGroup, mp: OrthogonalMap2) -> SymmetryGroup:
     return SymmetryGroup(elements=conj, table=group.table)
 
 
-def separating_rotation(
-    poly: PolynomialPotential,
-) -> tuple[float, OrthogonalMap2] | None:
-    """Rotation by 0 or -pi/4 that kills every mixed term, checked exactly.
+def separating_rotation(poly: PolynomialPotential) -> tuple[float, OrthogonalMap2, PolynomialPotential] | None:
+    """(angle, map, rotated poly) of the rotation by 0 or -pi/4 that kills every mixed term, exactly.
 
     These two cover every rotation by k*pi/4: rotation(k + 2) is rotation(k)
     followed by (x, y) -> (-y, x), which maps each monomial x^i y^j to
@@ -71,6 +69,7 @@ def separating_rotation(
     """
     for k in (0, -1):
         exact_map = rotation(k)
-        if is_separable(apply_linear_map(poly, exact_map)):
-            return k * math.pi / 4.0, exact_map
+        separated = apply_linear_map(poly, exact_map)
+        if is_separable(separated):
+            return k * math.pi / 4.0, exact_map, separated
     return None

@@ -36,6 +36,8 @@ def test_exact_lambda_conversions():
     assert exact_lambda(Fraction(3, 7)) == Fraction(3, 7)
     assert exact_lambda(2) == 2
     assert exact_lambda("1/3") == Fraction(1, 3)
+    with pytest.raises(ValueError):
+        exact_lambda("1/0")
 
 
 def test_invalid_case_id():

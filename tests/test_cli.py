@@ -136,6 +136,9 @@ def test_validation_failures_exit_2():
     assert run_cli("spectrum", "--case", "5", "--nmax", "0").returncode == 2
     assert run_cli("rpm", "--g", "1", "--digits", "0").returncode == 2
     assert run_cli("case", "1", "--digits", "0").returncode == 2
+    # a zero denominator is a bad value, not a numerical failure
+    assert run_cli("symmetry", "--case", "1", "--lambda", "1/0").returncode == 2
+    assert run_cli("rpm", "--g", "1/0").returncode == 2
 
 
 def test_unwritable_out_path_exits_2(capsys, tmp_path, monkeypatch):
@@ -265,6 +268,10 @@ def test_numerical_failure_exits_3_with_json_error():
     assert proc.returncode == 3
     error = json.loads(proc.stderr)
     assert error["error"] == "NoStationaryPoint"
+    # x overflows at this omega: the NaN entries pass the Hermitian check, and LAPACK rejects them
+    proc = run_cli("spectrum", "--case", "1", "--nmax", "4", "--omega", "fixed:1e-320")
+    assert proc.returncode == 3
+    assert json.loads(proc.stderr.splitlines()[-1])["error"] == "ConvergenceFailure"
 
 
 def test_text_format():

@@ -11,22 +11,22 @@ from anharm2d.oscbasis import (
     build_hamiltonian,
     build_hamiltonian_1d,
     optimal_omega,
+    parity_blocks,
 )
 from anharm2d.poly2d import make_quartic
 
 
-def as_operator(a, hermitian):
-    a = np.asarray(a, dtype=complex)
-    return OperatorMatrix(a.shape[0], a, hermitian)
+def as_operator(a):
+    return OperatorMatrix(np.asarray(a, dtype=complex))
 
 
 def test_two_by_two_symmetric():
-    result = eig_selfadjoint(as_operator([[2.0, 1.0], [1.0, 2.0]], True))
+    result = eig_selfadjoint(as_operator([[2.0, 1.0], [1.0, 2.0]]))
     assert np.allclose(result.eigenvalues, [1.0, 3.0], atol=1e-14)
 
 
 def test_two_by_two_antisymmetric():
-    result = eig_complex(as_operator([[0.0, 1.0], [-1.0, 0.0]], False))
+    result = eig_complex(as_operator([[0.0, 1.0], [-1.0, 0.0]]))
     for expected in (1j, -1j):
         assert np.min(np.abs(result.eigenvalues - expected)) < 1e-14
 
@@ -45,16 +45,30 @@ def test_separated_case1_factor():
 
 
 def test_not_hermitian_rejected():
-    ham = build_hamiltonian(case_preset(3, "0.1").potential, BasisSpec(4, 4, theta=0.1))
-    with pytest.raises(NotHermitian):
-        eig_selfadjoint(ham)
+    rotated = build_hamiltonian(case_preset(3, "0.1").potential, BasisSpec(4, 4, theta=0.1))
+    real = OperatorMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    complex_ = OperatorMatrix(np.array([[1.0, 1j], [1j, 1.0]]))  # symmetric, not Hermitian
+    for mat in (real, complex_, rotated):
+        assert not mat.is_hermitian()
+        with pytest.raises(NotHermitian):
+            eig_selfadjoint(mat)
+    # a ValueError, so the command line reports it as a validation error (exit 2)
+    assert issubclass(NotHermitian, ValueError)
+
+
+@pytest.mark.parametrize("case_id", range(1, 6))
+def test_builder_blocks_pass_the_hermitian_check(case_id):
+    # blocks with X^3 or X^4 terms (cases 1-4) are Hermitian only to rounding, within the check's 1e-12
+    for mat in parity_blocks(case_preset(case_id).potential, BasisSpec(40, 40)):
+        assert mat.entries.dtype == np.float64
+        assert eig_selfadjoint(mat).eigenvalues.size == mat.dim
 
 
 def test_circulant_oracle():
     rng = np.random.RandomState(7)
     c = rng.standard_normal(6)
     mat = np.array([[c[(i - j) % 6] for j in range(6)] for i in range(6)])
-    got = np.sort_complex(eig_complex(as_operator(mat, False)).eigenvalues)
+    got = np.sort_complex(eig_complex(as_operator(mat)).eigenvalues)
     om = np.exp(2j * np.pi / 6)
     expected = np.sort_complex(
         np.array([sum(c[k] * om ** (k * j) for k in range(6)) for j in range(6)])
@@ -65,7 +79,7 @@ def test_circulant_oracle():
 def test_tridiagonal_toeplitz_oracle():
     n, a, b = 6, 1.7, -0.4
     mat = np.diag([a] * n) + np.diag([b] * (n - 1), 1) + np.diag([b] * (n - 1), -1)
-    got = eig_selfadjoint(as_operator(mat, True)).eigenvalues
+    got = eig_selfadjoint(as_operator(mat)).eigenvalues
     expected = np.sort([a + 2 * b * math.cos(k * math.pi / (n + 1)) for k in range(1, n + 1)])
     assert np.abs(got - expected).max() < 1e-12
 
@@ -88,8 +102,8 @@ def test_orthogonal_conjugation_isospectrality():
     a /= np.abs(np.linalg.eigvalsh(a)).max()
     q, _ = np.linalg.qr(rng.standard_normal((50, 50)))
     conj = q @ a @ q.T
-    va = eig_selfadjoint(as_operator(a, True)).eigenvalues
-    vb = eig_selfadjoint(as_operator(conj, True)).eigenvalues
+    va = eig_selfadjoint(as_operator(a)).eigenvalues
+    vb = eig_selfadjoint(as_operator(conj)).eigenvalues
     assert np.abs(va - vb).max() < 1e-9
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -108,14 +109,15 @@ def test_unperturbed_hamiltonian_is_diagonal():
         [2.0 * (nx + ny) + 2.0 for nx in range(5) for ny in range(5)]
     )
     assert np.abs(ham.entries - expected).max() < 1e-14
-    assert ham.hermitian_flag
+    assert ham.entries.dtype == np.float64
 
 
 def test_hermiticity_at_theta_zero():
     ham = build_hamiltonian(case_preset(1, 1).potential, BasisSpec(8, 8))
     a = ham.entries
-    assert ham.hermitian_flag
+    assert a.dtype == np.float64
     assert np.abs(a - a.conj().T).max() <= 1e-12 * np.abs(a).max()
+    assert ham.is_hermitian()
 
 
 def test_complex_scaling_phases():
@@ -127,7 +129,7 @@ def test_complex_scaling_phases():
     pot = np.kron(x2, np.eye(4)) + np.kron(np.eye(4), x2)
     expected = np.exp(-2j * theta) * kin + np.exp(2j * theta) * pot
     assert np.abs(ham.entries - expected).max() < 1e-14
-    assert not ham.hermitian_flag
+    assert ham.entries.dtype == np.complex128
 
 
 def _complex_formula(kin, terms, theta):
@@ -231,7 +233,7 @@ def test_parity_blocks_are_exact_submatrices(terms, nx, ny, theta, omega):
     label = np.empty(nx * ny, dtype=int)
     for k, (rows, mat) in enumerate(zip(expected, blocks)):
         label[rows] = k
-        assert mat.hermitian_flag == (theta == 0.0)
+        assert mat.entries.dtype == (np.float64 if theta == 0.0 else np.complex128)
         assert mat.entries.dtype == full.dtype
         assert np.array_equal(mat.entries, full[np.ix_(rows, rows)])
     assert np.all(full[label[:, None] != label[None, :]] == 0.0)
@@ -253,19 +255,6 @@ def test_parity_block_count(poly, count):
     assert len(parity_blocks(poly, BasisSpec(6, 5))) == count
     # a single state per mode leaves only the ee sector
     assert len(parity_blocks(poly, BasisSpec(1, 1))) == 1
-
-
-def test_rotated_1d_builder_phases():
-    theta = 0.05 * math.pi
-    n, omega, coeffs = 7, 1.3, {2: 1.0, 4: 0.4}
-    ham = build_hamiltonian_1d(coeffs, n, omega, theta=theta)
-    x = position_matrix_1d(n, omega, pad=4)
-    expected = np.exp(-2j * theta) * kinetic_matrix_1d(n, omega) + sum(
-        c * np.exp(1j * k * theta) * np.linalg.matrix_power(x, k)[:n, :n] for k, c in coeffs.items()
-    )
-    assert ham.entries.dtype == np.complex128
-    assert not ham.hermitian_flag
-    assert np.abs(ham.entries - expected).max() < 1e-13
 
 
 def test_degree_above_padding_rejected():
@@ -350,9 +339,21 @@ def test_basis_spec_validation():
     assert BasisSpec(6, 7).dim == 42
 
 
-def test_operator_matrix_flag_validation():
-    bad = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-    with pytest.raises(ValueError):
-        OperatorMatrix(2, bad, hermitian_flag=True)
-    with pytest.raises(ValueError):
-        OperatorMatrix(2, bad.real, hermitian_flag=True)
+def test_operator_matrix_shape_validation():
+    for bad in (np.zeros((2, 3)), np.zeros(4)):
+        with pytest.raises(ValueError):
+            OperatorMatrix(bad)
+    assert OperatorMatrix(np.zeros((3, 3))).dim == 3
+
+
+def test_hermitian_check_allocates_slabs_only():
+    # the first parity block of case 1 at nmax 40 has 800 rows (ee and oo)
+    mat = parity_blocks(case_preset(1).potential, BasisSpec(40, 40))[0]
+    assert mat.dim == 800
+    tracemalloc.start()
+    try:
+        assert mat.is_hermitian()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < mat.entries.nbytes / 4

@@ -103,18 +103,19 @@ def test_group_report_json(capsys):
 
 
 def test_separating_rotation_case1():
-    angle, mp2 = separating_rotation(case_preset(1, 1).potential)
+    angle, mp2, transformed = separating_rotation(case_preset(1, 1).potential)
     assert angle == pytest.approx(-math.pi / 4)
-    transformed = apply_linear_map(case_preset(1, 1).potential, mp2)
+    assert transformed == apply_linear_map(case_preset(1, 1).potential, mp2)
     assert is_separable(transformed)
     assert float(transformed.coefficient(0, 4)) == 4.0
 
 
 def test_separating_rotation_case2_is_the_benchmark_map():
-    angle, mp2 = separating_rotation(case_preset(2, 1).potential)
+    angle, mp2, separated = separating_rotation(case_preset(2, 1).potential)
     assert abs(angle) == pytest.approx(math.pi / 4)
     assert mp2 == U2
-    assert is_separable(apply_linear_map(case_preset(2, 1).potential, mp2))
+    assert separated == apply_linear_map(case_preset(2, 1).potential, U2)
+    assert is_separable(separated)
 
 
 def test_separating_rotation_case3_has_none():
@@ -122,9 +123,11 @@ def test_separating_rotation_case3_has_none():
 
 
 def test_separating_rotation_already_separable():
-    angle, mp2 = separating_rotation(make_quartic(1, 0, 0, 0, 1, 1))
+    poly = make_quartic(1, 0, 0, 0, 1, 1)
+    angle, mp2, separated = separating_rotation(poly)
     assert angle == 0.0
     assert mp2 == identity()
+    assert separated == poly
 
 
 _COEFF = st.one_of(st.just(Fraction(0)), st.fractions(min_value=-3, max_value=3, max_denominator=4))
@@ -146,8 +149,9 @@ def _check_separating_rotation(poly):
     found = separating_rotation(poly)
     assert (found is not None) == any(_separates(poly, k) for k in range(8))
     if found is not None:
-        angle, mp2 = found
-        assert is_separable(apply_linear_map(poly, mp2))
+        angle, mp2, separated = found
+        assert separated == apply_linear_map(poly, mp2)
+        assert is_separable(separated)
         first = next(k for k in (0, -1, 1, -2, 2) if _separates(poly, k))
         assert angle == first * math.pi / 4
         assert mp2 == rotation(first)
