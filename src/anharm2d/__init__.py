@@ -8,7 +8,7 @@ Hankel-determinant high-precision 1D eigenvalues.
 from .cases import CasePreset, case_preset, exact_lambda
 from .eig import SpectralResult, eig_complex, eig_selfadjoint
 from .exactnum import SqrtTwoRational
-from .maps import OrthogonalMap2, dihedral16, flip_x, reflection, rotation, swap_xy
+from .maps import OrthogonalMap2, dihedral16, flip_x, reflection, rotation
 from .oscbasis import (
     BasisSpec,
     OperatorMatrix,
@@ -79,6 +79,5 @@ __all__ = [
     "rotation",
     "rpm_eigenvalue",
     "separating_rotation",
-    "swap_xy",
     "theta_trajectory",
 ]

@@ -16,10 +16,11 @@ There are no environment variables.
 
 Exit codes: 0 success, 2 flag/validation error (argparse convention; also an
 --out path that cannot be opened for writing, which is opened before the
-computation, like a shell redirection), 3 numerical failure (the error name
-goes to stderr as a one-line JSON object), e.g. NoStationaryPoint when the
-case-3 sweep finds no decaying trajectory, as at lambda = 0, where case 3 is
-the bounded harmonic oscillator.
+computation, like a shell redirection, and a coupling that puts a coefficient
+outside the float range in a command that computes in floats), 3 numerical
+failure (the error name goes to stderr as a one-line JSON object), e.g.
+NoStationaryPoint when the case-3 sweep finds no decaying trajectory, as at
+lambda = 0, where case 3 is the bounded harmonic oscillator.
 """
 
 from __future__ import annotations
@@ -126,8 +127,29 @@ def _separated_quartic_coeffs(poly) -> tuple[Fraction, Fraction] | None:
     return coeffs[0], coeffs[1]
 
 
-def _levels_1d(g: float, n_max: int) -> np.ndarray:
+def _require_float_range(lam: Fraction, values) -> None:
+    """A coupling that puts one of `values` outside the float range is a bad
+    value (exit 2) for the commands that compute in float64, not a numerical
+    failure."""
+    try:
+        for value in values:
+            float(value)
+    except OverflowError:
+        shown = mp.nstr(mp.mpf(lam.numerator) / lam.denominator, 6)
+        raise ValueError(f"coupling {shown} puts a coefficient outside the float range") from None
+
+
+def _float_case(case_id: int, lam):
+    """case_preset for a command that computes in float64."""
+    preset = case_preset(case_id, lam)
+    _require_float_range(preset.lam, preset.potential.terms.values())
+    return preset
+
+
+def _levels_1d(g: Fraction, n_max: int) -> np.ndarray:
     """Variational levels of p^2 + x^2 + g x^4 in the basis at optimal_omega(g)."""
+    _require_float_range(g, [g])
+    g = float(g)
     ham = build_hamiltonian_1d({2: 1.0, 4: g}, n_max=n_max, omega=optimal_omega(g))
     return eig_selfadjoint(ham).eigenvalues
 
@@ -147,7 +169,7 @@ def _rpm_ground(g: Fraction, digits: int, d_max: int):
     """High-precision even ground state of p^2 + x^2 + g x^4 (g rational)."""
     if g == 0:
         return mp.mpf(1)
-    seed = float(_levels_1d(float(g), 40)[0])
+    seed = float(_levels_1d(g, 40)[0])
     return rpm_eigenvalue([0, 1, g], s=0, d=0, D_max=d_max, seed=seed, precision_digits=digits).e_value
 
 
@@ -200,7 +222,7 @@ def _omega_for(args, poly) -> float:
 
 
 def _cmd_spectrum(args) -> dict:
-    preset = case_preset(args.case, args.lam)
+    preset = _float_case(args.case, args.lam)
     omega = _omega_for(args, preset.potential)
     basis = BasisSpec(args.nmax, args.nmax, omega=omega)
     levels = _levels_2d(preset.potential, basis)
@@ -218,7 +240,7 @@ def _lowest_resonance(args, lam: Fraction):
     window = (args.theta_min * math.pi, args.theta_max * math.pi)
     basis = BasisSpec(args.nmax, args.nmax, omega=1.0)
     return find_lowest_resonance(
-        case_preset(3, lam).potential, basis, theta_window=window, n_points=args.theta_steps
+        _float_case(3, lam).potential, basis, theta_window=window, n_points=args.theta_steps
     )
 
 
@@ -248,7 +270,7 @@ def _cmd_rpm(args) -> dict:
     digits = args.digits
     g = exact_lambda(args.g)
     s = 0 if args.state == "even" else 1
-    seed = args.seed if args.seed is not None else float(_levels_1d(float(g), 40)[s])
+    seed = args.seed if args.seed is not None else float(_levels_1d(g, 40)[s])
     result = rpm_eigenvalue(
         [0, 1, g], s=s, d=args.displacement, D_max=args.dmax, seed=seed, precision_digits=digits
     )
@@ -269,7 +291,7 @@ def _case_separable_report(preset, digits: int, d_max: int) -> dict:
     ab = _separated_quartic_coeffs(transformed)
     with mp.workdps(digits):
         # (RPM, variational) ground energies, once per distinct coupling
-        grounds = {g: (_rpm_ground(g, digits, d_max), float(_levels_1d(float(g), 60)[0])) for g in dict.fromkeys(ab)}
+        grounds = {g: (_rpm_ground(g, digits, d_max), float(_levels_1d(g, 60)[0])) for g in dict.fromkeys(ab)}
         total = mp.fsum(grounds[g][0] for g in ab)
         variational = sum(grounds[g][1] for g in ab)
         # Exact agreement (the harmonic limit λ = 0) certifies every digit.
@@ -289,7 +311,7 @@ def _case_separable_report(preset, digits: int, d_max: int) -> dict:
 def _cmd_case(args) -> dict:
     if args.nmax is None:
         args.nmax = 30 if args.case == 3 else 20
-    preset = case_preset(args.case, args.lam)
+    preset = _float_case(args.case, args.lam)
     payload = {
         "case": args.case,
         "lambda": str(preset.lam),

@@ -129,11 +129,6 @@ def flip_x() -> OrthogonalMap2:
     return OrthogonalMap2(-1, 0, 0, 1, label="flip_x")
 
 
-def swap_xy() -> OrthogonalMap2:
-    """(x, y) -> (y, x)."""
-    return OrthogonalMap2(0, 1, 1, 0, label="swap_xy")
-
-
 def dihedral16() -> list[OrthogonalMap2]:
     """The 16 symmetries of the regular octagon: 8 rotations + 8 reflections."""
     return [rotation(k) for k in range(8)] + [reflection(k) for k in range(8)]

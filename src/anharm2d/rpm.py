@@ -12,12 +12,15 @@ H_D^d(E) = det[f_{i+j+d+1}(E)], which stabilize rapidly as D grows; roots are
 polished by Newton in arbitrary precision, each dimension seeding the next.
 
 The recursion and the determinants run on raw `mpmath.libmp` tuples at the
-working precision's rounding (`mp.mp._prec_rounding`). The LU is mpmath's own
-scaled-partial-pivot algorithm (`mp.det`/`LU_decomp` of mpmath 1.3), operation
-for operation, so every value is bit-identical to `mp.det(mp.matrix(...))`
-without its per-element indexing and mpf allocation. Like `mp.det`, a block
-with a pivot at or below the singularity threshold ||A||_1 * eps has
-determinant `int 0`.
+working precision's rounding (`mp.mp._prec_rounding`). `hankel_det` computes
+H_D with the Chebyshev algorithm of orthogonal polynomials: one O(D^2) pass
+over the moments mu_l = f_{l+d+1} gives the ratios sigma_kk = H_{k+1}/H_k of
+consecutive leading minors, and H_D = prod_{k<D} sigma_kk. It does not pivot,
+so it is not bit-identical to `mp.det`. Where an exactly zero sigma_kk stops
+it, the block goes to `_lu_det`, mpmath's own scaled-partial-pivot LU
+(`mp.det`/`LU_decomp` of mpmath 1.3) operation for operation: that one is
+bit-identical to `mp.det(mp.matrix(...))`, including its `int 0` for a block
+with a pivot at or below the singularity threshold ||A||_1 * eps.
 """
 
 from __future__ import annotations
@@ -113,11 +116,65 @@ def riccati_coeffs(v, s: int, e_value, m_max: int) -> RiccatiSeries:
     return RiccatiSeries(s=s, coeffs=coeffs)
 
 
+def _moments(series: RiccatiSeries, spec: HankelSpec) -> list:
+    """Raw tuples of the moments mu_l = f_{l+d+1}, l = 0..2D-2: the block is [mu_{i+j}]."""
+    if len(series.coeffs) <= spec.max_index:
+        raise InsufficientCoefficients(
+            f"need coefficients up to index {spec.max_index}, have {len(series.coeffs) - 1}"
+        )
+    return [c._mpf_ for c in series.coeffs[spec.d + 1 : spec.d + 2 * spec.D]]
+
+
 def hankel_det(series: RiccatiSeries, spec: HankelSpec):
-    """det[f_{i+j+d+1}], i, j = 0..D-1, by LU at the working precision.
+    """det[f_{i+j+d+1}], i, j = 0..D-1, by the Chebyshev algorithm.
 
     In the 1-based form of the Riccati-Padé literature this is
     H_D^d = |f_{i+j+d-1}|, i, j = 1..D; D = 1 gives f_{d+1}.
+
+    With moments mu_l = f_{l+d+1}, the Chebyshev algorithm (Gautschi,
+    Orthogonal Polynomials: Computation and Approximation, 2004) runs the
+    three-term recurrence of the monic orthogonal polynomials on the mixed
+    moments
+
+        sigma_{k,l} = sigma_{k-1,l+1} - alpha_{k-1} sigma_{k-1,l} - beta_{k-1} sigma_{k-2,l},
+        alpha_k = sigma_{k,k+1} / sigma_{k,k} - sigma_{k-1,k} / sigma_{k-1,k-1},
+        beta_k = sigma_{k,k} / sigma_{k-1,k-1},
+
+    starting from sigma_{-1,l} = 0 and sigma_{0,l} = mu_l. The diagonal is the
+    ratio of consecutive leading minors, sigma_{k,k} = H_{k+1} / H_k, so
+    H_D = prod_{k<D} sigma_{k,k}: O(D^2) operations on libmp tuples at the
+    working precision, against O(D^3) for an LU. The recursion does no
+    pivoting, so the result is not bit-identical to `mp.det` (only `_lu_det`
+    is). It breaks down when some sigma_{k,k} is exactly zero; the block is
+    then handed to `_lu_det`, which returns `int 0` for a singular block, as
+    `mp.det` does.
+    """
+    mu = _moments(series, spec)
+    prec, rnd = mp.mp._prec_rounding
+    D = spec.D
+    # Row k holds sigma_{k,l} at index l and needs l = k..2D-2-k only.
+    prev, cur = [fzero] * len(mu), mu  # sigma_{-1,l} = 0 and sigma_{0,l} = mu_l
+    shift = beta = fzero  # at k = 0 both multiply sigma_{-1,l} = 0
+    for k in range(D):
+        pivot = cur[k]  # sigma_{k,k} = H_{k+1} / H_k
+        if pivot == fzero:
+            return _lu_det(series, spec)
+        det = mpf_mul(det, pivot, prec, rnd) if k else pivot
+        if k + 1 == D:
+            return mp.mp.make_mpf(det)
+        ratio = mpf_div(cur[k + 1], pivot, prec, rnd)
+        alpha, shift = mpf_sub(ratio, shift, prec, rnd), ratio
+        if k:
+            beta = mpf_div(pivot, prev[k - 1], prec, rnd)
+        row = [None] * (k + 1)
+        for l in range(k + 1, 2 * D - 2 - k):
+            term = mpf_sub(cur[l + 1], mpf_mul(alpha, cur[l], prec, rnd), prec, rnd)
+            row.append(mpf_sub(term, mpf_mul(beta, prev[l], prec, rnd), prec, rnd))
+        prev, cur = cur, row
+
+
+def _lu_det(series: RiccatiSeries, spec: HankelSpec):
+    """The same determinant by LU, bit-identical to `mp.det(mp.matrix(...))`.
 
     The LU is mpmath 1.3's scaled-partial-pivot `LU_decomp`, run on libmp
     tuples with the working precision's rounding: the pivot row maximizes
@@ -127,14 +184,12 @@ def hankel_det(series: RiccatiSeries, spec: HankelSpec):
     below the singularity threshold |(||A||_1 * eps)|, the result is `int 0`,
     as from `mp.det`. It is also `int 0` when the remaining column is exactly
     zero, where mpmath 1.3 finds no pivot row and fails with a TypeError.
+    `hankel_det` calls it only where its recursion breaks down; it is also
+    the tests' oracle.
     """
-    if len(series.coeffs) <= spec.max_index:
-        raise InsufficientCoefficients(
-            f"need coefficients up to index {spec.max_index}, have {len(series.coeffs) - 1}"
-        )
-    D, d = spec.D, spec.d
+    D = spec.D
     prec, rnd = mp.mp._prec_rounding
-    f = [c._mpf_ for c in series.coeffs[d + 1 : d + 2 * D]]
+    f = _moments(series, spec)
     # Each row holds only the columns not yet eliminated: rows[0][0] is the
     # next pivot. Multipliers (the L factor) are not needed for det.
     rows = [f[i : i + D] for i in range(D)]

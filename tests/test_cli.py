@@ -139,6 +139,22 @@ def test_validation_failures_exit_2():
     # a zero denominator is a bad value, not a numerical failure
     assert run_cli("symmetry", "--case", "1", "--lambda", "1/0").returncode == 2
     assert run_cli("rpm", "--g", "1/0").returncode == 2
+    # so is a coupling outside the float range, where the command computes in floats
+    for argv in (
+        ["spectrum", "--case", "1", "--nmax", "4", "--lambda", "1e400"],
+        ["case", "5", "--nmax", "4", "--lambda", "1e400"],
+        ["rpm", "--g", "1e400", "--dmax", "4"],
+    ):
+        proc = run_cli(*argv)
+        assert proc.returncode == 2
+        assert proc.stderr == "error: coupling 1.0e+400 puts a coefficient outside the float range\n"
+
+
+def test_exact_commands_take_couplings_beyond_float_range():
+    for command in ("symmetry", "transform"):
+        proc = run_cli(command, "--case", "1", "--lambda", "1e400")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["lambda"] == str(10**400)
 
 
 def test_unwritable_out_path_exits_2(capsys, tmp_path, monkeypatch):

@@ -9,7 +9,6 @@ from anharm2d.maps import (
     identity,
     reflection,
     rotation,
-    swap_xy,
 )
 
 
@@ -43,10 +42,10 @@ def test_transpose_is_inverse():
 
 def test_named_maps():
     assert flip_x().apply(1.0, 2.0) == (-1.0, 2.0)
-    assert swap_xy().apply(1.0, 2.0) == (2.0, 1.0)
     # reflection(0) is the x-axis mirror, reflection(2) the diagonal swap
     assert reflection(0).apply(1.0, 2.0) == (1.0, -2.0)
-    assert reflection(2) == swap_xy()
+    assert reflection(2).apply(1.0, 2.0) == (2.0, 1.0)
+    assert reflection(2) == OrthogonalMap2(0, 1, 1, 0)
     assert reflection(4) == flip_x()
 
 

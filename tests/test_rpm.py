@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anharm2d import cli, rpm
 from anharm2d.eig import eig_selfadjoint
@@ -11,6 +13,7 @@ from anharm2d.rpm import (
     HankelSpec,
     InsufficientCoefficients,
     RiccatiSeries,
+    _lu_det,
     hankel_det,
     riccati_coeffs,
     rpm_eigenvalue,
@@ -91,16 +94,20 @@ def test_recursion_is_bit_identical_to_mpf_arithmetic(s):
 
 
 def test_hankel_harmonic_is_exactly_zero():
+    # Every moment is zero, so sigma_{0,0} = 0 stops the Chebyshev recursion
+    # and the LU's exact int 0 comes back.
     with mp.workdps(40):
         series = riccati_coeffs([0, 1], s=0, e_value=1, m_max=11)
         for D in (1, 2, 4, 5):
-            assert hankel_det(series, HankelSpec(D=D)) == 0
+            det = hankel_det(series, HankelSpec(D=D))
+            assert type(det) is int and det == 0
 
 
 def test_hankel_one_by_one_is_first_coefficient():
     with mp.workdps(40):
-        series = riccati_coeffs([0, 1, 4], s=0, e_value=2, m_max=3)
-        assert hankel_det(series, HankelSpec(D=1)) == series.coeffs[1]
+        series = riccati_coeffs([0, 1, 4], s=0, e_value=mp.mpf("1.9"), m_max=3)
+        for d in (0, 1, 2):
+            assert hankel_det(series, HankelSpec(D=1, d=d))._mpf_ == series.coeffs[d + 1]._mpf_
 
 
 def test_hankel_needs_enough_coefficients():
@@ -191,7 +198,7 @@ def _mp_det_oracle(series, spec):
 
 
 def _assert_same_det(series, spec):
-    mine, ref = hankel_det(series, spec), _mp_det_oracle(series, spec)
+    mine, ref = _lu_det(series, spec), _mp_det_oracle(series, spec)
     assert type(mine) is type(ref)
     if isinstance(ref, mp.mpf):
         assert mine._mpf_ == ref._mpf_
@@ -242,18 +249,75 @@ def test_hankel_exactly_zero_column_is_singular():
     # [[1,1,1],[1,1,1],[1,1,0]]: after the first elimination the second column
     # is exactly zero, so no pivot row exists (mpmath 1.3's det fails there).
     coeffs = tuple(mp.mpf(c) for c in (0, 1, 1, 1, 1, 0))
+    det = _lu_det(RiccatiSeries(s=0, coeffs=coeffs), HankelSpec(D=3))
+    assert type(det) is int and det == 0
+
+
+def test_hankel_breakdown_falls_back_to_the_lu():
+    # The block above has sigma_{1,1} = 1 - 1 = 0 in the Chebyshev recursion,
+    # which then hands it to the LU.
+    coeffs = tuple(mp.mpf(c) for c in (0, 1, 1, 1, 1, 0))
     det = hankel_det(RiccatiSeries(s=0, coeffs=coeffs), HankelSpec(D=3))
     assert type(det) is int and det == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    g=st.fractions(min_value=Fraction(1, 10), max_value=100, max_denominator=1000),
+    s=st.sampled_from((0, 1)),
+    d=st.integers(0, 2),
+    D=st.integers(1, 16),
+    energy=st.fractions(min_value=Fraction(1, 2), max_value=9, max_denominator=10**6),
+    dps=st.sampled_from((30, 40, 80)),
+)
+def test_chebyshev_det_accuracy_where_the_lu_is_accurate(g, s, d, D, energy, dps):
+    """Wherever the pivoted LU is good to half the digits, the unpivoted
+    recursion is good to a quarter of them. Both are measured against mp.det
+    of the same block at twice the digits."""
+    spec = HankelSpec(D=D, d=d)
+    with mp.workdps(dps):
+        series = riccati_coeffs([0, 1, g], s, energy, spec.max_index)
+        fast, lu = hankel_det(series, spec), _lu_det(series, spec)
+    with mp.workdps(2 * dps):
+        ref = _mp_det_oracle(riccati_coeffs([0, 1, g], s, energy, spec.max_index), spec)
+        if ref == 0 or abs(lu - ref) > mp.mpf(10) ** (-dps / 2) * abs(ref):
+            return
+        assert abs(fast - ref) <= mp.mpf(10) ** (-dps / 4) * abs(ref)
 
 
 @pytest.mark.parametrize(
     "v, s, seed, d_max, dps",
     [([0, 1, 4], 0, 1.9, 10, 40), ([0, 1, 1], 1, 4.6488, 12, 50)],
 )
-def test_rpm_result_identical_to_mp_det_path(monkeypatch, v, s, seed, d_max, dps):
+def test_rpm_result_agrees_with_mp_det_path(monkeypatch, v, s, seed, d_max, dps):
+    # The recursion rounds differently from mp.det's LU, so the roots agree
+    # to about 2/3 of the digits (measured: 0 and 1.2e-44 relative here).
     mine = rpm_eigenvalue(v, s=s, D_max=d_max, seed=seed, precision_digits=dps)
     monkeypatch.setattr(rpm, "hankel_det", _mp_det_oracle)
     ref = rpm_eigenvalue(v, s=s, D_max=d_max, seed=seed, precision_digits=dps)
-    assert mine.e_value._mpf_ == ref.e_value._mpf_
-    assert [(D, root._mpf_) for D, root in mine.trail] == [(D, root._mpf_) for D, root in ref.trail]
+    assert [D for D, _ in mine.trail] == [D for D, _ in ref.trail]
     assert mine.stabilized_digits == ref.stabilized_digits
+    with mp.workdps(2 * dps):
+        bound = mp.mpf(10) ** (-2 * dps / 3)
+        for (_, a), (_, b) in zip(mine.trail, ref.trail):
+            assert abs(a - b) <= bound * abs(b)
+
+
+def test_rpm_takes_the_chebyshev_path(monkeypatch):
+    """No determinant of a root trail falls back to the O(D^3) LU."""
+    calls = {"hankel": 0, "lu": 0}
+    fast = rpm.hankel_det
+
+    def counted(series, spec):
+        calls["hankel"] += 1
+        return fast(series, spec)
+
+    def no_lu(series, spec):
+        calls["lu"] += 1
+        return _lu_det(series, spec)
+
+    monkeypatch.setattr(rpm, "hankel_det", counted)
+    monkeypatch.setattr(rpm, "_lu_det", no_lu)
+    rpm_eigenvalue([0, 1, 1], s=0, D_max=12, seed=1.39, precision_digits=50)
+    assert calls["hankel"] > 0
+    assert calls["lu"] == 0

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from anharm2d import cli
 from anharm2d.cases import case_preset
 from anharm2d.exactnum import HALF_SQRT2
-from anharm2d.maps import OrthogonalMap2, dihedral16, flip_x, identity, rotation, swap_xy
+from anharm2d.maps import OrthogonalMap2, dihedral16, flip_x, identity, reflection, rotation
 from anharm2d.oscbasis import BasisSpec, build_hamiltonian
 from anharm2d.poly2d import PolynomialPotential, apply_linear_map, is_separable, make_quartic
 from anharm2d.symmetry import (
@@ -25,7 +25,7 @@ U2 = OrthogonalMap2(HALF_SQRT2, HALF_SQRT2, -HALF_SQRT2, HALF_SQRT2, "U2")
 
 def test_leaves_invariant_examples():
     assert leaves_invariant(case_preset(5, 1).potential, rotation(2))
-    assert leaves_invariant(case_preset(3, 1).potential, swap_xy())
+    assert leaves_invariant(case_preset(3, 1).potential, reflection(2))  # the x <-> y swap
     assert not leaves_invariant(case_preset(1, 1).potential, flip_x())
 
 
