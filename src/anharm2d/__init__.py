@@ -31,7 +31,6 @@ from .resonance import Resonance, ThetaScan, find_lowest_resonance, theta_trajec
 from .rpm import HankelSpec, RiccatiSeries, hankel_det, riccati_coeffs, rpm_eigenvalue
 from .symmetry import (
     SymmetryGroup,
-    conjugate_group,
     detect_group,
     leaves_invariant,
     separating_rotation,
@@ -57,7 +56,6 @@ __all__ = [
     "build_hamiltonian",
     "build_hamiltonian_1d",
     "case_preset",
-    "conjugate_group",
     "detect_group",
     "dihedral16",
     "eig_complex",

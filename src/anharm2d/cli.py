@@ -41,7 +41,7 @@ from .cases import case_preset, exact_lambda
 from .eig import eig_selfadjoint
 from .maps import flip_x
 from .oscbasis import BasisSpec, build_hamiltonian_1d, optimal_omega, parity_blocks
-from .poly2d import apply_linear_map, is_bounded_below, quartic_form_min
+from .poly2d import Boundedness, apply_linear_map, is_bounded_below, quartic_form_min
 from .resonance import find_lowest_resonance
 from .rpm import rpm_eigenvalue
 from .symmetry import detect_group, separating_rotation
@@ -192,8 +192,11 @@ def _cmd_transform(args) -> dict:
 
 def _cmd_symmetry(args) -> dict:
     preset = case_preset(args.case, args.lam)
+    bounded = is_bounded_below(preset.potential)
+    if bounded is not Boundedness.MARGINAL:  # quartic_form_min floats the quartic coefficients
+        _require_float_range(preset.lam, preset.potential.homogeneous_part(4).terms.values())
     group = detect_group(preset.potential)
-    bounded, (qmin, angle) = is_bounded_below(preset.potential), quartic_form_min(preset.potential)
+    qmin, angle = quartic_form_min(preset.potential)
     return {
         "case": args.case,
         "lambda": str(preset.lam),

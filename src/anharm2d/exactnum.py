@@ -22,6 +22,8 @@ class SqrtTwoRational:
     __slots__ = ("p", "q")
 
     def __init__(self, p=0, q=0):
+        if isinstance(p, float) or isinstance(q, float):  # see coerce
+            raise TypeError("SqrtTwoRational takes exact p and q, not float")
         object.__setattr__(self, "p", Fraction(p))
         object.__setattr__(self, "q", Fraction(q))
 

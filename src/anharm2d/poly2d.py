@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from math import comb
 
 import numpy as np
 
@@ -110,29 +109,29 @@ def make_quartic(a_xx, b_xy, c_xy, b_yx, a_yy, lam) -> PolynomialPotential:
 
 
 def apply_linear_map(poly: PolynomialPotential, mp: OrthogonalMap2) -> PolynomialPotential:
-    """Exact substitution V(M (x, y)): x -> a x + b y, y -> c x + d y."""
-    a, b, c, d = mp.a, mp.b, mp.c, mp.d
+    """Exact substitution V(M (x, y)): x -> a x + b y, y -> c x + d y.
+
+    Each term c x^i y^j is multiplied out one linear factor at a time: start
+    from c, multiply i times by (a x + b y), then j times by (c x + d y). A
+    map entry that is exactly zero contributes no product, and neither does a
+    partial coefficient that cancels to zero, so a signed permutation (one
+    entry +-1 per row) only relabels the terms and signs them.
+    """
+    x_row = [(e, step) for e, step in ((mp.a, (1, 0)), (mp.b, (0, 1))) if e]
+    y_row = [(e, step) for e, step in ((mp.c, (1, 0)), (mp.d, (0, 1))) if e]
     out: dict[tuple[int, int], SqrtTwoRational] = {}
     for (i, j), coeff in poly.terms.items():
-        # (a x + b y)^i expanded: x^k y^(i-k) with binomial weights
-        xpow = [SqrtTwoRational.coerce(comb(i, k)) * _ipow(a, k) * _ipow(b, i - k) for k in range(i + 1)]
-        ypow = [SqrtTwoRational.coerce(comb(j, m)) * _ipow(c, m) * _ipow(d, j - m) for m in range(j + 1)]
-        for k, cx in enumerate(xpow):
-            for m, cy in enumerate(ypow):
-                key = (k + m, (i - k) + (j - m))
-                add = coeff * cx * cy
-                if key in out:
-                    out[key] = out[key] + add
-                else:
-                    out[key] = add
+        partial = {(0, 0): coeff}
+        for row in [x_row] * i + [y_row] * j:
+            product: dict[tuple[int, int], SqrtTwoRational] = {}
+            for (k, m), val in partial.items():
+                for e, (dk, dm) in row:
+                    key, add = (k + dk, m + dm), val * e
+                    product[key] = product[key] + add if key in product else add
+            partial = {key: val for key, val in product.items() if val}
+        for key, val in partial.items():
+            out[key] = out[key] + val if key in out else val
     return PolynomialPotential(out)
-
-
-def _ipow(base: SqrtTwoRational, n: int) -> SqrtTwoRational:
-    result = SqrtTwoRational(1)
-    for _ in range(n):
-        result = result * base
-    return result
 
 
 def is_separable(poly: PolynomialPotential) -> bool:

@@ -1,4 +1,4 @@
-"""Point-group detection and conjugation for polynomial potentials.
+"""Point-group detection and separating rotations for polynomial potentials.
 
 For kinetic-plus-potential Hamiltonians and orthogonal coordinate maps,
 invariance of the potential is equivalent to invariance of the Hamiltonian,
@@ -18,9 +18,7 @@ from .poly2d import PolynomialPotential, apply_linear_map, is_separable
 class SymmetryGroup:
     """A finite group of exact orthogonal maps with its Cayley table.
 
-    table[i][j] is the index of elements[i].compose(elements[j]) in `elements`;
-    equality of tables (as plain index arrays) witnesses isomorphism for
-    conjugated groups.
+    table[i][j] is the index of elements[i].compose(elements[j]) in `elements`.
     """
 
     elements: tuple[OrthogonalMap2, ...]
@@ -46,16 +44,6 @@ def detect_group(poly: PolynomialPotential) -> SymmetryGroup:
     kept = [mp for mp in dihedral16() if leaves_invariant(poly, mp)]
     table = tuple(tuple(kept.index(a.compose(b)) for b in kept) for a in kept)
     return SymmetryGroup(elements=tuple(kept), table=table)
-
-
-def conjugate_group(group: SymmetryGroup, mp: OrthogonalMap2) -> SymmetryGroup:
-    """The isomorphic group {M U M^T}: same Cayley table, new elements."""
-    mp_t = mp.transpose()
-    conj = tuple(
-        mp.compose(el, label="").compose(mp_t, label=f"conj({el.label})")
-        for el in group.elements
-    )
-    return SymmetryGroup(elements=conj, table=group.table)
 
 
 def separating_rotation(poly: PolynomialPotential) -> tuple[float, OrthogonalMap2, PolynomialPotential] | None:

@@ -144,6 +144,9 @@ def test_validation_failures_exit_2():
         ["spectrum", "--case", "1", "--nmax", "4", "--lambda", "1e400"],
         ["case", "5", "--nmax", "4", "--lambda", "1e400"],
         ["rpm", "--g", "1e400", "--dmax", "4"],
+        # symmetry floats the quartic coefficients of a form that is not Marginal
+        ["symmetry", "--case", "2", "--lambda", "1e400"],
+        ["symmetry", "--case", "3", "--lambda", "1e400"],
     ):
         proc = run_cli(*argv)
         assert proc.returncode == 2
@@ -151,8 +154,10 @@ def test_validation_failures_exit_2():
 
 
 def test_exact_commands_take_couplings_beyond_float_range():
-    for command in ("symmetry", "transform"):
-        proc = run_cli(command, "--case", "1", "--lambda", "1e400")
+    # symmetry floats no coefficient of a Marginal form (cases 1, 4 and 5)
+    runs = [("symmetry", k) for k in (1, 4, 5)] + [("transform", k) for k in range(1, 6)]
+    for command, k in runs:
+        proc = run_cli(command, "--case", str(k), "--lambda", "1e400")
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["lambda"] == str(10**400)
 

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from anharm2d.exactnum import HALF_SQRT2, ONE, ZERO, SqrtTwoRational
@@ -79,6 +80,10 @@ def test_rational_values_hash_like_the_equal_int_or_fraction(value):
 def test_floats_are_rejected():
     with pytest.raises(TypeError):
         SqrtTwoRational.coerce(0.1)
+    # the constructor too: Fraction(0.1) would be 3602879701896397/36028797018963968
+    for bad in ((0.1,), (0, 0.1), (np.float64(0.5),), (1, np.float64(2.0))):
+        with pytest.raises(TypeError):
+            SqrtTwoRational(*bad)
 
 
 def test_immutability():

@@ -2,6 +2,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from anharm2d import cli
 from anharm2d.cases import case_preset
 from anharm2d.exactnum import HALF_SQRT2, SqrtTwoRational
-from anharm2d.maps import NonOrthogonalMap, dihedral16
+from anharm2d.maps import NonOrthogonalMap, dihedral16, flip_x, rotation
 from anharm2d.poly2d import (
     Boundedness,
     PolynomialPotential,
@@ -139,6 +140,80 @@ def test_transform_commutes_with_evaluation():
         lhs = apply_linear_map(poly, mp2).evaluate(x, y)
         rhs = poly.evaluate(u, v)
         assert lhs == pytest.approx(rhs, abs=1e-12 * max(1.0, abs(rhs)))
+
+
+def _binomial_oracle(poly, mp2):
+    """Reference substitution: (a x + b y)^i and (c x + d y)^j expanded with
+    binomial weights, then multiplied out term by term."""
+
+    def power(e, n):
+        out = SqrtTwoRational(1)
+        for _ in range(n):
+            out = out * e
+        return out
+
+    a, b, c, d = mp2.a, mp2.b, mp2.c, mp2.d
+    out = {}
+    for (i, j), coeff in poly.terms.items():
+        xpow = [comb(i, k) * power(a, k) * power(b, i - k) for k in range(i + 1)]
+        ypow = [comb(j, m) * power(c, m) * power(d, j - m) for m in range(j + 1)]
+        for k, cx in enumerate(xpow):
+            for m, cy in enumerate(ypow):
+                key = (k + m, (i - k) + (j - m))
+                out[key] = out.get(key, SqrtTwoRational(0)) + coeff * cx * cy
+    return PolynomialPotential(out)
+
+
+# A Pythagorean rotation, and its product with rotation(1), whose four entries
+# are all nonzero: maps beyond dihedral16 with entries in Q(sqrt(2)).
+_P = _map(Fraction(3, 5), Fraction(-4, 5), Fraction(4, 5), Fraction(3, 5), "P")
+_PROPERTY_MAPS = dihedral16() + [flip_x(), _P, rotation(1).compose(_P)]
+_FRACTIONS = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+_POLYS = st.dictionaries(
+    st.tuples(st.integers(0, 4), st.integers(0, 4)),
+    st.builds(SqrtTwoRational, _FRACTIONS, _FRACTIONS),
+    min_size=1,
+    max_size=6,
+).map(PolynomialPotential)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    _POLYS,
+    st.sampled_from(_PROPERTY_MAPS),
+    st.sampled_from(_PROPERTY_MAPS),
+    st.floats(-2, 2),
+    st.floats(-2, 2),
+)
+def test_substitution_matches_the_oracle_composes_and_evaluates(poly, first, second, x, y):
+    moved = apply_linear_map(poly, first)
+    assert moved == _binomial_oracle(poly, first)
+    assert apply_linear_map(moved, second) == apply_linear_map(poly, first.compose(second))
+    # |a| + |b| <= sqrt(2) and |x|, |y| <= 2, so the absolute terms of either side sum to <= sum |c| 4^(i+j)
+    bound = sum(abs(float(c)) * 4.0 ** (i + j) for (i, j), c in poly.terms.items())
+    assert moved.evaluate(x, y) == pytest.approx(poly.evaluate(*first.apply(x, y)), abs=1e-13 * bound)
+
+
+def test_substitution_multiplies_no_exact_zero(monkeypatch):
+    """A zero map entry, or a partial coefficient that cancels to zero, costs no product."""
+    presets = [case_preset(cid).potential for cid in range(1, 6)]
+    maps = dihedral16() + [flip_x()]
+    calls, zero_operands = [0], []
+    mul = SqrtTwoRational.__mul__
+
+    def counting_mul(self, other):
+        calls[0] += 1
+        if self == 0 or other == 0:
+            zero_operands.append((self, other))
+        return mul(self, other)
+
+    monkeypatch.setattr(SqrtTwoRational, "__mul__", counting_mul)
+    monkeypatch.setattr(SqrtTwoRational, "__rmul__", counting_mul)
+    for poly in presets:
+        for mp2 in maps:
+            apply_linear_map(poly, mp2)
+    assert calls[0] > 0
+    assert zero_operands == []
 
 
 def test_non_orthogonal_map_cannot_be_built():
