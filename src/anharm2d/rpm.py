@@ -8,8 +8,9 @@ Riccati equation gives the closed recursion
     (2m + 2s + 1) f_m = sum_{j<m} f_j f_{m-1-j} - v_m + E [m = 0].
 
 Eigenvalues are the E-roots of the Hankel determinants
-H_D^d(E) = det[f_{i+j+d+1}(E)], which stabilize rapidly as D grows; roots are
-polished by Newton in arbitrary precision, each dimension seeding the next.
+H_D^d(E) = det[f_{i+j+d+1}(E)], which stabilize rapidly as D grows; each root
+is found by a secant iteration in arbitrary precision, started from the roots
+of the smaller dimensions.
 
 The recursion and the determinants run on raw `mpmath.libmp` tuples at the
 working precision's rounding (`mp.mp._prec_rounding`). `hankel_det` computes
@@ -52,7 +53,7 @@ class InsufficientCoefficients(ValueError):
 
 
 class NewtonDivergence(RuntimeError):
-    """Newton iteration on a Hankel determinant failed to settle on a root."""
+    """The root iteration on a Hankel determinant failed to settle on a root."""
 
 
 class NonMonotoneTrail(UserWarning):
@@ -238,62 +239,46 @@ def _det_at(v, s: int, energy, D: int, d: int):
     return hankel_det(series, HankelSpec(D=D, d=d))
 
 
-def _newton_step(v, s: int, d: int, D: int, energy):
-    """Newton correction det/det' at `energy`, at the working precision.
-
-    The derivative is a central difference with step 10^(-dps/3), so one
-    correction costs three determinants.
-    """
-    h = mp.mpf(10) ** (-mp.mp.dps // 3)
-    fval = _det_at(v, s, energy, D, d)
-    deriv = (_det_at(v, s, energy + h, D, d) - _det_at(v, s, energy - h, D, d)) / (2 * h)
-    if deriv == 0:
-        raise NewtonDivergence(f"flat determinant at D={D}, E={mp.nstr(energy, 20)}")
-    return fval / deriv
+def _tiny(x):
+    """10^(10-dps) x max(1, |x|): the secant's stop threshold and least start offset."""
+    return mp.mpf(10) ** (10 - mp.mp.dps) * max(1, abs(x))
 
 
-def _newton_root(v, s, d, D, seed, max_iter=60):
-    """Newton with central-difference derivative at the working precision.
+def _secant_root(v, s: int, d: int, D: int, x0, x1):
+    """Secant iteration on H_D from the pair (x0, x1): one determinant a step.
 
     Determinant evaluation near a root is pure cancellation, so the last
-    digits are noise. Iteration stops either on a tiny relative step or on two
-    steps below 1e-10 relative whose sizes do not contract. The second exit
-    only says that Newton stopped making progress: the iterate can still lie
-    well above the precision floor away from the root of this D, which is why
-    `rpm_eigenvalue` bounds the error of its final root separately.
+    digits are noise. At a simple root the secant converges superlinearly, so
+    iteration stops once a step times its contraction against the previous
+    step (about the size of the next step) is below 10^(10-dps) relative.
+    A step that keeps more than half the size of the one before is slow: a
+    close pair of roots seen from afar (iteration goes on and resolves it), a
+    multiple root or the noise. After three slow steps in a row, below
+    10^(-dps/2) relative (the accuracy a double root allows), a growing step is
+    noise and the iterate before it is returned; a shrinking one is linear
+    convergence, and the limit of the geometric series of steps is returned.
     """
-    stop = mp.mpf(10) ** (-(mp.mp.dps - 10))
-    plateau = mp.mpf(10) ** (-10)
-    energy = _to_mpf(seed)
-    prev_size = None
-    prev_ratio = None
-    for _ in range(max_iter):
-        step = _newton_step(v, s, d, D, energy)
-        energy -= step
+    dps = mp.mp.dps
+    slow_floor = mp.mpf(10) ** (-(dps // 2))
+    f0, f1 = _det_at(v, s, x0, D, d), _det_at(v, s, x1, D, d)
+    prev_step, slow = None, 0
+    for _ in range(3 * dps):
+        if f1 == 0:
+            return x1
+        if f1 == f0:
+            raise NewtonDivergence(f"flat determinant at D={D}, E={mp.nstr(x1, 20)}")
+        step = f1 * (x1 - x0) / (f1 - f0)
+        x0, f0, x1 = x1, f1, x1 - step
         size = abs(step)
-        scale = max(1, abs(energy))
-        if size < stop * scale:
-            return energy
-        if prev_size is not None:
-            ratio = float(size / prev_size)
-            # Tiny steps that stop contracting: Newton has stalled on the
-            # determinant's cancellation noise at this precision.
-            if size < plateau * scale and ratio > 0.6:
-                return energy
-            # A steady contraction ratio r signals a root of multiplicity
-            # ~ 1/(1-r) (the determinant vanishes to high order at exact
-            # oscillator eigenvalues); stretch the step to restore quadratic
-            # convergence.
-            if prev_ratio is not None and abs(ratio - prev_ratio) < 0.05 and 0.3 < ratio < 0.97:
-                mult = round(1.0 / (1.0 - ratio))
-                if mult >= 2:
-                    energy -= (mult - 1) * step
-                    prev_size = None
-                    prev_ratio = None
-                    continue
-            prev_ratio = ratio
-        prev_size = size
-    raise NewtonDivergence(f"no convergence within {max_iter} iterations at D={D}")
+        ratio = step / prev_step if prev_step else 1
+        if size * min(abs(ratio), 1) < _tiny(x1):
+            return x1
+        slow = slow + 1 if prev_step and abs(ratio) > 0.5 else 0
+        if slow >= 3 and size < slow_floor * max(1, abs(x1)):
+            return x0 if abs(ratio) >= 1 else x1 - step * ratio / (1 - ratio)
+        prev_step = step
+        f1 = _det_at(v, s, x1, D, d)
+    raise NewtonDivergence(f"no convergence within {3 * dps} iterations at D={D}")
 
 
 def _digits(error, value) -> int:
@@ -317,30 +302,39 @@ def rpm_eigenvalue(
     seed=None,
     precision_digits: int = 80,
 ) -> RpmResult:
-    """Track the Hankel root from D = 2 up to D_max, seeding each dimension
-    with the previous root.
+    """Track the Hankel root from D = 2 up to D_max. The secant iteration for
+    dimension D starts from the pair r_{D-1}, r_{D-1} + rho * Delta, where
+    Delta = r_{D-1} - r_{D-2} and rho = Delta / (r_{D-2} - r_{D-3}).
 
     The seed must lie in the basin of the target eigenvalue (a variational
     estimate does); Hankel determinants have many roots. Returns the D_max
     root, its certified digits and the whole trail.
 
     `stabilized_digits` is the smaller of two counts: the digits on which the
-    last two dimensions agree (the truncation in D), and the digits that one
-    Newton step on the D_max determinant at 1.5x the working precision leaves
-    unchanged (the cancellation noise of the working precision). The root and
-    trail themselves come from the working precision only.
+    last two dimensions agree (the truncation in D), and the digits that the
+    D_max determinant at the last two roots, at twice the working precision,
+    certifies for a root of any multiplicity up to D_max (the cancellation
+    noise of the working precision). The root and trail themselves come from
+    the working precision only.
     """
     if seed is None or not mp.isfinite(_to_mpf(seed)):
         raise ValueError("an explicit finite seed (e.g. a variational estimate) is required")
     if D_max < 3:
         raise ValueError("D_max must be >= 3")
     with mp.workdps(precision_digits):
-        trail = []
-        current = _to_mpf(seed)
+        roots = [_to_mpf(seed)]
         for D in range(2, D_max + 1):
-            current = _newton_root(v, s, d, D, current)
-            trail.append((D, current))
-        diffs = [abs(trail[k + 1][1] - trail[k][1]) for k in range(len(trail) - 1)]
+            # Start from the previous root and its geometric extrapolation
+            # once the trail has three roots; from a nearby point before.
+            start, offset = roots[-1], 0
+            if D > 4 and roots[-2] != roots[-3]:
+                delta = roots[-1] - roots[-2]
+                offset = delta * delta / (roots[-2] - roots[-3])  # rho * delta
+            offset = max(offset, _tiny(start), key=abs)
+            roots.append(_secant_root(v, s, d, D, start, start + offset))
+        roots = roots[1:]
+        trail = list(zip(range(2, D_max + 1), roots))
+        diffs = [abs(b - a) for a, b in zip(roots, roots[1:])]
         tail = [x for x in diffs[-6:] if x > 0]
         # Once diffs reach the noise plateau they fluctuate harmlessly; only a
         # stall at coarse accuracy is worth flagging.
@@ -349,12 +343,17 @@ def rpm_eigenvalue(
             warnings.warn(
                 "root trail stopped contracting before D_max", NonMonotoneTrail
             )
-        last, prev = trail[-1][1], trail[-2][1]
-        stabilized = precision_digits if last == prev else _digits(last - prev, last)
-        # One Newton step on the D_max determinant at half as many digits
-        # again measures how far the final root sits from the true D_max root.
-        with mp.workdps(precision_digits + precision_digits // 2):
-            step = _newton_step(v, s, d, D_max, last)
-        if step != 0:
-            stabilized = min(stabilized, _digits(step, last))
-        return RpmResult(e_value=last, stabilized_digits=stabilized, trail=tuple(trail))
+        last = roots[-1]
+        prev = roots[-2] if roots[-2] != last else last + _tiny(last)
+        error = abs(last - prev)
+        # H_D_max at the last two roots, at twice the digits. Where it keeps its
+        # sign, a root of multiplicity m lies at distance error * t / |1 - t|
+        # from `last`, t = (H(last) / H(prev))^(1/m); m = 1 is the secant step,
+        # and m = D_max (the harmonic limit, where all D moments vanish
+        # together) gives the largest distance for m <= D_max.
+        with mp.workdps(2 * precision_digits):
+            f_last, f_prev = (_det_at(v, s, x, D_max, d) for x in (last, prev))
+            if f_last * f_prev > 0:
+                t = (f_last / f_prev) ** (mp.mpf(1) / D_max)
+                error = max(error, error * t / abs(1 - t)) if t != 1 else abs(last)
+        return RpmResult(e_value=last, stabilized_digits=_digits(error, last), trail=tuple(trail))

@@ -6,9 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath as mp
 import pytest
 
 from anharm2d import cli
+from anharm2d.rpm import rpm_eigenvalue
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = str(ROOT / "src")
@@ -70,6 +72,21 @@ def test_rpm_command_digits(tmp_path):
     assert payload["stabilized_digits"] >= 15
     assert [entry["D"] for entry in payload["trail"]] == list(range(2, 13))
     assert payload["trail"][-1]["E"].startswith("1.90313")
+
+
+@pytest.mark.parametrize("g", ["2", "2/5"])
+def test_rpm_command_at_clustered_couplings(g):
+    """At g = 2 and 2/5 the high-D Hankel roots come in close clusters; the
+    default settings still converge, to the eigenvalue of a higher-D,
+    higher-precision run."""
+    proc = run_cli("rpm", "--g", g)
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    coupling = cli.exact_lambda(g)
+    seed = float(cli._levels_1d(coupling, 40)[0])
+    ref = rpm_eigenvalue([0, 1, coupling], s=0, D_max=32, seed=seed, precision_digits=110)
+    with mp.workdps(110):
+        assert abs(mp.mpf(payload["energy"]) - ref.e_value) < mp.mpf(10) ** -35 * ref.e_value
 
 
 @pytest.mark.parametrize("case", ["1", "2"])

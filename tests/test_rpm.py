@@ -135,6 +135,38 @@ def test_harmonic_root_found_at_every_dimension():
     assert abs(result.e_value - 1) < mp.mpf(10) ** (-9)
 
 
+def test_harmonic_certificate_does_not_overclaim():
+    # The root has multiplicity D at the harmonic limit, where one secant
+    # step reads about D times too small.
+    result = rpm_eigenvalue([0, 1], s=0, D_max=6, seed=0.9, precision_digits=50)
+    with mp.workdps(50):
+        assert result.stabilized_digits <= -mp.log10(abs(result.e_value - 1))
+
+
+@pytest.mark.parametrize("g", [Fraction(1, 10), 1, 2, 100])
+@pytest.mark.parametrize("s", [0, 1])
+def test_certificate_does_not_overclaim(g, s):
+    ham = build_hamiltonian_1d({2: 1.0, 4: float(g)}, 60, optimal_omega(float(g)))
+    seed = float(eig_selfadjoint(ham).eigenvalues[s])
+    result = rpm_eigenvalue([0, 1, g], s=s, D_max=12, seed=seed, precision_digits=40)
+    ref = rpm_eigenvalue([0, 1, g], s=s, D_max=20, seed=seed, precision_digits=60)
+    with mp.workdps(60):
+        true_digits = -mp.log10(abs(result.e_value - ref.e_value) / ref.e_value)
+    assert 15 <= result.stabilized_digits <= true_digits
+
+
+@pytest.mark.parametrize("g", [Fraction(1, 10), 1, 2])
+def test_trail_roots_agree_across_precision(g):
+    """Each trail root is the root of its own H_D: a run at 120 digits finds
+    the same roots. A central-difference Newton, whose difference step was
+    wider than a cluster of H_D roots, left them 19 to 21 digits apart."""
+    low = rpm_eigenvalue([0, 1, g], s=0, D_max=14, seed=1.4, precision_digits=50)
+    high = rpm_eigenvalue([0, 1, g], s=0, D_max=14, seed=1.4, precision_digits=120)
+    with mp.workdps(120):
+        for (_, a), (_, b) in zip(low.trail, high.trail):
+            assert abs(a - b) <= mp.mpf(10) ** -35 * b
+
+
 def test_parity_completeness_against_variational():
     """Lowest even and odd roots for g=1 match the two lowest Rayleigh-Ritz
     eigenvalues of p^2 + x^2 + x^4."""
