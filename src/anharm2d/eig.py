@@ -1,10 +1,13 @@
-"""Dense eigensolver contracts on top of LAPACK.
+"""Eigensolver contracts on top of LAPACK and ARPACK.
 
-Two entry points: a real-spectrum solver for Hermitian matrices, the one
-place that checks Hermiticity (Rayleigh-Ritz energies), and a full
-complex-spectrum solver for the complex-scaled, complex-symmetric matrices
-of the resonance runs. Both compute eigenvalues only, and certify them with
-the a-priori backward-error bound of `apriori_bound`.
+Three entry points, all for eigenvalues only: a real-spectrum solver for
+Hermitian matrices, the one place that checks Hermiticity (Rayleigh-Ritz
+energies); a dense complex-spectrum solver for the complex-scaled,
+complex-symmetric matrices of the resonance runs; and `eig_nearest`, the
+eigenvalues of a sparse matrix nearest a shift, which the resonance sweep
+uses at every angle. The dense solvers certify their spectra with the
+a-priori backward-error bound of `apriori_bound`. A failure of either
+library raises ConvergenceFailure.
 """
 
 from __future__ import annotations
@@ -21,12 +24,16 @@ class NotHermitian(ValueError):
 
 
 class ConvergenceFailure(RuntimeError):
-    """The LAPACK iteration failed to converge (pathological input)."""
+    """The LAPACK or ARPACK iteration failed to converge (pathological input)."""
 
 
 # A-priori backward-error allowance for LAPACK dense solvers, in units of
 # machine epsilon times the dimension.
 _APRIORI_EPS_FACTOR = 64.0
+# eig_nearest solves the whole spectrum densely once k reaches this share of the
+# dimension: on a case-3 H(theta) of 900 rows ARPACK took 0.78 s for k = 96 and
+# 5.1 s for k = 192, LAPACK 1.33 s for all 900 (1 BLAS thread).
+_ARNOLDI_SHARE = 0.125
 
 
 def apriori_bound(dim: int) -> float:
@@ -60,3 +67,35 @@ def eig_selfadjoint(mat: OperatorMatrix) -> SpectralResult:
 def eig_complex(mat: OperatorMatrix) -> SpectralResult:
     """All complex eigenvalues of a general dense matrix (unordered)."""
     return _solve(np.linalg.eigvals, mat)
+
+
+def eig_nearest(mat, k: int, sigma: complex) -> np.ndarray:
+    """The k eigenvalues nearest sigma of a sparse square matrix, or all of them (unordered).
+
+    Below `_ARNOLDI_SHARE` of the dimension they come from ARPACK in
+    shift-invert mode on one SuperLU factorization of mat - sigma. The start
+    vector is fixed, so equal calls give equal bits: without one, ARPACK
+    draws it from an internal random stream that carries over between calls.
+    When mat - sigma is exactly singular (sigma is an eigenvalue, as 2 is of
+    the unrotated oscillator), they are the k nearest of the dense spectrum.
+    At or above that share, and wherever k >= dim - 1 (ARPACK's limit), all
+    eigenvalues come from eig_complex. scipy is imported here, not when the
+    module loads.
+    """
+    dim = mat.shape[0]
+    if k >= min(_ARNOLDI_SHARE * dim, dim - 1):
+        return eig_complex(OperatorMatrix(mat.toarray())).eigenvalues
+    from scipy.sparse import identity
+    from scipy.sparse.linalg import ArpackError, LinearOperator, eigs, splu
+
+    try:
+        shifted = splu((mat - sigma * identity(dim)).tocsc())
+    except RuntimeError:  # SuperLU's "Factor is exactly singular"
+        every = eig_complex(OperatorMatrix(mat.toarray())).eigenvalues
+        return every[np.argsort(np.abs(every - sigma), kind="stable")[:k]]
+    inverse = LinearOperator((dim, dim), matvec=shifted.solve, dtype=complex)
+    start = np.random.default_rng(0).standard_normal(dim)
+    try:
+        return eigs(mat, k=k, sigma=sigma, OPinv=inverse, v0=start, return_eigenvectors=False)
+    except ArpackError as exc:  # ArpackNoConvergence included
+        raise ConvergenceFailure(str(exc)) from exc

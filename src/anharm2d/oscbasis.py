@@ -1,4 +1,7 @@
-"""Dense Hamiltonian matrices in products of 1D harmonic-oscillator states.
+"""Hamiltonian matrices in products of 1D harmonic-oscillator states.
+
+build_hamiltonian and parity_blocks assemble dense matrices; theta_factors
+gives the sparse theta-factored form that the resonance sweep rotates.
 
 Basis convention: eigenfunctions of h0 = p^2 + omega^2 x^2 (energies
 omega*(2n+1)), so at omega = 1 the unperturbed 2D levels are 2(nx+ny)+2.
@@ -168,8 +171,8 @@ def _kron_pieces(a: np.ndarray, b: np.ndarray, pieces) -> np.ndarray:
     return out
 
 
-def _build_pieces(poly: PolynomialPotential, basis: BasisSpec, pieces) -> OperatorMatrix:
-    """The Hamiltonian of build_hamiltonian restricted to the product pieces."""
+def _xy_powers(poly: PolynomialPotential, basis: BasisSpec) -> tuple[list, list]:
+    """The 1D power lists [I, X, ..., X^_PAD] of the x and the y mode, once the terms fit the pad."""
     for (i, j) in poly.terms:
         if i > _PAD or j > _PAD:
             raise DegreeTooHigh(
@@ -177,7 +180,13 @@ def _build_pieces(poly: PolynomialPotential, basis: BasisSpec, pieces) -> Operat
             )
     nx, ny, omega = basis.n_max_x, basis.n_max_y, basis.omega
     xpow = _position_powers(nx, omega, _PAD)
-    ypow = xpow if ny == nx else _position_powers(ny, omega, _PAD)
+    return xpow, xpow if ny == nx else _position_powers(ny, omega, _PAD)
+
+
+def _build_pieces(poly: PolynomialPotential, basis: BasisSpec, pieces) -> OperatorMatrix:
+    """The Hamiltonian of build_hamiltonian restricted to the product pieces."""
+    xpow, ypow = _xy_powers(poly, basis)
+    nx, ny, omega = basis.n_max_x, basis.n_max_y, basis.omega
     kin = _kron_pieces(kinetic_matrix_1d(nx, omega), np.eye(ny), pieces) + _kron_pieces(
         np.eye(nx), kinetic_matrix_1d(ny, omega), pieces
     )
@@ -191,6 +200,29 @@ def _build_pieces(poly: PolynomialPotential, basis: BasisSpec, pieces) -> Operat
 def build_hamiltonian(poly: PolynomialPotential, basis: BasisSpec) -> OperatorMatrix:
     """Matrix of e^{-2i theta}(px^2+py^2) + sum c_ij e^{i(i+j)theta} X^i Y^j."""
     return _build_pieces(poly, basis, [(np.arange(basis.n_max_x), np.arange(basis.n_max_y))])
+
+
+def theta_factors(poly: PolynomialPotential, basis: BasisSpec) -> list:
+    """Sparse factors (d, F_d) of the rotated operator, H(theta) = sum_d e^{i d theta} F_d.
+
+    F_-2 is the kinetic term and F_d, d >= 0, sums the potential terms of
+    total degree d; the list ascends in d and each F_d is a CSC matrix in
+    build_hamiltonian's x-major order. basis.theta is not read. The sums are
+    grouped by degree, so H(theta) matches build_hamiltonian to rounding,
+    not bit for bit. scipy is imported here, not when the module loads.
+    """
+    from scipy import sparse
+
+    xpow, ypow = _xy_powers(poly, basis)
+    nx, ny, omega = basis.n_max_x, basis.n_max_y, basis.omega
+    factors = {
+        -2: sparse.kron(kinetic_matrix_1d(nx, omega), sparse.identity(ny))
+        + sparse.kron(sparse.identity(nx), kinetic_matrix_1d(ny, omega))
+    }
+    for (i, j), coeff in poly.float_terms().items():
+        term = coeff * sparse.kron(sparse.csr_matrix(xpow[i]), sparse.csr_matrix(ypow[j]))
+        factors[i + j] = factors[i + j] + term if i + j in factors else term
+    return [(d, sparse.csc_matrix(factors[d])) for d in sorted(factors)]
 
 
 _SECTORS = ((0, 0), (0, 1), (1, 0), (1, 1))  # (nx mod 2, ny mod 2)

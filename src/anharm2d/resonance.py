@@ -1,12 +1,15 @@
 """Resonances of unbounded oscillators via the complex-rotation angle sweep.
 
 Each rotation angle theta gives a non-Hermitian matrix whose spectrum rotates
-with theta except near resonances, where one eigenvalue stalls. Eigenvalues
-are linked across neighbouring angles by greedy nearest-neighbour matching,
-and the resonance is the theta-stationary point of the stalled trajectory.
-The greedy matching is computed as rounds of mutual-nearest pairs, which give
-the same links as taking pairs in ascending distance with ties in row-major
-order.
+with theta except near resonances, where one eigenvalue stalls. The matrix is
+taken in its theta-factored sparse form, H(theta) = sum_d e^{i d theta} F_d
+(oscbasis.theta_factors), and at each angle only a window of eigenvalues is
+solved: the k nearest the shift `_SIGMA`, by shift-invert Arnoldi
+(eig.eig_nearest). Window eigenvalues are linked across neighbouring angles by
+greedy nearest-neighbour matching, and the resonance is the theta-stationary
+point of the stalled trajectory. The greedy matching is computed as rounds of
+mutual-nearest pairs, which give the same links as taking pairs in ascending
+distance with ties in row-major order.
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .eig import apriori_bound, eig_complex
-from .oscbasis import BasisSpec, build_hamiltonian
+from .eig import apriori_bound, eig_complex, eig_nearest
+from .oscbasis import BasisSpec, build_hamiltonian, theta_factors
 from .poly2d import PolynomialPotential
 
 
@@ -25,6 +28,10 @@ from .poly2d import PolynomialPotential
 _STABILITY_TOL = 5e-2
 # Largest |E(n+5) - E(n)| of a resonance certified as converged.
 _DRIFT_TOL = 1e-4
+# The sweep's first window: the _WINDOW eigenvalues nearest _SIGMA, the
+# unperturbed ground level of p^2 + x^2 + y^2.
+_WINDOW = 12
+_SIGMA = 2.0
 
 
 class NoStationaryPoint(RuntimeError):
@@ -33,15 +40,14 @@ class NoStationaryPoint(RuntimeError):
 
 @dataclass(frozen=True)
 class ThetaScan:
-    """Spectra over a theta sweep plus the linked trajectories.
+    """Linked eigenvalue windows over a theta sweep.
 
-    trajectories[r, k] follows one eigenvalue across thetas[k]; links whose
-    nearest-neighbour choice collided with another trajectory are flagged in
-    ambiguous[r, k] rather than silently trusted.
+    trajectories[r, k] follows one window eigenvalue across thetas[k]; links
+    whose nearest-neighbour choice collided with another trajectory are
+    flagged in ambiguous[r, k] rather than silently trusted.
     """
 
     thetas: np.ndarray = field(repr=False)
-    spectra: list = field(repr=False)
     trajectories: np.ndarray = field(repr=False)
     ambiguous: np.ndarray = field(repr=False)
 
@@ -58,41 +64,33 @@ class Resonance:
             raise ValueError("resonance must lie in the lower half plane")
 
 
+def _rotated(factors, theta: float):
+    """H(theta) = sum_d e^{i d theta} F_d over the (d, F_d) of theta_factors, in CSC form."""
+    ham = None
+    for degree, factor in factors:
+        term = np.exp(1j * degree * theta) * factor
+        ham = term if ham is None else ham + term
+    return ham.tocsc()
+
+
 def theta_trajectory(
-    poly: PolynomialPotential, basis: BasisSpec, thetas
+    poly: PolynomialPotential, basis: BasisSpec, thetas, k: int = _WINDOW
 ) -> ThetaScan:
-    """Full rotated spectra for each theta, linked into trajectories.
+    """The k eigenvalues nearest `_SIGMA` at each theta, linked into trajectories.
 
-    Two spectra are solved at once: for each pair of angles one helper thread
-    diagonalizes the second matrix while the calling thread builds and
-    diagonalizes the first. numpy's LAPACK call releases the GIL, so the two
-    eigensolves overlap. Every matrix is built on the calling thread, because
-    a build in the helper thread leaves about 40 MB of freed buffers in that
-    thread's malloc arena.
+    The sparse factors are assembled once, and each angle's window comes from
+    eig.eig_nearest, which returns the whole spectrum once k is a large share
+    of basis.dim. basis.theta is not read.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
     thetas = np.asarray(list(thetas), dtype=float)
     if thetas.size == 0 or np.any(np.diff(thetas) <= 0):
         raise ValueError("thetas must be nonempty and strictly ascending")
     if np.any(thetas >= math.pi / 4) or np.any(thetas < 0):
         raise ValueError("thetas must lie in [0, pi/4)")
-
-    def build(theta):
-        spec_basis = BasisSpec(basis.n_max_x, basis.n_max_y, basis.omega, float(theta))
-        return build_hamiltonian(poly, spec_basis)
-
-    spectra = []
-    with ThreadPoolExecutor(max_workers=1) as helper:
-        for a in range(0, len(thetas), 2):
-            # the helper solves thetas[a + 1] while this thread builds and solves thetas[a]
-            pending = [helper.submit(eig_complex, build(theta)) for theta in thetas[a + 1 : a + 2]]
-            solved = [eig_complex(build(thetas[a]))] + [job.result() for job in pending]
-            spectra.extend(np.sort_complex(result.eigenvalues) for result in solved)
-    trajectories, ambiguous = _link(spectra)
-    return ThetaScan(
-        thetas=thetas, spectra=spectra, trajectories=trajectories, ambiguous=ambiguous
-    )
+    factors = theta_factors(poly, basis)
+    windows = [np.sort_complex(eig_nearest(_rotated(factors, theta), k, _SIGMA)) for theta in thetas]
+    trajectories, ambiguous = _link(windows)
+    return ThetaScan(thetas=thetas, trajectories=trajectories, ambiguous=ambiguous)
 
 
 def _link(spectra: list) -> tuple[np.ndarray, np.ndarray]:
@@ -130,6 +128,52 @@ def _link(spectra: list) -> tuple[np.ndarray, np.ndarray]:
     return traj, ambig
 
 
+def _pick(scan: ThetaScan, noise: float):
+    """(row, theta index, energy, stability) of the stable decaying trajectory of least Re E, or None.
+
+    Each trajectory is scored by the centred difference |E(theta+h) -
+    E(theta-h)| / 2h at its most stationary angle; it is stable below
+    `_STABILITY_TOL` and decays when -Im E exceeds noise * |E|.
+    """
+    best = None
+    two_h = scan.thetas[2] - scan.thetas[0]
+    for r, path in enumerate(scan.trajectories):
+        scores = np.abs(path[2:] - path[:-2]) / two_h
+        k = int(np.argmin(scores)) + 1
+        stability = float(scores[k - 1])
+        energy = path[k]
+        if stability > _STABILITY_TOL or -energy.imag <= noise * abs(energy):
+            continue
+        if best is None or energy.real < best[2].real:
+            best = (r, k, energy, stability)
+    return best
+
+
+def _drift(poly: PolynomialPotential, basis: BasisSpec, theta: float, energy: complex) -> float:
+    """|E' - energy| for the eigenvalue E' nearest energy at theta, with 5 more states per mode."""
+    bigger = BasisSpec(basis.n_max_x + 5, basis.n_max_y + 5, basis.omega)
+    nearest = eig_nearest(_rotated(theta_factors(poly, bigger), theta), 1, energy)
+    return float(np.min(np.abs(nearest - energy)))
+
+
+def _settled_pick(poly: PolynomialPotential, basis: BasisSpec, thetas):
+    """_pick of the first window that settles it, doubling k from `_WINDOW`.
+
+    A window settles the pick when the pick is not its farthest eigenvalue
+    from `_SIGMA` at theta*, or when it is the whole spectrum.
+    """
+    noise = apriori_bound(basis.dim)
+    k = _WINDOW
+    while True:
+        scan = theta_trajectory(poly, basis, thetas, k)
+        best = _pick(scan, noise)
+        if scan.trajectories.shape[0] == basis.dim:
+            return best
+        if best is not None and np.argmax(np.abs(scan.trajectories[:, best[1]] - _SIGMA)) != best[0]:
+            return best
+        k *= 2
+
+
 def find_lowest_resonance(
     poly: PolynomialPotential,
     basis: BasisSpec,
@@ -138,15 +182,21 @@ def find_lowest_resonance(
 ) -> Resonance:
     """Theta-stationary complex eigenvalue with the smallest real part.
 
-    Sweeps the window, scores every trajectory by the centred difference
-    |E(theta+h) - E(theta-h)| / 2h, keeps those that are stable (score below
-    `_STABILITY_TOL` = 5e-2) and decay, and returns the one with the smallest
-    Re E. A trajectory decays when -Im E exceeds the eigensolver's rounding
-    floor, eig.apriori_bound(basis.dim) relative to |E|: a bound state (the
-    whole spectrum at lambda = 0) sits at Im E = 0 up to rounding and is
-    never reported. Convergence is always checked: the stationary angle is
-    re-diagonalized with 5 more basis functions per mode, and the resonance is
-    converged when an eigenvalue there lies within `_DRIFT_TOL` = 1e-4 of it.
+    Sweeps theta_window with theta_trajectory and takes, among the trajectories
+    that are stable (centred-difference score below `_STABILITY_TOL` = 5e-2)
+    and decay, the one with the smallest Re E. A trajectory decays when -Im E
+    exceeds the eigensolver's rounding floor, eig.apriori_bound(basis.dim)
+    relative to |E|: a bound state (the whole spectrum at lambda = 0) sits at
+    Im E = 0 up to rounding and is never reported.
+
+    Window rule: the sweep starts from the `_WINDOW` eigenvalues nearest
+    `_SIGMA` at each angle and doubles that count k while there is no pick, or
+    while the pick is the window's farthest eigenvalue from `_SIGMA` at
+    theta*, until the window is the whole spectrum. The reported energy is the eigenvalue nearest the pick
+    of one dense eig_complex solve of build_hamiltonian at theta*, the value
+    the full dense sweep reports. Convergence is always checked: the resonance
+    is converged when the n+5 basis at theta* has an eigenvalue within
+    `_DRIFT_TOL` = 1e-4 of it.
     """
     lo, hi = theta_window
     if not (0.0 < lo < hi < math.pi / 4):
@@ -154,34 +204,18 @@ def find_lowest_resonance(
     if n_points < 3:
         raise ValueError("need at least 3 sweep points for a centred difference")
     thetas = np.linspace(lo, hi, n_points)
-    scan = theta_trajectory(poly, basis, thetas)
-
-    best = None  # (re, energy, theta_idx, stability)
-    two_h = thetas[2] - thetas[0]
-    noise = apriori_bound(basis.dim)
-    for r in range(scan.trajectories.shape[0]):
-        path = scan.trajectories[r]
-        scores = np.abs(path[2:] - path[:-2]) / two_h
-        k = int(np.argmin(scores)) + 1
-        stability = float(scores[k - 1])
-        energy = path[k]
-        if stability > _STABILITY_TOL or -energy.imag <= noise * abs(energy):
-            continue
-        if best is None or energy.real < best[1].real:
-            best = (r, energy, k, stability)
+    best = _settled_pick(poly, basis, thetas)
     if best is None:
         raise NoStationaryPoint(
             "no theta-stationary decaying trajectory in the window; "
             "adjust lambda or the window"
         )
-    r, energy, k, stability = best
+    _, k, window_energy, stability = best
     theta_star = float(thetas[k])
 
-    bigger = BasisSpec(basis.n_max_x + 5, basis.n_max_y + 5, basis.omega, theta_star)
-    result = eig_complex(build_hamiltonian(poly, bigger))
-    drift = float(np.min(np.abs(result.eigenvalues - energy)))
-    converged = stability < _STABILITY_TOL and drift < _DRIFT_TOL
+    at_star = BasisSpec(basis.n_max_x, basis.n_max_y, basis.omega, theta_star)
+    dense = eig_complex(build_hamiltonian(poly, at_star)).eigenvalues
+    energy = complex(dense[np.argmin(np.abs(dense - window_energy))])
+    converged = stability < _STABILITY_TOL and _drift(poly, basis, theta_star, energy) < _DRIFT_TOL
 
-    return Resonance(
-        energy=complex(energy), theta_star=theta_star, stability=stability, converged=converged
-    )
+    return Resonance(energy=energy, theta_star=theta_star, stability=stability, converged=converged)

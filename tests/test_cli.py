@@ -341,7 +341,9 @@ def test_rpm_with_seed_skips_the_variational_solve(monkeypatch, argv, rc):
 
 
 def test_cli_import_does_not_load_concurrent_futures():
-    # theta_trajectory imports it on first use; commands without a sweep never pay for it
-    proc = run_python("-c", "import sys, anharm2d.cli; print('concurrent.futures' in sys.modules)")
+    # nor scipy, which the resonance sweep imports on first use (about 0.3 s and
+    # 30 MB), so commands without a sweep never pay for it
+    code = "import sys, anharm2d.cli; print(sorted({'scipy', 'concurrent.futures'} & set(sys.modules)))"
+    proc = run_python("-c", code)
     assert proc.returncode == 0
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"

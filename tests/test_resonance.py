@@ -2,33 +2,82 @@ import contextlib
 import io
 import json
 import math
-import threading
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import linalg as sparse_linalg
 
 from anharm2d import cli, resonance
 from anharm2d.cases import case_preset
-from anharm2d.eig import ConvergenceFailure, eig_complex
-from anharm2d.oscbasis import BasisSpec, build_hamiltonian
+from anharm2d.eig import ConvergenceFailure, apriori_bound, eig_complex, eig_nearest
+from anharm2d.oscbasis import BasisSpec, build_hamiltonian, theta_factors
 from anharm2d.resonance import (
     NoStationaryPoint,
     Resonance,
     _link,
+    _rotated,
     find_lowest_resonance,
     theta_trajectory,
 )
 
+DEFAULT_THETAS = np.linspace(0.03 * math.pi, 0.10 * math.pi, 15)
+
+
+def _dense_spectra(poly, basis, thetas):
+    """Oracle: every eigenvalue of build_hamiltonian at each theta, sorted."""
+    rotated = (BasisSpec(basis.n_max_x, basis.n_max_y, basis.omega, float(t)) for t in thetas)
+    return [np.sort_complex(eig_complex(build_hamiltonian(poly, b)).eigenvalues) for b in rotated]
+
+
+def _dense_resonance(poly, basis, thetas=DEFAULT_THETAS):
+    """Oracle: the full dense sweep, (energy, theta_star), or None without a pick.
+
+    All eigenvalues at every angle, linked by _link, and the pick rule of
+    find_lowest_resonance: the stable decaying trajectory of least Re E.
+    """
+    trajectories, _ = _link(_dense_spectra(poly, basis, thetas))
+    best = None
+    two_h = thetas[2] - thetas[0]
+    noise = apriori_bound(basis.dim)
+    for path in trajectories:
+        scores = np.abs(path[2:] - path[:-2]) / two_h
+        k = int(np.argmin(scores)) + 1
+        energy = path[k]
+        if scores[k - 1] > resonance._STABILITY_TOL or -energy.imag <= noise * abs(energy):
+            continue
+        if best is None or energy.real < best[0].real:
+            best = (energy, float(thetas[k]))
+    return best
+
+
+def _window_sizes(monkeypatch):
+    """The k of every theta_trajectory call that find_lowest_resonance makes."""
+    sizes = []
+    sweep = resonance.theta_trajectory
+
+    def spy(poly, basis, thetas, k):
+        sizes.append(k)
+        return sweep(poly, basis, thetas, k)
+
+    monkeypatch.setattr(resonance, "theta_trajectory", spy)
+    return sizes
+
 
 def test_unperturbed_spectrum_at_zero_angle():
+    # at 4 x 4 the window is the whole spectrum
     scan = theta_trajectory(case_preset(3, 0).potential, BasisSpec(4, 4), [0.0])
-    got = np.sort(scan.spectra[0].real)
+    got = np.sort(scan.trajectories[:, 0].real)
     expected = np.sort([2.0 * (nx + ny) + 2.0 for nx in range(4) for ny in range(4)])
     assert np.abs(got - expected).max() < 1e-12
-    assert np.abs(scan.spectra[0].imag).max() < 1e-12
+    assert np.abs(scan.trajectories[:, 0].imag).max() < 1e-12
+    # at 10 x 10 it is the 12 levels nearest 2: 2, 4 (twice), 6 (3 times), 8 (4 times), 10 (twice)
+    scan = theta_trajectory(case_preset(3, 0).potential, BasisSpec(10, 10), [0.0])
+    got = np.sort(scan.trajectories[:, 0].real)
+    assert np.abs(got - [2, 4, 4, 6, 6, 6, 8, 8, 8, 8, 10, 10]).max() < 1e-12
+    assert np.abs(scan.trajectories[:, 0].imag).max() < 1e-12
 
 
 def test_bound_state_trajectory_is_theta_flat():
@@ -38,6 +87,7 @@ def test_bound_state_trajectory_is_theta_flat():
         BasisSpec(16, 16, omega=2.0),
         np.linspace(0.01, 0.05, 5) * math.pi,
     )
+    assert scan.trajectories.shape == (resonance._WINDOW, 5)
     lowest = scan.trajectories[np.argmin(scan.trajectories[:, 0].real)]
     assert np.abs(lowest.imag).max() < 1e-6
     assert np.ptp(lowest.real) < 1e-4
@@ -45,32 +95,120 @@ def test_bound_state_trajectory_is_theta_flat():
 
 def test_rotated_spectrum_matches_hermitian_at_small_angle():
     from anharm2d.eig import eig_selfadjoint
-    from anharm2d.oscbasis import build_hamiltonian
 
     # Rotation leaves bound states fixed only in a complete basis; the gap is
     # truncation error, 3.7e-6 at n = 16 and 3.4e-9 at n = 24 for this case.
     poly = case_preset(2, 1).potential
     herm = eig_selfadjoint(build_hamiltonian(poly, BasisSpec(24, 24, omega=2.0))).eigenvalues
     scan = theta_trajectory(poly, BasisSpec(24, 24, omega=2.0), [0.005 * math.pi])
-    rotated = scan.spectra[0]
+    rotated = scan.trajectories[:, 0]
     for e in herm[:8]:
         assert np.min(np.abs(rotated - e)) < 1e-6
 
 
 def test_trajectory_linking_shapes_and_flags():
-    scan = theta_trajectory(
-        case_preset(3, "0.1").potential,
-        BasisSpec(6, 6),
-        np.linspace(0.03, 0.08, 4) * math.pi,
-    )
-    assert scan.trajectories.shape == (36, 4)
-    assert scan.ambiguous.shape == (36, 4)
-    assert len(scan.spectra) == 4
-    # each column of the trajectory matrix is a permutation of the spectrum
-    for k in range(4):
-        assert np.abs(
-            np.sort_complex(scan.trajectories[:, k]) - np.sort_complex(scan.spectra[k])
-        ).max() < 1e-14
+    poly = case_preset(3, "0.1").potential
+    thetas = np.linspace(0.03, 0.08, 4) * math.pi
+    # 6 x 6 solves the whole spectrum, 10 x 10 the window of 12
+    for n, rows in ((6, 36), (10, 12)):
+        scan = theta_trajectory(poly, BasisSpec(n, n), thetas)
+        assert scan.trajectories.shape == (rows, 4)
+        assert scan.ambiguous.shape == (rows, 4)
+        # each column of the trajectory matrix is a permutation of that angle's window
+        factors = theta_factors(poly, BasisSpec(n, n))
+        for k, theta in enumerate(thetas):
+            window = eig_nearest(_rotated(factors, theta), resonance._WINDOW, resonance._SIGMA)
+            assert np.abs(
+                np.sort_complex(scan.trajectories[:, k]) - np.sort_complex(window)
+            ).max() < 1e-14
+
+
+def test_factored_operator_is_build_hamiltonian():
+    poly = case_preset(3, "0.1").potential
+    for nx, ny in ((5, 7), (6, 6)):
+        for theta in (0.0, 0.2):
+            dense = build_hamiltonian(poly, BasisSpec(nx, ny, theta=theta)).entries
+            sparse = _rotated(theta_factors(poly, BasisSpec(nx, ny)), theta).toarray()
+            assert np.abs(sparse - dense).max() <= 1e-14 * np.abs(dense).max()
+
+
+def test_sweeps_repeat_bit_for_bit():
+    poly = case_preset(3, None).potential
+    thetas = np.linspace(0.03, 0.10, 5) * math.pi
+    first = theta_trajectory(poly, BasisSpec(12, 12), thetas)
+    # an unrelated solve in between moves ARPACK's internal random stream
+    eig_nearest(_rotated(theta_factors(poly, BasisSpec(9, 9)), 0.1), 3, 1.0)
+    second = theta_trajectory(poly, BasisSpec(12, 12), thetas)
+    assert first.trajectories.shape == (resonance._WINDOW, 5)
+    for a, b in ((first.trajectories, second.trajectories), (first.ambiguous, second.ambiguous)):
+        assert a.tobytes() == b.tobytes()
+
+
+# The Table 1 couplings and three more at n = 12; at n = 16, lambda = 1/100
+# picks Re E ~ 10.4, outside the first window, so the window must grow; at
+# 4 x 4 the window is the whole spectrum.
+@pytest.mark.parametrize(
+    "lam, n, grows",
+    [(lam, 12, False) for lam in ("1/10", "12/100", "13/100", "14/100", "1/5", "1/2", "1/100")]
+    + [("1/100", 16, True)]
+    + [(lam, 4, False) for lam in ("12/100", "13/100", "1/100")],
+)
+def test_window_sweep_equals_the_dense_sweep(monkeypatch, lam, n, grows):
+    poly, basis = case_preset(3, lam).potential, BasisSpec(n, n)
+    want_energy, want_theta = _dense_resonance(poly, basis)
+    sizes = _window_sizes(monkeypatch)
+    res = find_lowest_resonance(poly, basis)
+    assert (res.energy, res.theta_star) == (want_energy, want_theta)
+    assert (len(sizes) > 1) == grows
+
+
+FAR, NEAR = 2.1 - 0.01j, 3.0 - 0.01j  # stable decaying levels; FAR has the lesser Re E
+
+
+@pytest.mark.parametrize(
+    "stable_rows, want_sizes, want_energy",
+    [
+        (lambda k: [FAR], [12, 24, 48], FAR),  # always the farthest: grows to all 36
+        (lambda k: [FAR] if k == 12 else [FAR, NEAR], [12, 24], FAR),
+        (lambda k: [], [12, 24, 48], None),  # no pick even in the whole spectrum
+    ],
+)
+def test_window_rule(monkeypatch, stable_rows, want_sizes, want_energy):
+    """k doubles while there is no pick or the pick is the window's farthest
+    eigenvalue from the shift at theta*, and stops at the whole spectrum."""
+    unstable = np.array([7.0, 2.0, -3.0])  # score 50; at theta* it sits on the shift
+    sizes = []
+
+    def sweep(poly, basis, thetas, k):
+        sizes.append(k)
+        rows = [np.full(3, e) for e in stable_rows(k)]
+        rows += [unstable] * (min(k, basis.dim) - len(rows))
+        return resonance.ThetaScan(thetas, np.array(rows, dtype=complex), np.zeros((len(rows), 3), bool))
+
+    monkeypatch.setattr(resonance, "theta_trajectory", sweep)
+    best = resonance._settled_pick(None, BasisSpec(6, 6), np.array([0.1, 0.2, 0.3]))
+    assert sizes == want_sizes
+    assert (best and best[2]) == want_energy
+
+
+def test_window_sweep_at_a_noise_flat_coupling():
+    """At lambda = 1/20 the resonance trajectory is flat to rounding (a best
+    score of about 4e-11 at n = 20 and 1e-11 at n = 30), so noise sets the
+    angle of the best score: at n = 30 the window picks theta* = 0.2199 and
+    the dense sweep 0.2042. The energy still agrees to rounding, so only it
+    is compared."""
+    poly, basis = case_preset(3, "1/20").potential, BasisSpec(20, 20)
+    want_energy, _ = _dense_resonance(poly, basis)
+    res = find_lowest_resonance(poly, basis)
+    assert abs(res.energy - want_energy) <= 1e-12 * abs(want_energy)
+
+
+def test_shift_invert_drift_equals_the_dense_drift():
+    poly, basis = case_preset(3, None).potential, BasisSpec(12, 12)
+    res = find_lowest_resonance(poly, basis)
+    bigger = BasisSpec(17, 17, theta=res.theta_star)
+    dense = float(np.min(np.abs(eig_complex(build_hamiltonian(poly, bigger)).eigenvalues - res.energy)))
+    assert abs(resonance._drift(poly, basis, res.theta_star, res.energy) - dense) <= 1e-12
 
 
 def test_theta_validation():
@@ -202,47 +340,11 @@ def test_link_is_the_greedy_matching_on_tied_spectra(spectra):
 
 
 def test_link_is_the_greedy_matching_on_a_case3_sweep():
-    scan = theta_trajectory(
+    spectra = _dense_spectra(
         case_preset(3, None).potential, BasisSpec(12, 12), np.linspace(0.03, 0.10, 6) * math.pi
     )
-    _assert_same_links(scan.spectra)
-    assert scan.ambiguous.any()
-
-
-@pytest.mark.parametrize("points", [1, 2, 5, 6])
-def test_concurrent_sweep_equals_serial_sweep(points):
-    poly = case_preset(3, None).potential
-    thetas = np.linspace(0.03, 0.10, points) * math.pi
-    scan = theta_trajectory(poly, BasisSpec(10, 10), thetas)
-    assert len(scan.spectra) == points
-    for theta, got in zip(thetas, scan.spectra):
-        matrix = build_hamiltonian(poly, BasisSpec(10, 10, theta=float(theta)))
-        want = np.sort_complex(eig_complex(matrix).eigenvalues)
-        assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
-
-
-@pytest.mark.parametrize("failing_index, on_helper", [(1, True), (2, False)])
-def test_eigensolver_failure_propagates_from_either_thread(monkeypatch, failing_index, on_helper):
-    thetas = np.linspace(0.03, 0.10, 4) * math.pi
-    theta_of = {}
-    failed_on = []
-
-    def tagged_build(poly, basis):
-        matrix = build_hamiltonian(poly, basis)
-        theta_of[id(matrix)] = basis.theta
-        return matrix
-
-    def failing_eig(matrix):
-        if theta_of[id(matrix)] == thetas[failing_index]:
-            failed_on.append(threading.current_thread() is not threading.main_thread())
-            raise ConvergenceFailure("injected")
-        return eig_complex(matrix)
-
-    monkeypatch.setattr(resonance, "build_hamiltonian", tagged_build)
-    monkeypatch.setattr(resonance, "eig_complex", failing_eig)
-    with pytest.raises(ConvergenceFailure, match="injected"):
-        theta_trajectory(case_preset(3, None).potential, BasisSpec(6, 6), thetas)
-    assert failed_on == [on_helper]
+    _assert_same_links(spectra)
+    assert _link(spectra)[1].any()
 
 
 def test_case3_exits_3_on_eigensolver_failure(monkeypatch):
@@ -253,5 +355,25 @@ def test_case3_exits_3_on_eigensolver_failure(monkeypatch):
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         rc = cli.main(["case", "3", "--nmax", "6", "--theta-steps", "4"])
+    assert rc == 3
+    assert json.loads(err.getvalue())["error"] == "ConvergenceFailure"
+
+
+@pytest.mark.parametrize(
+    "failure",
+    [
+        lambda: sparse_linalg.ArpackNoConvergence("injected", np.empty(0), np.empty((0, 0))),
+        lambda: sparse_linalg.ArpackError(-9999),
+    ],
+    ids=["no_convergence", "arpack_error"],
+)
+def test_case3_exits_3_on_arpack_failure(monkeypatch, failure):
+    def failing_eigs(*args, **kwargs):
+        raise failure()
+
+    monkeypatch.setattr(sparse_linalg, "eigs", failing_eigs)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main(["case", "3", "--nmax", "12", "--theta-steps", "4"])
     assert rc == 3
     assert json.loads(err.getvalue())["error"] == "ConvergenceFailure"
