@@ -371,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rpm = common(sub.add_parser("rpm", help="high-precision 1D quartic eigenvalue"))
     p_rpm.add_argument("--g", required=True, help="coefficient of x^4 in p^2 + x^2 + g x^4")
     p_rpm.add_argument("--state", choices=("even", "odd"), default="even")
-    p_rpm.add_argument("--seed", type=float, default=None, help="Newton seed (default: variational)")
+    p_rpm.add_argument("--seed", type=float, default=None, help="secant root tracker start (default: variational)")
     p_rpm.add_argument("--displacement", type=int, default=0)
 
     for p in (p_case, p_tr, p_sym, p_sp, p_res):

@@ -1,14 +1,15 @@
 """Hamiltonian matrices in products of 1D harmonic-oscillator states.
 
-build_hamiltonian and parity_blocks assemble dense matrices; theta_factors
-gives the sparse theta-factored form that the resonance sweep rotates.
+build_hamiltonian and parity_blocks assemble the Hermitian matrices densely;
+theta_factors and rotated form the complex-scaled ones.
 
 Basis convention: eigenfunctions of h0 = p^2 + omega^2 x^2 (energies
 omega*(2n+1)), so at omega = 1 the unperturbed 2D levels are 2(nx+ny)+2.
 Complex scaling x -> x e^{i theta} enters as analytic continuation of the
 matrix elements: the kinetic block picks up e^{-2i theta} and a potential
-term of total degree k picks up e^{i k theta}. At theta = 0 every phase is
-1, and the Hermitian matrix is built and stored as real float64.
+term of total degree k picks up e^{i k theta}. rotated applies these phases
+to the sparse parts of theta_factors, and nothing else does. At theta = 0 the
+matrix is built dense as real float64, bit for bit rotated's real part.
 
 Parity sectors: x^i y^j only couples states whose (nx mod 2, ny mod 2)
 differ by (i mod 2, j mod 2), and the kinetic term keeps both parities.
@@ -132,25 +133,16 @@ def _position_powers(n_max: int, omega: float, max_power: int) -> list[np.ndarra
     return powers
 
 
-def _assemble(kin: np.ndarray, terms, theta: float) -> OperatorMatrix:
-    """e^{-2i theta} kin + sum coeff e^{i degree theta} matrix over (coeff, degree, matrix).
+def _assemble(kin: np.ndarray, terms) -> OperatorMatrix:
+    """kin + sum coeff matrix over (coeff, matrix), accumulated in `kin` itself.
 
-    At theta = 0 every phase is the float 1.0, so the sum stays real and is
-    accumulated in `kin` itself, which 1.0 * kin would equal bit for bit.
     Terms are added in place, _ROW_BLOCK rows at a time, with the same
     elementwise products and sums as adding whole matrices.
     """
-    hermitian = theta == 0.0
-
-    def phase(degree: int):
-        return 1.0 if hermitian else np.exp(1j * degree * theta)
-
-    ham = kin if hermitian else phase(-2) * kin
-    for coeff, degree, mat in terms:
-        scale = coeff * phase(degree)
-        for lo in range(0, ham.shape[0], _ROW_BLOCK):
-            ham[lo : lo + _ROW_BLOCK] += scale * mat[lo : lo + _ROW_BLOCK]
-    return OperatorMatrix(ham)
+    for coeff, mat in terms:
+        for lo in range(0, kin.shape[0], _ROW_BLOCK):
+            kin[lo : lo + _ROW_BLOCK] += coeff * mat[lo : lo + _ROW_BLOCK]
+    return OperatorMatrix(kin)
 
 
 def _kron_pieces(a: np.ndarray, b: np.ndarray, pieces) -> np.ndarray:
@@ -184,45 +176,53 @@ def _xy_powers(poly: PolynomialPotential, basis: BasisSpec) -> tuple[list, list]
 
 
 def _build_pieces(poly: PolynomialPotential, basis: BasisSpec, pieces) -> OperatorMatrix:
-    """The Hamiltonian of build_hamiltonian restricted to the product pieces."""
+    """The Hermitian Hamiltonian (theta = 0) restricted to the product pieces."""
     xpow, ypow = _xy_powers(poly, basis)
     nx, ny, omega = basis.n_max_x, basis.n_max_y, basis.omega
     kin = _kron_pieces(kinetic_matrix_1d(nx, omega), np.eye(ny), pieces) + _kron_pieces(
         np.eye(nx), kinetic_matrix_1d(ny, omega), pieces
     )
     terms = (
-        (coeff, i + j, _kron_pieces(xpow[i], ypow[j], pieces))
+        (coeff, _kron_pieces(xpow[i], ypow[j], pieces))
         for (i, j), coeff in poly.float_terms().items()
     )
-    return _assemble(kin, terms, basis.theta)
+    return _assemble(kin, terms)
 
 
 def build_hamiltonian(poly: PolynomialPotential, basis: BasisSpec) -> OperatorMatrix:
-    """Matrix of e^{-2i theta}(px^2+py^2) + sum c_ij e^{i(i+j)theta} X^i Y^j."""
-    return _build_pieces(poly, basis, [(np.arange(basis.n_max_x), np.arange(basis.n_max_y))])
+    """Matrix of e^{-2i theta}(px^2+py^2) + sum c_ij e^{i(i+j)theta} X^i Y^j, real at theta = 0."""
+    if basis.theta == 0.0:
+        return _build_pieces(poly, basis, [(np.arange(basis.n_max_x), np.arange(basis.n_max_y))])
+    return OperatorMatrix(rotated(theta_factors(poly, basis), basis.theta).toarray(order="C"))
 
 
-def theta_factors(poly: PolynomialPotential, basis: BasisSpec) -> list:
-    """Sparse factors (d, F_d) of the rotated operator, H(theta) = sum_d e^{i d theta} F_d.
+def theta_factors(poly: PolynomialPotential, basis: BasisSpec) -> tuple:
+    """(K, [(coeff, i + j, X^i Y^j), ...]): kinetic matrix and per-term products, unscaled.
 
-    F_-2 is the kinetic term and F_d, d >= 0, sums the potential terms of
-    total degree d; the list ascends in d and each F_d is a CSC matrix in
-    build_hamiltonian's x-major order. basis.theta is not read. The sums are
-    grouped by degree, so H(theta) matches build_hamiltonian to rounding,
-    not bit for bit. scipy is imported here, not when the module loads.
+    The terms come in poly.float_terms() order, as build_hamiltonian adds
+    them; each matrix is CSC in its x-major order. basis.theta is not read.
+    scipy is imported here, not when the module loads.
     """
     from scipy import sparse
 
     xpow, ypow = _xy_powers(poly, basis)
     nx, ny, omega = basis.n_max_x, basis.n_max_y, basis.omega
-    factors = {
-        -2: sparse.kron(kinetic_matrix_1d(nx, omega), sparse.identity(ny))
-        + sparse.kron(sparse.identity(nx), kinetic_matrix_1d(ny, omega))
-    }
-    for (i, j), coeff in poly.float_terms().items():
-        term = coeff * sparse.kron(sparse.csr_matrix(xpow[i]), sparse.csr_matrix(ypow[j]))
-        factors[i + j] = factors[i + j] + term if i + j in factors else term
-    return [(d, sparse.csc_matrix(factors[d])) for d in sorted(factors)]
+    kin = sparse.kron(kinetic_matrix_1d(nx, omega), sparse.identity(ny)) + sparse.kron(
+        sparse.identity(nx), kinetic_matrix_1d(ny, omega)
+    )
+    return kin.tocsc(), [
+        (coeff, i + j, sparse.kron(sparse.csr_matrix(xpow[i]), sparse.csr_matrix(ypow[j]), format="csc"))
+        for (i, j), coeff in poly.float_terms().items()
+    ]
+
+
+def rotated(factors, theta: float):
+    """e^{-2i theta} K + sum coeff e^{i(i+j)theta} X^i Y^j over theta_factors, term by term, as CSC."""
+    kin, terms = factors
+    ham = np.exp(1j * -2 * theta) * kin
+    for coeff, degree, mat in terms:
+        ham = ham + (coeff * np.exp(1j * degree * theta)) * mat
+    return ham.tocsc()
 
 
 _SECTORS = ((0, 0), (0, 1), (1, 0), (1, 1))  # (nx mod 2, ny mod 2)
@@ -252,8 +252,10 @@ def parity_blocks(poly: PolynomialPotential, basis: BasisSpec) -> list[OperatorM
     A block's rows are its sectors' states in sector order (ee, eo, oe, oo),
     each sector x-major, and its matrix is the full matrix at those rows and
     columns, bit for bit. Sectors without states are skipped, and so is a
-    block without any.
+    block without any. Only the Hermitian matrix (basis.theta = 0) is split.
     """
+    if basis.theta != 0.0:
+        raise ValueError("parity_blocks needs basis.theta = 0")
     nx, ny = basis.n_max_x, basis.n_max_y
     blocks = []
     for sectors in _sector_blocks(poly.terms):
@@ -273,8 +275,7 @@ def build_hamiltonian_1d(coeffs: dict[int, float], n_max: int, omega: float) -> 
     if any(k > _PAD or k < 0 for k in coeffs):
         raise DegreeTooHigh(f"power beyond the pad-{_PAD} truncation policy")
     xpow = _position_powers(n_max, omega, _PAD)
-    terms = ((c, k, xpow[k]) for k, c in coeffs.items())
-    return _assemble(kinetic_matrix_1d(n_max, omega), terms, 0.0)
+    return _assemble(kinetic_matrix_1d(n_max, omega), ((c, xpow[k]) for k, c in coeffs.items()))
 
 
 def optimal_omega(g: float) -> float:

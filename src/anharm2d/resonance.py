@@ -1,10 +1,10 @@
 """Resonances of unbounded oscillators via the complex-rotation angle sweep.
 
 Each rotation angle theta gives a non-Hermitian matrix whose spectrum rotates
-with theta except near resonances, where one eigenvalue stalls. The matrix is
-taken in its theta-factored sparse form, H(theta) = sum_d e^{i d theta} F_d
-(oscbasis.theta_factors), and at each angle only a window of eigenvalues is
-solved: the k nearest the shift `_SIGMA`, by shift-invert Arnoldi
+with theta except near resonances, where one eigenvalue stalls. The sparse
+parts of the matrix are assembled once per basis (oscbasis.theta_factors) and
+rotated to each angle (oscbasis.rotated), where only a window of eigenvalues
+is solved: the k nearest the shift `_SIGMA`, by shift-invert Arnoldi
 (eig.eig_nearest). Window eigenvalues are linked across neighbouring angles by
 greedy nearest-neighbour matching, and the resonance is the theta-stationary
 point of the stalled trajectory. The greedy matching is computed as rounds of
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .eig import apriori_bound, eig_complex, eig_nearest
-from .oscbasis import BasisSpec, build_hamiltonian, theta_factors
+from .oscbasis import BasisSpec, OperatorMatrix, rotated, theta_factors
 from .poly2d import PolynomialPotential
 
 
@@ -64,31 +64,19 @@ class Resonance:
             raise ValueError("resonance must lie in the lower half plane")
 
 
-def _rotated(factors, theta: float):
-    """H(theta) = sum_d e^{i d theta} F_d over the (d, F_d) of theta_factors, in CSC form."""
-    ham = None
-    for degree, factor in factors:
-        term = np.exp(1j * degree * theta) * factor
-        ham = term if ham is None else ham + term
-    return ham.tocsc()
-
-
-def theta_trajectory(
-    poly: PolynomialPotential, basis: BasisSpec, thetas, k: int = _WINDOW
-) -> ThetaScan:
+def theta_trajectory(factors, thetas, k: int = _WINDOW) -> ThetaScan:
     """The k eigenvalues nearest `_SIGMA` at each theta, linked into trajectories.
 
-    The sparse factors are assembled once, and each angle's window comes from
-    eig.eig_nearest, which returns the whole spectrum once k is a large share
-    of basis.dim. basis.theta is not read.
+    `factors` is the operator of oscbasis.theta_factors, rotated to each
+    angle. Each angle's window comes from eig.eig_nearest, which returns the
+    whole spectrum once k is a large share of the dimension.
     """
     thetas = np.asarray(list(thetas), dtype=float)
     if thetas.size == 0 or np.any(np.diff(thetas) <= 0):
         raise ValueError("thetas must be nonempty and strictly ascending")
     if np.any(thetas >= math.pi / 4) or np.any(thetas < 0):
         raise ValueError("thetas must lie in [0, pi/4)")
-    factors = theta_factors(poly, basis)
-    windows = [np.sort_complex(eig_nearest(_rotated(factors, theta), k, _SIGMA)) for theta in thetas]
+    windows = [np.sort_complex(eig_nearest(rotated(factors, theta), k, _SIGMA)) for theta in thetas]
     trajectories, ambiguous = _link(windows)
     return ThetaScan(thetas=thetas, trajectories=trajectories, ambiguous=ambiguous)
 
@@ -152,22 +140,24 @@ def _pick(scan: ThetaScan, noise: float):
 def _drift(poly: PolynomialPotential, basis: BasisSpec, theta: float, energy: complex) -> float:
     """|E' - energy| for the eigenvalue E' nearest energy at theta, with 5 more states per mode."""
     bigger = BasisSpec(basis.n_max_x + 5, basis.n_max_y + 5, basis.omega)
-    nearest = eig_nearest(_rotated(theta_factors(poly, bigger), theta), 1, energy)
+    nearest = eig_nearest(rotated(theta_factors(poly, bigger), theta), 1, energy)
     return float(np.min(np.abs(nearest - energy)))
 
 
-def _settled_pick(poly: PolynomialPotential, basis: BasisSpec, thetas):
+def _settled_pick(factors, thetas):
     """_pick of the first window that settles it, doubling k from `_WINDOW`.
 
-    A window settles the pick when the pick is not its farthest eigenvalue
-    from `_SIGMA` at theta*, or when it is the whole spectrum.
+    Every window rotates the same factors. A window settles the pick when the
+    pick is not its farthest eigenvalue from `_SIGMA` at theta*, or when it
+    is the whole spectrum.
     """
-    noise = apriori_bound(basis.dim)
+    dim = factors[0].shape[0]
+    noise = apriori_bound(dim)
     k = _WINDOW
     while True:
-        scan = theta_trajectory(poly, basis, thetas, k)
+        scan = theta_trajectory(factors, thetas, k)
         best = _pick(scan, noise)
-        if scan.trajectories.shape[0] == basis.dim:
+        if scan.trajectories.shape[0] == dim:
             return best
         if best is not None and np.argmax(np.abs(scan.trajectories[:, best[1]] - _SIGMA)) != best[0]:
             return best
@@ -192,10 +182,12 @@ def find_lowest_resonance(
     Window rule: the sweep starts from the `_WINDOW` eigenvalues nearest
     `_SIGMA` at each angle and doubles that count k while there is no pick, or
     while the pick is the window's farthest eigenvalue from `_SIGMA` at
-    theta*, until the window is the whole spectrum. The reported energy is the eigenvalue nearest the pick
-    of one dense eig_complex solve of build_hamiltonian at theta*, the value
-    the full dense sweep reports. Convergence is always checked: the resonance
-    is converged when the n+5 basis at theta* has an eigenvalue within
+    theta*, until the window is the whole spectrum. The theta_factors of the
+    basis are assembled once and serve every window and the solve at theta*:
+    the reported energy is the eigenvalue nearest the pick of one dense
+    eig_complex solve of those factors rotated to theta*, the value the full
+    dense sweep reports. Convergence is always checked: the resonance is
+    converged when the n+5 basis at theta* has an eigenvalue within
     `_DRIFT_TOL` = 1e-4 of it.
     """
     lo, hi = theta_window
@@ -204,7 +196,8 @@ def find_lowest_resonance(
     if n_points < 3:
         raise ValueError("need at least 3 sweep points for a centred difference")
     thetas = np.linspace(lo, hi, n_points)
-    best = _settled_pick(poly, basis, thetas)
+    factors = theta_factors(poly, basis)
+    best = _settled_pick(factors, thetas)
     if best is None:
         raise NoStationaryPoint(
             "no theta-stationary decaying trajectory in the window; "
@@ -213,8 +206,7 @@ def find_lowest_resonance(
     _, k, window_energy, stability = best
     theta_star = float(thetas[k])
 
-    at_star = BasisSpec(basis.n_max_x, basis.n_max_y, basis.omega, theta_star)
-    dense = eig_complex(build_hamiltonian(poly, at_star)).eigenvalues
+    dense = eig_complex(OperatorMatrix(rotated(factors, theta_star).toarray(order="C"))).eigenvalues
     energy = complex(dense[np.argmin(np.abs(dense - window_energy))])
     converged = stability < _STABILITY_TOL and _drift(poly, basis, theta_star, energy) < _DRIFT_TOL
 

@@ -341,9 +341,16 @@ def test_rpm_with_seed_skips_the_variational_solve(monkeypatch, argv, rc):
 
 
 def test_cli_import_does_not_load_concurrent_futures():
-    # nor scipy, which the resonance sweep imports on first use (about 0.3 s and
-    # 30 MB), so commands without a sweep never pay for it
-    code = "import sys, anharm2d.cli; print(sorted({'scipy', 'concurrent.futures'} & set(sys.modules)))"
+    # nor scipy, which complex scaling imports on first use (about 0.3 s and
+    # 30 MB), so commands without it never pay for it: neither the import nor
+    # a Hermitian spectrum loads it
+    code = (
+        "import contextlib, io, sys, anharm2d.cli as cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['spectrum', '--case', '1', '--nmax', '4']) == 0\n"
+        "    assert cli.main(['case', '5', '--nmax', '4']) == 0\n"
+        "print(sorted({'scipy', 'concurrent.futures'} & set(sys.modules)))"
+    )
     proc = run_python("-c", code)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "[]"

@@ -219,12 +219,11 @@ _MONOMIALS = [(i, j) for i in range(5) for j in range(5 - i)]
     ),
     nx=st.integers(1, 8),
     ny=st.integers(1, 8),
-    theta=st.sampled_from([0.0, 0.1]),
     omega=st.sampled_from([1.0, 1.7]),
 )
-def test_parity_blocks_are_exact_submatrices(terms, nx, ny, theta, omega):
+def test_parity_blocks_are_exact_submatrices(terms, nx, ny, omega):
     poly = PolynomialPotential({(2, 0): 1, (0, 2): 1, **terms})
-    basis = BasisSpec(nx, ny, omega=omega, theta=theta)
+    basis = BasisSpec(nx, ny, omega=omega)
     full = build_hamiltonian(poly, basis).entries
     blocks = parity_blocks(poly, basis)
     expected = _expected_blocks(poly, nx, ny)
@@ -233,14 +232,17 @@ def test_parity_blocks_are_exact_submatrices(terms, nx, ny, theta, omega):
     label = np.empty(nx * ny, dtype=int)
     for k, (rows, mat) in enumerate(zip(expected, blocks)):
         label[rows] = k
-        assert mat.entries.dtype == (np.float64 if theta == 0.0 else np.complex128)
-        assert mat.entries.dtype == full.dtype
+        assert mat.entries.dtype == full.dtype == np.float64
         assert np.array_equal(mat.entries, full[np.ix_(rows, rows)])
     assert np.all(full[label[:, None] != label[None, :]] == 0.0)
-    if theta == 0.0:
-        want = np.linalg.eigvalsh(full)
-        got = np.sort(np.concatenate([np.linalg.eigvalsh(mat.entries) for mat in blocks]))
-        assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1.0)
+    want = np.linalg.eigvalsh(full)
+    got = np.sort(np.concatenate([np.linalg.eigvalsh(mat.entries) for mat in blocks]))
+    assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1.0)
+
+
+def test_parity_blocks_reject_a_rotated_basis():
+    with pytest.raises(ValueError):
+        parity_blocks(case_preset(3).potential, BasisSpec(6, 6, theta=0.1))
 
 
 @pytest.mark.parametrize(

@@ -13,12 +13,11 @@ from scipy.sparse import linalg as sparse_linalg
 from anharm2d import cli, resonance
 from anharm2d.cases import case_preset
 from anharm2d.eig import ConvergenceFailure, apriori_bound, eig_complex, eig_nearest
-from anharm2d.oscbasis import BasisSpec, build_hamiltonian, theta_factors
+from anharm2d.oscbasis import BasisSpec, build_hamiltonian, rotated, theta_factors
 from anharm2d.resonance import (
     NoStationaryPoint,
     Resonance,
     _link,
-    _rotated,
     find_lowest_resonance,
     theta_trajectory,
 )
@@ -53,28 +52,34 @@ def _dense_resonance(poly, basis, thetas=DEFAULT_THETAS):
     return best
 
 
-def _window_sizes(monkeypatch):
-    """The k of every theta_trajectory call that find_lowest_resonance makes."""
-    sizes = []
-    sweep = resonance.theta_trajectory
+def _sweep_spies(monkeypatch):
+    """The k of every theta_trajectory call that find_lowest_resonance makes,
+    and the (n_max_x, n_max_y) of every basis it assembles theta_factors for."""
+    sizes, bases = [], []
+    sweep, assemble = resonance.theta_trajectory, resonance.theta_factors
 
-    def spy(poly, basis, thetas, k):
+    def spy(factors, thetas, k):
         sizes.append(k)
-        return sweep(poly, basis, thetas, k)
+        return sweep(factors, thetas, k)
+
+    def assembly_spy(poly, basis):
+        bases.append((basis.n_max_x, basis.n_max_y))
+        return assemble(poly, basis)
 
     monkeypatch.setattr(resonance, "theta_trajectory", spy)
-    return sizes
+    monkeypatch.setattr(resonance, "theta_factors", assembly_spy)
+    return sizes, bases
 
 
 def test_unperturbed_spectrum_at_zero_angle():
     # at 4 x 4 the window is the whole spectrum
-    scan = theta_trajectory(case_preset(3, 0).potential, BasisSpec(4, 4), [0.0])
+    scan = theta_trajectory(theta_factors(case_preset(3, 0).potential, BasisSpec(4, 4)), [0.0])
     got = np.sort(scan.trajectories[:, 0].real)
     expected = np.sort([2.0 * (nx + ny) + 2.0 for nx in range(4) for ny in range(4)])
     assert np.abs(got - expected).max() < 1e-12
     assert np.abs(scan.trajectories[:, 0].imag).max() < 1e-12
     # at 10 x 10 it is the 12 levels nearest 2: 2, 4 (twice), 6 (3 times), 8 (4 times), 10 (twice)
-    scan = theta_trajectory(case_preset(3, 0).potential, BasisSpec(10, 10), [0.0])
+    scan = theta_trajectory(theta_factors(case_preset(3, 0).potential, BasisSpec(10, 10)), [0.0])
     got = np.sort(scan.trajectories[:, 0].real)
     assert np.abs(got - [2, 4, 4, 6, 6, 6, 8, 8, 8, 8, 10, 10]).max() < 1e-12
     assert np.abs(scan.trajectories[:, 0].imag).max() < 1e-12
@@ -83,8 +88,7 @@ def test_unperturbed_spectrum_at_zero_angle():
 def test_bound_state_trajectory_is_theta_flat():
     """Case 2 is bounded: its lowest trajectory must not rotate."""
     scan = theta_trajectory(
-        case_preset(2, 1).potential,
-        BasisSpec(16, 16, omega=2.0),
+        theta_factors(case_preset(2, 1).potential, BasisSpec(16, 16, omega=2.0)),
         np.linspace(0.01, 0.05, 5) * math.pi,
     )
     assert scan.trajectories.shape == (resonance._WINDOW, 5)
@@ -100,7 +104,7 @@ def test_rotated_spectrum_matches_hermitian_at_small_angle():
     # truncation error, 3.7e-6 at n = 16 and 3.4e-9 at n = 24 for this case.
     poly = case_preset(2, 1).potential
     herm = eig_selfadjoint(build_hamiltonian(poly, BasisSpec(24, 24, omega=2.0))).eigenvalues
-    scan = theta_trajectory(poly, BasisSpec(24, 24, omega=2.0), [0.005 * math.pi])
+    scan = theta_trajectory(theta_factors(poly, BasisSpec(24, 24, omega=2.0)), [0.005 * math.pi])
     rotated = scan.trajectories[:, 0]
     for e in herm[:8]:
         assert np.min(np.abs(rotated - e)) < 1e-6
@@ -111,34 +115,41 @@ def test_trajectory_linking_shapes_and_flags():
     thetas = np.linspace(0.03, 0.08, 4) * math.pi
     # 6 x 6 solves the whole spectrum, 10 x 10 the window of 12
     for n, rows in ((6, 36), (10, 12)):
-        scan = theta_trajectory(poly, BasisSpec(n, n), thetas)
+        factors = theta_factors(poly, BasisSpec(n, n))
+        scan = theta_trajectory(factors, thetas)
         assert scan.trajectories.shape == (rows, 4)
         assert scan.ambiguous.shape == (rows, 4)
         # each column of the trajectory matrix is a permutation of that angle's window
-        factors = theta_factors(poly, BasisSpec(n, n))
         for k, theta in enumerate(thetas):
-            window = eig_nearest(_rotated(factors, theta), resonance._WINDOW, resonance._SIGMA)
+            window = eig_nearest(rotated(factors, theta), resonance._WINDOW, resonance._SIGMA)
             assert np.abs(
                 np.sort_complex(scan.trajectories[:, k]) - np.sort_complex(window)
             ).max() < 1e-14
 
 
 def test_factored_operator_is_build_hamiltonian():
-    poly = case_preset(3, "0.1").potential
-    for nx, ny in ((5, 7), (6, 6)):
-        for theta in (0.0, 0.2):
-            dense = build_hamiltonian(poly, BasisSpec(nx, ny, theta=theta)).entries
-            sparse = _rotated(theta_factors(poly, BasisSpec(nx, ny)), theta).toarray()
-            assert np.abs(sparse - dense).max() <= 1e-14 * np.abs(dense).max()
+    """At theta = 0 the rotated sparse sum is the dense Hermitian build bit for
+    bit, with every imaginary part +0. At theta != 0 build_hamiltonian is that
+    sum densified; test_build_is_bitwise_the_explicit_sum checks it against
+    numpy's products."""
+    for case in range(1, 6):
+        for lam in (None, "1/2", "-3/7"):
+            poly = case_preset(case, lam).potential
+            for basis in (BasisSpec(20, 20), BasisSpec(7, 11, omega=1.7), BasisSpec(35, 35)):
+                dense = build_hamiltonian(poly, basis).entries
+                sparse = rotated(theta_factors(poly, basis), 0.0).toarray(order="C")
+                assert dense.dtype == np.float64
+                assert np.ascontiguousarray(sparse.real).tobytes() == dense.tobytes()
+                assert not np.any(sparse.imag) and not np.signbit(sparse.imag).any()
 
 
 def test_sweeps_repeat_bit_for_bit():
     poly = case_preset(3, None).potential
     thetas = np.linspace(0.03, 0.10, 5) * math.pi
-    first = theta_trajectory(poly, BasisSpec(12, 12), thetas)
+    first = theta_trajectory(theta_factors(poly, BasisSpec(12, 12)), thetas)
     # an unrelated solve in between moves ARPACK's internal random stream
-    eig_nearest(_rotated(theta_factors(poly, BasisSpec(9, 9)), 0.1), 3, 1.0)
-    second = theta_trajectory(poly, BasisSpec(12, 12), thetas)
+    eig_nearest(rotated(theta_factors(poly, BasisSpec(9, 9)), 0.1), 3, 1.0)
+    second = theta_trajectory(theta_factors(poly, BasisSpec(12, 12)), thetas)
     assert first.trajectories.shape == (resonance._WINDOW, 5)
     for a, b in ((first.trajectories, second.trajectories), (first.ambiguous, second.ambiguous)):
         assert a.tobytes() == b.tobytes()
@@ -146,7 +157,8 @@ def test_sweeps_repeat_bit_for_bit():
 
 # The Table 1 couplings and three more at n = 12; at n = 16, lambda = 1/100
 # picks Re E ~ 10.4, outside the first window, so the window must grow; at
-# 4 x 4 the window is the whole spectrum.
+# 4 x 4 the window is the whole spectrum. However often the window grows,
+# theta_factors runs once for the basis and once for the n+5 check.
 @pytest.mark.parametrize(
     "lam, n, grows",
     [(lam, 12, False) for lam in ("1/10", "12/100", "13/100", "14/100", "1/5", "1/2", "1/100")]
@@ -156,10 +168,11 @@ def test_sweeps_repeat_bit_for_bit():
 def test_window_sweep_equals_the_dense_sweep(monkeypatch, lam, n, grows):
     poly, basis = case_preset(3, lam).potential, BasisSpec(n, n)
     want_energy, want_theta = _dense_resonance(poly, basis)
-    sizes = _window_sizes(monkeypatch)
+    sizes, bases = _sweep_spies(monkeypatch)
     res = find_lowest_resonance(poly, basis)
     assert (res.energy, res.theta_star) == (want_energy, want_theta)
     assert (len(sizes) > 1) == grows
+    assert bases == [(n, n), (n + 5, n + 5)]
 
 
 FAR, NEAR = 2.1 - 0.01j, 3.0 - 0.01j  # stable decaying levels; FAR has the lesser Re E
@@ -179,14 +192,14 @@ def test_window_rule(monkeypatch, stable_rows, want_sizes, want_energy):
     unstable = np.array([7.0, 2.0, -3.0])  # score 50; at theta* it sits on the shift
     sizes = []
 
-    def sweep(poly, basis, thetas, k):
+    def sweep(factors, thetas, k):
         sizes.append(k)
         rows = [np.full(3, e) for e in stable_rows(k)]
-        rows += [unstable] * (min(k, basis.dim) - len(rows))
+        rows += [unstable] * (min(k, factors[0].shape[0]) - len(rows))
         return resonance.ThetaScan(thetas, np.array(rows, dtype=complex), np.zeros((len(rows), 3), bool))
 
     monkeypatch.setattr(resonance, "theta_trajectory", sweep)
-    best = resonance._settled_pick(None, BasisSpec(6, 6), np.array([0.1, 0.2, 0.3]))
+    best = resonance._settled_pick((np.eye(36), []), np.array([0.1, 0.2, 0.3]))
     assert sizes == want_sizes
     assert (best and best[2]) == want_energy
 
@@ -213,12 +226,13 @@ def test_shift_invert_drift_equals_the_dense_drift():
 
 def test_theta_validation():
     poly = case_preset(3, "0.1").potential
+    factors = theta_factors(poly, BasisSpec(4, 4))
     with pytest.raises(ValueError):
-        theta_trajectory(poly, BasisSpec(4, 4), [])
+        theta_trajectory(factors, [])
     with pytest.raises(ValueError):
-        theta_trajectory(poly, BasisSpec(4, 4), [0.2, 0.1])
+        theta_trajectory(factors, [0.2, 0.1])
     with pytest.raises(ValueError):
-        theta_trajectory(poly, BasisSpec(4, 4), [0.1, math.pi / 4])
+        theta_trajectory(factors, [0.1, math.pi / 4])
     with pytest.raises(ValueError):
         find_lowest_resonance(poly, BasisSpec(4, 4), theta_window=(0.0, 0.1))
     with pytest.raises(ValueError):
