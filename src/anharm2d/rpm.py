@@ -12,16 +12,24 @@ H_D^d(E) = det[f_{i+j+d+1}(E)], which stabilize rapidly as D grows; each root
 is found by a secant iteration in arbitrary precision, started from the roots
 of the smaller dimensions.
 
-The recursion and the determinants run on raw `mpmath.libmp` tuples at the
-working precision's rounding (`mp.mp._prec_rounding`). `hankel_det` computes
-H_D with the Chebyshev algorithm of orthogonal polynomials: one O(D^2) pass
-over the moments mu_l = f_{l+d+1} gives the ratios sigma_kk = H_{k+1}/H_k of
-consecutive leading minors, and H_D = prod_{k<D} sigma_kk. It does not pivot,
-so it is not bit-identical to `mp.det`. Where an exactly zero sigma_kk stops
-it, the block goes to `_lu_det`, mpmath's own scaled-partial-pivot LU
-(`mp.det`/`LU_decomp` of mpmath 1.3) operation for operation: that one is
-bit-identical to `mp.det(mp.matrix(...))`, including its `int 0` for a block
-with a pivot at or below the singularity threshold ||A||_1 * eps.
+The root trail evaluates H_D with `scaled_hankel_det`, one fused kernel on
+Python integers: the recursion runs in fixed point on the exactly rescaled
+series g_j = f_j 2^{t(j+1)}, with one t per `rpm_eigenvalue` call, and the
+Chebyshev algorithm of orthogonal polynomials runs on its moments with one
+binary exponent per row. One O(D^2) pass over the moments mu_l = f_{l+d+1}
+gives the ratios sigma_kk = H_{k+1}/H_k of consecutive leading minors, and
+H_D = prod_{k<D} sigma_kk.
+
+The same determinant on raw `mpmath.libmp` tuples, at the working precision's
+rounding (`mp.mp._prec_rounding`), is the public `riccati_coeffs` +
+`hankel_det`: the kernel's fallback where an exactly zero pivot stops its
+recursion, and the tests' oracle. `hankel_det` runs the same Chebyshev
+algorithm; it does not pivot, so it is not bit-identical to `mp.det`. Where
+an exactly zero sigma_kk stops it, the block goes to `_lu_det`, mpmath's own
+scaled-partial-pivot LU (`mp.det`/`LU_decomp` of mpmath 1.3) operation for
+operation: that one is bit-identical to `mp.det(mp.matrix(...))`, including
+its `int 0` for a block with a pivot at or below the singularity threshold
+||A||_1 * eps.
 """
 
 from __future__ import annotations
@@ -29,12 +37,14 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
 import mpmath as mp
 from mpmath.libmp import (
     MPZ_ONE,
     fzero,
     from_int,
+    from_man_exp,
     mpf_abs,
     mpf_add,
     mpf_div,
@@ -234,9 +244,98 @@ def _lu_det(series: RiccatiSeries, spec: HankelSpec):
     return mp.mp.make_mpf(det)
 
 
-def _det_at(v, s: int, energy, D: int, d: int):
-    series = riccati_coeffs(v, s, energy, 2 * D - 1 + d)
-    return hankel_det(series, HankelSpec(D=D, d=d))
+GUARD_BITS = 64  # fixed-point bits of `scaled_hankel_det` beyond the working precision
+
+
+def _fixed(value, shift: int) -> int:
+    """floor(value * 2^shift): exact for an int or a Fraction, from the mpf otherwise."""
+    if isinstance(value, (int, Fraction)):
+        num, den = value.numerator, value.denominator
+        return (num << shift) // den if shift >= 0 else num // (den << -shift)
+    sign, man, exp, _ = _to_mpf(value)._mpf_
+    exp += shift
+    man = -man if sign else man
+    return man << exp if exp >= 0 else man >> -exp
+
+
+def _scale_exponent(v, s: int, energy, m_max: int) -> int:
+    """The integer t for which g_j = f_j 2^{t(j+1)} neither grows nor decays
+    over j <= m_max: minus the least-squares slope of log2|f_j| against j,
+    read off a 60-bit series at `energy`. 0 when fewer than two f_j are nonzero."""
+    with mp.workprec(60):
+        coeffs = riccati_coeffs(v, s, energy, m_max).coeffs
+    points = [(j, c._mpf_[2] + c._mpf_[3]) for j, c in enumerate(coeffs) if c]
+    if len(points) < 2:
+        return 0
+    j_mean = sum(j for j, _ in points) / len(points)
+    y_mean = sum(y for _, y in points) / len(points)
+    slope = sum((j - j_mean) * (y - y_mean) for j, y in points) / sum((j - j_mean) ** 2 for j, _ in points)
+    return -round(slope)
+
+
+def scaled_hankel_det(v, s: int, energy, D: int, d: int, t: int):
+    """det[f_{i+j+d+1}(energy)], i, j = 0..D-1, on Python integers: the
+    determinant of the root trail, equal to `hankel_det` of `riccati_coeffs`
+    to the working precision.
+
+    The series is rescaled exactly to g_j = f_j 2^{t(j+1)}, which turns the
+    recursion into
+
+        (2m + 2s + 1) g_m = sum_{j<m} g_j g_{m-1-j} - v_m 2^{t(m+1)} + E 2^t [m = 0],
+
+    run in fixed point with P = prec + GUARD_BITS fractional bits: each
+    product is an exact int, each convolution (summed over j < m/2 and
+    doubled, by its j <-> m-1-j symmetry) is shifted once. With t from
+    `_scale_exponent`, the g_j stay near 1, so the fixed point loses no
+    digits to their range. The Chebyshev algorithm of `hankel_det` then runs
+    on the moments g_{l+d+1}, one binary exponent per row: alpha and beta are
+    P-bit fixed-point ratios, and each new row, computed exactly from them,
+    is shifted right until its pivot has P bits. The product of the pivots is
+    exact; the block's scaling is undone by the exact power
+    det[f] = 2^{-tD(d+2) - tD(D-1)} det[g], and the result is rounded once,
+    to the working precision. Where an exactly zero pivot stops the
+    recursion, the block goes to `hankel_det` on the libmp series (and from
+    there to `_lu_det`); the harmonic series, whose moments all vanish, gets
+    `int 0` that way.
+    """
+    prec, rnd = mp.mp._prec_rounding
+    P = prec + GUARD_BITS
+    drive = [_fixed(c, t * (m + 1) + P) for m, c in enumerate(v)]
+    drive[0] -= _fixed(energy, t + P)
+    g = []
+    for m in range(2 * D + d):
+        half = m // 2
+        total = sum(map(mul, g[:half], g[m - 1 : m - 1 - half : -1])) << 1
+        if m % 2:
+            total += g[half] * g[half]
+        total >>= P
+        if m < len(drive):
+            total -= drive[m]
+        g.append(total // (2 * m + 2 * s + 1))
+    row = g[d + 1 :]  # sigma_{k,k+i} at index i, in units of 2^exp
+    exp, det, det_exp = -P, 1, 0
+    prev, shift, beta = [0] * len(row), 0, 0
+    for k in range(D):
+        pivot = row[0]
+        if not pivot:
+            return hankel_det(riccati_coeffs(v, s, energy, 2 * D - 1 + d), HankelSpec(D=D, d=d))
+        det, det_exp = det * pivot, det_exp + exp
+        if k + 1 == D:
+            break
+        ratio = (row[1] << P) // pivot
+        alpha, shift = ratio - shift, ratio
+        if k:
+            beta = (pivot << P) // prev[0]
+        # sigma_{k+1,l} = sigma_{k,l+1} - alpha sigma_{k,l} - beta sigma_{k-1,l}, in
+        # units of 2^(exp - P); a pivot under P bits is noise and keeps its scale.
+        lead = (row[2] << P) - alpha * row[1] - beta * prev[2]
+        cut = max(lead.bit_length() - P, 0)
+        row, prev = [lead >> cut] + [
+            (a << P) - alpha * b - beta * c >> cut for a, b, c in zip(row[3:], row[2:], prev[3:])
+        ], row
+        exp += cut - P
+    det_exp -= t * D * (d + 2) + t * D * (D - 1)
+    return mp.mp.make_mpf(from_man_exp(det, det_exp, prec, rnd))
 
 
 def _tiny(x):
@@ -244,7 +343,7 @@ def _tiny(x):
     return mp.mpf(10) ** (10 - mp.mp.dps) * max(1, abs(x))
 
 
-def _secant_root(v, s: int, d: int, D: int, x0, x1):
+def _secant_root(v, s: int, d: int, D: int, t: int, x0, x1):
     """Secant iteration on H_D from the pair (x0, x1): one determinant a step.
 
     Determinant evaluation near a root is pure cancellation, so the last
@@ -260,7 +359,8 @@ def _secant_root(v, s: int, d: int, D: int, x0, x1):
     """
     dps = mp.mp.dps
     slow_floor = mp.mpf(10) ** (-(dps // 2))
-    f0, f1 = _det_at(v, s, x0, D, d), _det_at(v, s, x1, D, d)
+    stop = mp.mpf(10) ** (10 - dps)  # `_tiny` at |x| <= 1
+    f0, f1 = (scaled_hankel_det(v, s, x, D, d, t) for x in (x0, x1))
     prev_step, slow = None, 0
     for _ in range(3 * dps):
         if f1 == 0:
@@ -271,13 +371,13 @@ def _secant_root(v, s: int, d: int, D: int, x0, x1):
         x0, f0, x1 = x1, f1, x1 - step
         size = abs(step)
         ratio = step / prev_step if prev_step else 1
-        if size * min(abs(ratio), 1) < _tiny(x1):
+        if size * min(abs(ratio), 1) < stop * max(1, abs(x1)):
             return x1
         slow = slow + 1 if prev_step and abs(ratio) > 0.5 else 0
         if slow >= 3 and size < slow_floor * max(1, abs(x1)):
             return x0 if abs(ratio) >= 1 else x1 - step * ratio / (1 - ratio)
         prev_step = step
-        f1 = _det_at(v, s, x1, D, d)
+        f1 = scaled_hankel_det(v, s, x1, D, d, t)
     raise NewtonDivergence(f"no convergence within {3 * dps} iterations at D={D}")
 
 
@@ -310,6 +410,11 @@ def rpm_eigenvalue(
     estimate does); Hankel determinants have many roots. Returns the D_max
     root, its certified digits and the whole trail.
 
+    Every determinant comes from `scaled_hankel_det` on scaled integers,
+    with the exponent t of `_scale_exponent` fitted once, at the seed; the
+    libmp `riccati_coeffs` + `hankel_det` path runs only where the kernel
+    meets an exactly zero pivot.
+
     `stabilized_digits` is the smaller of two counts: the digits on which the
     last two dimensions agree (the truncation in D), and the digits that the
     D_max determinant at the last two roots, at twice the working precision,
@@ -323,6 +428,7 @@ def rpm_eigenvalue(
         raise ValueError("D_max must be >= 3")
     with mp.workdps(precision_digits):
         roots = [_to_mpf(seed)]
+        scale = _scale_exponent(v, s, roots[0], 2 * D_max - 1 + d)
         for D in range(2, D_max + 1):
             # Start from the previous root and its geometric extrapolation
             # once the trail has three roots; from a nearby point before.
@@ -331,7 +437,7 @@ def rpm_eigenvalue(
                 delta = roots[-1] - roots[-2]
                 offset = delta * delta / (roots[-2] - roots[-3])  # rho * delta
             offset = max(offset, _tiny(start), key=abs)
-            roots.append(_secant_root(v, s, d, D, start, start + offset))
+            roots.append(_secant_root(v, s, d, D, scale, start, start + offset))
         roots = roots[1:]
         trail = list(zip(range(2, D_max + 1), roots))
         diffs = [abs(b - a) for a, b in zip(roots, roots[1:])]
@@ -352,7 +458,7 @@ def rpm_eigenvalue(
         # and m = D_max (the harmonic limit, where all D moments vanish
         # together) gives the largest distance for m <= D_max.
         with mp.workdps(2 * precision_digits):
-            f_last, f_prev = (_det_at(v, s, x, D_max, d) for x in (last, prev))
+            f_last, f_prev = (scaled_hankel_det(v, s, x, D_max, d, scale) for x in (last, prev))
             if f_last * f_prev > 0:
                 t = (f_last / f_prev) ** (mp.mpf(1) / D_max)
                 error = max(error, error * t / abs(1 - t)) if t != 1 else abs(last)

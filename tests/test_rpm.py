@@ -14,9 +14,11 @@ from anharm2d.rpm import (
     InsufficientCoefficients,
     RiccatiSeries,
     _lu_det,
+    _scale_exponent,
     hankel_det,
     riccati_coeffs,
     rpm_eigenvalue,
+    scaled_hankel_det,
 )
 
 
@@ -93,14 +95,21 @@ def test_recursion_is_bit_identical_to_mpf_arithmetic(s):
             assert [c._mpf_ for c in mine] == [c._mpf_ for c in _mpf_recursion(v, s, energy, 40)]
 
 
-def test_hankel_harmonic_is_exactly_zero():
+def test_hankel_harmonic_is_exactly_zero(monkeypatch):
     # Every moment is zero, so sigma_{0,0} = 0 stops the Chebyshev recursion
-    # and the LU's exact int 0 comes back.
+    # and the LU's exact int 0 comes back; the integer kernel gets it from
+    # the same fallback.
+    fallbacks = []
+    monkeypatch.setattr(rpm, "_lu_det", lambda series, spec: fallbacks.append(spec) or _lu_det(series, spec))
     with mp.workdps(40):
         series = riccati_coeffs([0, 1], s=0, e_value=1, m_max=11)
         for D in (1, 2, 4, 5):
             det = hankel_det(series, HankelSpec(D=D))
             assert type(det) is int and det == 0
+            for t in (-3, 0, 3):
+                det = scaled_hankel_det([0, 1], 0, 1, D, 0, t)
+                assert type(det) is int and det == 0
+    assert len(fallbacks) == 4 * 4
 
 
 def test_hankel_one_by_one_is_first_coefficient():
@@ -317,15 +326,21 @@ def test_chebyshev_det_accuracy_where_the_lu_is_accurate(g, s, d, D, energy, dps
         assert abs(fast - ref) <= mp.mpf(10) ** (-dps / 4) * abs(ref)
 
 
+def _libmp_reference_det(v, s, energy, D, d, t):
+    """The trail's determinant from the libmp series and mp.det, for `scaled_hankel_det`."""
+    return _mp_det_oracle(riccati_coeffs(v, s, energy, 2 * D - 1 + d), HankelSpec(D=D, d=d))
+
+
 @pytest.mark.parametrize(
     "v, s, seed, d_max, dps",
     [([0, 1, 4], 0, 1.9, 10, 40), ([0, 1, 1], 1, 4.6488, 12, 50)],
 )
 def test_rpm_result_agrees_with_mp_det_path(monkeypatch, v, s, seed, d_max, dps):
-    # The recursion rounds differently from mp.det's LU, so the roots agree
-    # to about 2/3 of the digits (measured: 0 and 1.2e-44 relative here).
+    # The integer kernel rounds differently from mp.det's LU on the libmp
+    # series, so the roots agree to about 2/3 of the digits (measured:
+    # 1.2e-41 and 1.7e-42 relative here).
     mine = rpm_eigenvalue(v, s=s, D_max=d_max, seed=seed, precision_digits=dps)
-    monkeypatch.setattr(rpm, "hankel_det", _mp_det_oracle)
+    monkeypatch.setattr(rpm, "scaled_hankel_det", _libmp_reference_det)
     ref = rpm_eigenvalue(v, s=s, D_max=d_max, seed=seed, precision_digits=dps)
     assert [D for D, _ in mine.trail] == [D for D, _ in ref.trail]
     assert mine.stabilized_digits == ref.stabilized_digits
@@ -336,20 +351,94 @@ def test_rpm_result_agrees_with_mp_det_path(monkeypatch, v, s, seed, d_max, dps)
 
 
 def test_rpm_takes_the_chebyshev_path(monkeypatch):
-    """No determinant of a root trail falls back to the O(D^3) LU."""
-    calls = {"hankel": 0, "lu": 0}
-    fast = rpm.hankel_det
+    """Every determinant of a root trail comes from the integer kernel; none
+    falls back to the libmp recursion or the O(D^3) LU."""
+    calls = {"kernel": 0, "hankel": 0, "lu": 0}
+    kernel, libmp_det = rpm.scaled_hankel_det, rpm.hankel_det
 
-    def counted(series, spec):
+    def counted(*args):
+        calls["kernel"] += 1
+        return kernel(*args)
+
+    def no_hankel(series, spec):
         calls["hankel"] += 1
-        return fast(series, spec)
+        return libmp_det(series, spec)
 
     def no_lu(series, spec):
         calls["lu"] += 1
         return _lu_det(series, spec)
 
-    monkeypatch.setattr(rpm, "hankel_det", counted)
+    monkeypatch.setattr(rpm, "scaled_hankel_det", counted)
+    monkeypatch.setattr(rpm, "hankel_det", no_hankel)
     monkeypatch.setattr(rpm, "_lu_det", no_lu)
     rpm_eigenvalue([0, 1, 1], s=0, D_max=12, seed=1.39, precision_digits=50)
-    assert calls["hankel"] > 0
+    assert calls["kernel"] > 0
+    assert calls["hankel"] == 0
     assert calls["lu"] == 0
+
+
+def _relative_error(x, ref, dps):
+    """|x - ref| / |ref|, floored at the working precision's 10^-dps."""
+    return max(abs(x - ref) / abs(ref), mp.mpf(10) ** -dps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    g=st.fractions(min_value=Fraction(1, 10), max_value=100, max_denominator=1000),
+    s=st.sampled_from((0, 1)),
+    d=st.integers(0, 2),
+    D=st.integers(1, 16),
+    energy=st.fractions(min_value=Fraction(1, 2), max_value=9, max_denominator=10**6),
+    dps=st.sampled_from((30, 40, 80)),
+)
+def test_integer_kernel_is_as_accurate_as_the_libmp_path(g, s, d, D, energy, dps):
+    """On every block the integer kernel is within one digit of the libmp
+    `hankel_det`, or better, both measured against mp.det of the same block
+    at twice the digits."""
+    spec = HankelSpec(D=D, d=d)
+    with mp.workdps(dps):
+        t = _scale_exponent([0, 1, g], s, energy, spec.max_index)
+        fast = scaled_hankel_det([0, 1, g], s, energy, D, d, t)
+        libmp = hankel_det(riccati_coeffs([0, 1, g], s, energy, spec.max_index), spec)
+    with mp.workdps(2 * dps):
+        ref = _mp_det_oracle(riccati_coeffs([0, 1, g], s, energy, spec.max_index), spec)
+        if ref == 0:
+            return
+        assert _relative_error(fast, ref, dps) <= 10 * _relative_error(libmp, ref, dps)
+
+
+@pytest.mark.parametrize("v, s, seed", [([0, 1, 1], 0, 1.39), ([0, 1, Fraction(1, 10)], 1, 3.3), ([0, 1, 100], 0, 5.0)])
+def test_scale_exponent_does_not_move_the_roots(monkeypatch, v, s, seed):
+    """The rescaling 2^{t(j+1)} is exact, so t and t +- 3 find the same roots
+    and certify the same digits. Only the fixed point's rounding moves: the
+    trails differ by at most 1.9e-44 relative at 60 digits (measured)."""
+    runs = {}
+    for dt in (0, 3, -3):
+        monkeypatch.setattr(rpm, "_scale_exponent", lambda *args, dt=dt: _scale_exponent(*args) + dt)
+        runs[dt] = rpm_eigenvalue(v, s=s, D_max=20, seed=seed, precision_digits=60)
+    base = runs[0]
+    for dt in (3, -3):
+        assert runs[dt].stabilized_digits == base.stabilized_digits
+        assert [D for D, _ in runs[dt].trail] == [D for D, _ in base.trail]
+        with mp.workdps(60):
+            for (_, a), (_, b) in zip(runs[dt].trail, base.trail):
+                assert abs(a - b) <= mp.mpf(10) ** -40 * abs(b)
+
+
+# Energies printed before the trail moved to the integer kernel, with the
+# stabilized digits they claimed (case 1 prints none).
+PRINTED = [
+    (["rpm", "--g", "1"], "energy", "1.3923516415302918556575078766099341846000667112207509715588603825592693378470521", 47),
+    (["rpm", "--g", "100"], "energy", "4.9994175451375878292946320373496527186255073857542411524746318172766349473695519", 45),
+    (["rpm", "--g", "1/10"], "energy", "1.0652855095437176888570916287890930843044864178189129232343024185623130210032981", 53),
+    (["case", "1"], "ground_energy_rpm", "2.9031369454590000222938507222010239318173139646887436506147914082297939917757603", None),
+]
+
+
+@pytest.mark.parametrize("argv, key, printed, digits", PRINTED)
+def test_printed_energies_keep_their_digits(capsys, argv, key, printed, digits):
+    assert cli.main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    with mp.workdps(100):
+        assert abs(mp.mpf(report[key]) - mp.mpf(printed)) <= mp.mpf(10) ** -70 * mp.mpf(printed)
+    assert report.get("stabilized_digits") == digits
