@@ -14,6 +14,12 @@ all but rpm take --lambda, the coupling):
   rpm             --g, --state, --seed, --displacement, --digits, --dmax
 There are no environment variables.
 
+`case 4` reports isospectral_max_diff without a second spectrum: the largest
+|c - (-1)^i c'| between case 4's float coefficients c of x^i y^j and case 1's
+c', in assembly order. At 0 case 4's matrix is bit for bit case 1's
+conjugated by diag((-1)^nx), so the two spectra are equal; it is 0 whenever
+flip_conjugation_exact holds.
+
 Exit codes: 0 success, 2 flag/validation error (argparse convention; also an
 --out path that cannot be opened for writing, which is opened before the
 computation, like a shell redirection, and a coupling that puts a coefficient
@@ -40,7 +46,7 @@ import numpy as np
 from .cases import case_preset, exact_lambda
 from .eig import eig_selfadjoint
 from .maps import flip_x
-from .oscbasis import BasisSpec, build_hamiltonian_1d, optimal_omega, parity_blocks
+from .oscbasis import BasisSpec, build_hamiltonian_1d, optimal_omega, swap_blocks
 from .poly2d import Boundedness, apply_linear_map, is_bounded_below, quartic_form_min
 from .resonance import find_lowest_resonance
 from .rpm import rpm_eigenvalue
@@ -157,12 +163,30 @@ def _levels_1d(g: Fraction, n_max: int) -> np.ndarray:
 def _levels_2d(poly, basis: BasisSpec) -> np.ndarray:
     """Rayleigh-Ritz levels of the 2D Hamiltonian in `basis`, ascending.
 
-    Each parity block (oscbasis.parity_blocks) is diagonalized on its own and
-    the spectra are merged: the blocks are exact submatrices with exactly
-    zero coupling between them, so their union is the full matrix's spectrum.
+    Each block of oscbasis.swap_blocks is diagonalized once and its levels
+    are counted as often as its multiplicity says. The blocks are the parity
+    blocks, split into swap-even and swap-odd parts when the swap (x, y) ->
+    (y, x) leaves the potential invariant and the basis is square, with one
+    of each pair of swap partners (eo and oe) standing for both. They are
+    orthogonal projections of the full matrix with zero coupling between
+    them, so the merged levels are the full matrix's spectrum.
     """
-    blocks = parity_blocks(poly, basis)
-    return np.sort(np.concatenate([eig_selfadjoint(mat).eigenvalues for mat in blocks]))
+    blocks = swap_blocks(poly, basis)
+    return np.sort(np.concatenate([np.repeat(eig_selfadjoint(mat).eigenvalues, times) for mat, times in blocks]))
+
+
+def _flip_mismatch(poly, twin) -> float:
+    """max |c - (-1)^i c'| over the float terms of `poly` and `twin` in assembly order,
+    inf when their keys differ in set or order.
+
+    A sign flip is exact in every product and sum of the assembly, so at 0
+    the matrix of `poly` is bit for bit S H S, with H that of `twin` and
+    S = diag((-1)^nx): the two have the same spectrum, with no solve of `twin`.
+    """
+    ours, theirs = poly.float_terms(), twin.float_terms()
+    if list(ours) != list(theirs):
+        return math.inf
+    return max(abs(c - (-1) ** i * theirs[i, j]) for (i, j), c in ours.items())
 
 
 def _rpm_ground(g: Fraction, digits: int, d_max: int):
@@ -330,14 +354,11 @@ def _cmd_case(args) -> dict:
         res = _resonance_report(args)
         payload.update((key, res[key]) for key in ("re_e", "im_e", "theta_star", "converged"))
     elif args.case == 4:
-        twin = case_preset(1, preset.lam)
-        flip = flip_x()
-        payload["flip_conjugation_exact"] = apply_linear_map(preset.potential, flip) == twin.potential
+        twin = case_preset(1, preset.lam).potential
+        payload["flip_conjugation_exact"] = apply_linear_map(preset.potential, flip_x()) == twin
+        payload["isospectral_max_diff"] = _fmt(_flip_mismatch(preset.potential, twin))
         basis = BasisSpec(args.nmax, args.nmax, omega=1.0)
-        ours = _levels_2d(preset.potential, basis)[:10]
-        theirs = _levels_2d(twin.potential, basis)[:10]
-        payload["isospectral_max_diff"] = _fmt(float(np.max(np.abs(ours - theirs))))
-        payload["lowest_eigenvalues"] = [_fmt(e) for e in ours]
+        payload["lowest_eigenvalues"] = [_fmt(e) for e in _levels_2d(preset.potential, basis)[:10]]
     elif args.case == 5:
         basis = BasisSpec(args.nmax, args.nmax, omega=1.0)
         eigs = _levels_2d(preset.potential, basis)[:10]

@@ -132,3 +132,16 @@ def flip_x() -> OrthogonalMap2:
 def dihedral16() -> list[OrthogonalMap2]:
     """The 16 symmetries of the regular octagon: 8 rotations + 8 reflections."""
     return [rotation(k) for k in range(8)] + [reflection(k) for k in range(8)]
+
+
+def dihedral16_product(i: int, j: int) -> int:
+    """Index in dihedral16() of dihedral16()[i].compose(dihedral16()[j]).
+
+    Indices 0-7 are R(k) and 8-15 are S(k). With a = i mod 8 and b = j mod 8:
+    R(a)R(b) = R(a+b), R(a)S(b) = S(a+b), S(a)R(b) = S(a-b) and
+    S(a)S(b) = R(a-b), all mod 8.
+    """
+    a, b = i % 8, j % 8
+    if i < 8:
+        return (a + b) % 8 + (8 if j >= 8 else 0)
+    return (a - b) % 8 + (0 if j >= 8 else 8)

@@ -1,7 +1,7 @@
 """Hamiltonian matrices in products of 1D harmonic-oscillator states.
 
-build_hamiltonian and parity_blocks assemble the Hermitian matrices densely;
-theta_factors and rotated form the complex-scaled ones.
+build_hamiltonian, parity_blocks and swap_blocks assemble the Hermitian
+matrices densely; theta_factors and rotated form the complex-scaled ones.
 
 Basis convention: eigenfunctions of h0 = p^2 + omega^2 x^2 (energies
 omega*(2n+1)), so at omega = 1 the unperturbed 2D levels are 2(nx+ny)+2.
@@ -22,6 +22,17 @@ present (x and y, say). It reads only the exact term keys, so no tolerance
 is involved. Each block is assembled from the same products, added in the
 same order, as `build_hamiltonian`, so it is bitwise equal to the matching
 submatrix, and the entries between blocks are exactly zero.
+
+Swap blocks: when the basis is square and the swap (x, y) -> (y, x) leaves
+the potential exactly invariant (decided over Q(sqrt(2)) by
+symmetry.leaves_invariant, as for cases 1-5), the swap is a permutation
+|m,n> -> |n,m> of basis states that commutes with the matrix. `swap_blocks`
+splits a parity block that the swap maps to itself into a swap-even block
+on the orbit states (|m,n> + |n,m>)/sqrt(2), with |m,m> itself in it, and a
+swap-odd block on (|m,n> - |n,m>)/sqrt(2). A block that the swap maps onto
+another one (eo and oe, the two partners of the 2D irrep E of C4v, in cases
+2 and 5) has that block's spectrum, so only the first of the two is built,
+with multiplicity 2. Any other potential or basis gets the parity blocks.
 """
 
 from __future__ import annotations
@@ -31,7 +42,9 @@ from math import inf, pi
 
 import numpy as np
 
+from .maps import reflection
 from .poly2d import PolynomialPotential
+from .symmetry import leaves_invariant
 
 _PAD = 4  # assemble x on n_max+_PAD states so x^k (k <= 4) truncates exactly
 # Rows per slab of _assemble's in-place updates and of OperatorMatrix.is_hermitian,
@@ -246,6 +259,20 @@ def _sector_blocks(keys) -> list[list[tuple[int, int]]]:
     return blocks
 
 
+def _parity_pieces(poly: PolynomialPotential, basis: BasisSpec) -> list[tuple[list, list]]:
+    """(sectors, product pieces) of each parity block that has states, sectors without states dropped."""
+    if basis.theta != 0.0:
+        raise ValueError("parity blocks need basis.theta = 0")
+    nx, ny = basis.n_max_x, basis.n_max_y
+    blocks = []
+    for sectors in _sector_blocks(poly.terms):
+        pieces = [(np.arange(a, nx, 2), np.arange(b, ny, 2)) for a, b in sectors]
+        pieces = [(px, py) for px, py in pieces if px.size and py.size]
+        if pieces:
+            blocks.append((sectors, pieces))
+    return blocks
+
+
 def parity_blocks(poly: PolynomialPotential, basis: BasisSpec) -> list[OperatorMatrix]:
     """The parity blocks of build_hamiltonian(poly, basis), as matrices.
 
@@ -254,15 +281,59 @@ def parity_blocks(poly: PolynomialPotential, basis: BasisSpec) -> list[OperatorM
     columns, bit for bit. Sectors without states are skipped, and so is a
     block without any. Only the Hermitian matrix (basis.theta = 0) is split.
     """
-    if basis.theta != 0.0:
-        raise ValueError("parity_blocks needs basis.theta = 0")
-    nx, ny = basis.n_max_x, basis.n_max_y
-    blocks = []
-    for sectors in _sector_blocks(poly.terms):
-        pieces = [(np.arange(a, nx, 2), np.arange(b, ny, 2)) for a, b in sectors]
-        pieces = [(px, py) for px, py in pieces if px.size and py.size]
-        if pieces:
-            blocks.append(_build_pieces(poly, basis, pieces))
+    return [_build_pieces(poly, basis, pieces) for _, pieces in _parity_pieces(poly, basis)]
+
+
+def _swap_split(mat: np.ndarray, pieces, n: int) -> list[OperatorMatrix]:
+    """The swap-even and swap-odd blocks of a parity block that the swap maps to itself.
+
+    Orbit states are w (|m,n> + |n,m>) with m <= n, w = 1/sqrt(2) for m < n and
+    1/2 for m = n (so the state is |m,m>), and (|m,n> - |n,m>)/sqrt(2) with
+    m < n, both in the block's row order of the representative |m,n>. An
+    entry is the weighted sum of the four parity-block entries at rows R, P
+    and columns R', P', where P is the row of the partner |n,m>.
+    """
+    mx = np.concatenate([np.repeat(px, py.size) for px, py in pieces])
+    my = np.concatenate([np.tile(py, px.size) for px, py in pieces])
+    row = np.empty((n, n), dtype=np.intp)
+    row[mx, my] = np.arange(mx.size)
+    partner = row[my, mx]
+    even = np.flatnonzero(mx <= my)
+    odd = np.flatnonzero(mx < my)
+    pair = mat[even] + mat[partner[even]]
+    diff = mat[odd] - mat[partner[odd]]
+    # the weight product by the number of diagonal orbits among (row, column), each correctly rounded
+    diag = (mx[even] == my[even]).astype(np.intp)
+    scale = np.array([0.5, 0.5**1.5, 0.25])[diag[:, None] + diag[None, :]]
+    blocks = [
+        (pair.take(even, axis=1) + pair.take(partner[even], axis=1)) * scale,
+        (diff.take(odd, axis=1) - diff.take(partner[odd], axis=1)) * 0.5,
+    ]
+    return [OperatorMatrix(b) for b in blocks if b.size]
+
+
+def swap_blocks(poly: PolynomialPotential, basis: BasisSpec) -> list[tuple[OperatorMatrix, int]]:
+    """(block, multiplicity) pairs whose spectra, each repeated `multiplicity` times, make up
+    the spectrum of build_hamiltonian(poly, basis).
+
+    When the basis is square and the swap (x, y) -> (y, x) leaves `poly`
+    exactly invariant (symmetry.leaves_invariant with reflection(2)), a parity
+    block that the swap maps to itself gives its swap-even and swap-odd
+    blocks (_swap_split), and of two blocks that the swap maps onto each
+    other (eo and oe, the 2D irrep E of C4v) the first is kept with
+    multiplicity 2. Otherwise the blocks are parity_blocks', each once.
+    """
+    n = basis.n_max_x
+    if n != basis.n_max_y or not leaves_invariant(poly, reflection(2)):
+        return [(mat, 1) for mat in parity_blocks(poly, basis)]
+    blocks, seen = [], []
+    for sectors, pieces in _parity_pieces(poly, basis):
+        swapped = sorted((b, a) for a, b in sectors)
+        if swapped == sectors:
+            blocks += [(mat, 1) for mat in _swap_split(_build_pieces(poly, basis, pieces).entries, pieces, n)]
+        elif swapped not in seen:
+            blocks.append((_build_pieces(poly, basis, pieces), 2))
+        seen.append(sectors)
     return blocks
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .maps import OrthogonalMap2, dihedral16, rotation
+from .maps import OrthogonalMap2, dihedral16, dihedral16_product, rotation
 from .poly2d import PolynomialPotential, apply_linear_map, is_separable
 
 
@@ -40,10 +40,14 @@ def detect_group(poly: PolynomialPotential) -> SymmetryGroup:
 
     The invariant subset is the stabilizer of the potential, so it is a
     group: it holds the identity and is closed under products and inverses.
+    The table comes from index arithmetic (dihedral16_product), not from
+    composing the exact matrices.
     """
-    kept = [mp for mp in dihedral16() if leaves_invariant(poly, mp)]
-    table = tuple(tuple(kept.index(a.compose(b)) for b in kept) for a in kept)
-    return SymmetryGroup(elements=tuple(kept), table=table)
+    every = dihedral16()
+    kept = [k for k, mp in enumerate(every) if leaves_invariant(poly, mp)]
+    position = {k: pos for pos, k in enumerate(kept)}
+    table = tuple(tuple(position[dihedral16_product(i, j)] for j in kept) for i in kept)
+    return SymmetryGroup(elements=tuple(every[k] for k in kept), table=table)
 
 
 def separating_rotation(poly: PolynomialPotential) -> tuple[float, OrthogonalMap2, PolynomialPotential] | None:

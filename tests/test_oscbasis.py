@@ -4,13 +4,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from anharm2d.cases import case_preset
 from anharm2d.eig import eig_complex, eig_selfadjoint
 from anharm2d.exactnum import HALF_SQRT2
-from anharm2d.maps import OrthogonalMap2
+from anharm2d.maps import OrthogonalMap2, reflection
 from anharm2d.oscbasis import (
     BasisSpec,
     DegreeTooHigh,
@@ -22,9 +22,11 @@ from anharm2d.oscbasis import (
     optimal_omega,
     parity_blocks,
     position_matrix_1d,
+    swap_blocks,
 )
 from anharm2d.poly2d import PolynomialPotential, apply_linear_map, make_quartic
 from anharm2d.exactnum import SqrtTwoRational
+from anharm2d.symmetry import leaves_invariant
 
 
 def hermite_quad_element(m, n, k, omega, points=120):
@@ -257,6 +259,75 @@ def test_parity_block_count(poly, count):
     assert len(parity_blocks(poly, BasisSpec(6, 5))) == count
     # a single state per mode leaves only the ee sector
     assert len(parity_blocks(poly, BasisSpec(1, 1))) == 1
+
+
+def _block_levels(blocks):
+    """The merged spectrum of swap_blocks' output, each block's levels repeated by its multiplicity."""
+    return np.sort(np.concatenate([np.repeat(np.linalg.eigvalsh(mat.entries), times) for mat, times in blocks]))
+
+
+_COEFFS = st.fractions(min_value=-5, max_value=5, max_denominator=30)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    terms=st.dictionaries(st.sampled_from([(i, j) for i, j in _MONOMIALS if i <= j]), _COEFFS, max_size=6),
+    n=st.integers(1, 8),
+    omega=st.sampled_from([1.0, 1.7]),
+)
+def test_swap_blocks_give_the_full_spectrum(terms, n, omega):
+    # c_ij = c_ji: the swap (x, y) -> (y, x) leaves the potential invariant
+    poly = PolynomialPotential({(2, 0): 1, (0, 2): 1, **{(j, i): c for (i, j), c in terms.items()}, **terms})
+    basis = BasisSpec(n, n, omega=omega)
+    full = build_hamiltonian(poly, basis).entries
+    blocks = swap_blocks(poly, basis)
+    assert sum(mat.dim * times for mat, times in blocks) == n * n
+    want = np.linalg.eigvalsh(full)
+    assert np.abs(_block_levels(blocks) - want).max() <= 1e-12 * np.abs(full).max()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    terms=st.dictionaries(st.sampled_from(_MONOMIALS), _COEFFS, max_size=8),
+    nx=st.integers(1, 8),
+    ny=st.integers(1, 8),
+)
+@example(terms={(3, 1): Fraction(4)}, nx=6, ny=6)
+@example(terms={(2, 2): Fraction(6)}, nx=6, ny=5)
+def test_swap_blocks_without_the_swap_are_the_parity_blocks(terms, nx, ny):
+    poly = PolynomialPotential({(2, 0): 1, (0, 2): 1, **terms})
+    assume(nx != ny or not leaves_invariant(poly, reflection(2)))
+    basis = BasisSpec(nx, ny)
+    blocks, parity = swap_blocks(poly, basis), parity_blocks(poly, basis)
+    assert [times for _, times in blocks] == [1] * len(parity)
+    assert all(np.array_equal(mat.entries, want.entries) for (mat, _), want in zip(blocks, parity))
+
+
+@pytest.mark.parametrize(
+    "case, shape",
+    [(k, [(12, 1), (6, 1), (9, 1), (9, 1)]) for k in (1, 3, 4)]
+    + [(k, [(6, 1), (3, 1), (9, 2), (6, 1), (3, 1)]) for k in (2, 5)],
+)
+def test_swap_block_shapes(case, shape):
+    # n = 6: ee and oo hold 6 swap-even and 3 swap-odd orbit states each, eo and oe 9 states
+    blocks = swap_blocks(case_preset(case).potential, BasisSpec(6, 6))
+    assert [(mat.dim, times) for mat, times in blocks] == shape
+
+
+@pytest.mark.parametrize("n", [20, 40])
+@pytest.mark.parametrize("lam", ["1/10", "1/2", "3/10", "2"])
+def test_case4_is_the_flip_conjugate_of_case1_bit_for_bit(lam, n):
+    """H4 = S H1 S with S = diag((-1)^nx), exactly, at case 4's default and the survey couplings."""
+    basis = BasisSpec(n, n)
+    p4, p1 = case_preset(4, lam).potential, case_preset(1, lam).potential
+    sign = np.repeat((-1.0) ** np.arange(n), n)  # (-1)^nx in x-major order
+    h4 = build_hamiltonian(p4, basis).entries
+    assert np.array_equal(h4, sign[:, None] * build_hamiltonian(p1, basis).entries * sign[None, :])
+    for rows, b4, b1 in zip(_expected_blocks(p1, n, n), parity_blocks(p4, basis), parity_blocks(p1, basis)):
+        s = sign[rows]
+        assert np.array_equal(b4.entries, s[:, None] * b1.entries * s[None, :])
+        assert np.array_equal(np.linalg.eigvalsh(b4.entries), np.linalg.eigvalsh(b1.entries))
+    assert np.array_equal(_block_levels(swap_blocks(p4, basis)), _block_levels(swap_blocks(p1, basis)))
 
 
 def test_degree_above_padding_rejected():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from anharm2d import cli
 from anharm2d.cases import case_preset
 from anharm2d.exactnum import HALF_SQRT2
-from anharm2d.maps import OrthogonalMap2, dihedral16, flip_x, identity, reflection, rotation
+from anharm2d.maps import OrthogonalMap2, dihedral16, dihedral16_product, flip_x, identity, reflection, rotation
 from anharm2d.oscbasis import BasisSpec, build_hamiltonian
 from anharm2d.poly2d import PolynomialPotential, apply_linear_map, is_separable, make_quartic
 from anharm2d.symmetry import detect_group, leaves_invariant, separating_rotation
@@ -182,6 +182,20 @@ def test_detect_group_is_the_stabilizer_with_its_cayley_table(poly):
         for j, b in enumerate(group.elements):
             assert group.elements[group.table[i][j]] == a.compose(b)
         assert sorted(group.table[i]) == list(range(group.order))
+
+
+def test_dihedral16_product_is_compose():
+    every = dihedral16()
+    for i, a in enumerate(every):
+        for j, b in enumerate(every):
+            assert every[dihedral16_product(i, j)] == a.compose(b)
+
+
+@pytest.mark.parametrize("case", range(1, 6))
+def test_case_tables_are_the_composed_products(case):
+    group = detect_group(case_preset(case).potential)
+    kept = list(group.elements)
+    assert group.table == tuple(tuple(kept.index(a.compose(b)) for b in kept) for a in kept)
 
 
 def test_swap_degeneracy_witness_case5():
