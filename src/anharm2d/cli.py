@@ -5,7 +5,7 @@ This is the only module that formats output: the library returns computed
 values, and the JSON, CSV and text renderings are all built here.
 
 Commands and their own options (every command also takes --format and --out;
-all but rpm take --lambda, the coupling):
+all but rpm take --lambda, the coupling, written --lambda=-1/10 when negative):
   case K          --nmax, --theta-min/--theta-max/--theta-steps (case 3),
                   --digits, --dmax (cases 1 and 2)
   transform, symmetry   --case
@@ -22,11 +22,13 @@ flip_conjugation_exact holds.
 
 Exit codes: 0 success, 2 flag/validation error (argparse convention; also an
 --out path that cannot be opened for writing, which is opened before the
-computation, like a shell redirection, and a coupling that puts a coefficient
-outside the float range in a command that computes in floats), 3 numerical
-failure (the error name goes to stderr as a one-line JSON object), e.g.
-NoStationaryPoint when the case-3 sweep finds no decaying trajectory, as at
-lambda = 0, where case 3 is the bounded harmonic oscillator.
+computation, like a shell redirection, a coupling that puts a coefficient
+outside the float range in a command that computes in floats, and a potential
+unbounded from below in spectrum and case 4|5, whose levels in a truncated
+basis would be truncation artifacts), 3 numerical failure (the error name
+goes to stderr as a one-line JSON object), e.g. NoStationaryPoint when the
+case-3 sweep finds no decaying trajectory, as at lambda = 0, where case 3 is
+the bounded harmonic oscillator.
 """
 
 from __future__ import annotations
@@ -152,6 +154,17 @@ def _float_case(case_id: int, lam):
     return preset
 
 
+def _require_bounded(preset, verdict: Boundedness) -> None:
+    """A potential unbounded from below has no ground state, so the levels of
+    a truncated basis would only be artifacts of the truncation: a bad value
+    (exit 2) for the commands that print a Rayleigh-Ritz spectrum."""
+    if verdict is Boundedness.UNBOUNDED:
+        raise ValueError(
+            f"case {preset.id} at lambda {preset.lam} is unbounded from below, so it has no variational "
+            "spectrum; its states are resonances, which the resonance command computes for case 3"
+        )
+
+
 def _levels_1d(g: Fraction, n_max: int) -> np.ndarray:
     """Variational levels of p^2 + x^2 + g x^4 in the basis at optimal_omega(g)."""
     _require_float_range(g, [g])
@@ -250,6 +263,7 @@ def _omega_for(args, poly) -> float:
 
 def _cmd_spectrum(args) -> dict:
     preset = _float_case(args.case, args.lam)
+    _require_bounded(preset, is_bounded_below(preset.potential))
     omega = _omega_for(args, preset.potential)
     basis = BasisSpec(args.nmax, args.nmax, omega=omega)
     levels = _levels_2d(preset.potential, basis)
@@ -339,10 +353,13 @@ def _cmd_case(args) -> dict:
     if args.nmax is None:
         args.nmax = 30 if args.case == 3 else 20
     preset = _float_case(args.case, args.lam)
+    bounded = is_bounded_below(preset.potential)
+    if args.case in (4, 5):
+        _require_bounded(preset, bounded)
     payload = {
         "case": args.case,
         "lambda": str(preset.lam),
-        "boundedness": is_bounded_below(preset.potential).value,
+        "boundedness": bounded.value,
         "group_order": detect_group(preset.potential).order,
     }
     if args.case in (1, 2):
@@ -396,7 +413,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_rpm.add_argument("--displacement", type=int, default=0)
 
     for p in (p_case, p_tr, p_sym, p_sp, p_res):
-        p.add_argument("--lambda", dest="lam", default=None, help="coupling (exact decimal or fraction)")
+        p.add_argument(
+            "--lambda",
+            dest="lam",
+            default=None,
+            help="coupling (exact decimal or fraction); give a negative one as --lambda=-1/10, since "
+            "argparse reads a separate -1/10 as an option",
+        )
     for p, nmax in ((p_case, None), (p_sp, 20), (p_res, 30)):
         # case picks its own default: 30 for case 3, 20 otherwise
         p.add_argument("--nmax", type=_positive_int, default=nmax, help="basis functions per mode")

@@ -9,6 +9,7 @@ C2v and C4v of the potentials.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 from .exactnum import SqrtTwoRational
 
@@ -129,9 +130,18 @@ def flip_x() -> OrthogonalMap2:
     return OrthogonalMap2(-1, 0, 0, 1, label="flip_x")
 
 
+@cache
+def _dihedral16() -> tuple[OrthogonalMap2, ...]:
+    return tuple(rotation(k) for k in range(8)) + tuple(reflection(k) for k in range(8))
+
+
 def dihedral16() -> list[OrthogonalMap2]:
-    """The 16 symmetries of the regular octagon: 8 rotations + 8 reflections."""
-    return [rotation(k) for k in range(8)] + [reflection(k) for k in range(8)]
+    """The 16 symmetries of the regular octagon: R(0..7), then S(0..7).
+
+    The maps are built once, on the first call, and shared (they are
+    immutable); each call returns a fresh list of them.
+    """
+    return list(_dihedral16())
 
 
 def dihedral16_product(i: int, j: int) -> int:

@@ -42,7 +42,7 @@ from math import inf, pi
 
 import numpy as np
 
-from .maps import reflection
+from .maps import dihedral16
 from .poly2d import PolynomialPotential
 from .symmetry import leaves_invariant
 
@@ -316,15 +316,16 @@ def swap_blocks(poly: PolynomialPotential, basis: BasisSpec) -> list[tuple[Opera
     """(block, multiplicity) pairs whose spectra, each repeated `multiplicity` times, make up
     the spectrum of build_hamiltonian(poly, basis).
 
-    When the basis is square and the swap (x, y) -> (y, x) leaves `poly`
-    exactly invariant (symmetry.leaves_invariant with reflection(2)), a parity
-    block that the swap maps to itself gives its swap-even and swap-odd
-    blocks (_swap_split), and of two blocks that the swap maps onto each
-    other (eo and oe, the 2D irrep E of C4v) the first is kept with
-    multiplicity 2. Otherwise the blocks are parity_blocks', each once.
+    When the basis is square and the swap (x, y) -> (y, x), the shared
+    S(2pi/8) = dihedral16()[10], leaves `poly` exactly invariant
+    (symmetry.leaves_invariant), a parity block that the swap maps to itself
+    gives its swap-even and swap-odd blocks (_swap_split), and of two blocks
+    that the swap maps onto each other (eo and oe, the 2D irrep E of C4v)
+    the first is kept with multiplicity 2. Otherwise the blocks are
+    parity_blocks', each once.
     """
     n = basis.n_max_x
-    if n != basis.n_max_y or not leaves_invariant(poly, reflection(2)):
+    if n != basis.n_max_y or not leaves_invariant(poly, dihedral16()[10]):
         return [(mat, 1) for mat in parity_blocks(poly, basis)]
     blocks, seen = [], []
     for sectors, pieces in _parity_pieces(poly, basis):

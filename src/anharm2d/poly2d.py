@@ -111,14 +111,27 @@ def make_quartic(a_xx, b_xy, c_xy, b_yx, a_yy, lam) -> PolynomialPotential:
 def apply_linear_map(poly: PolynomialPotential, mp: OrthogonalMap2) -> PolynomialPotential:
     """Exact substitution V(M (x, y)): x -> a x + b y, y -> c x + d y.
 
-    Each term c x^i y^j is multiplied out one linear factor at a time: start
+    A signed permutation (one entry +-1 per row, the rest 0) only relabels:
+    c x^i y^j goes to +-c x^i y^j when b = c = 0, and to +-c x^j y^i when
+    a = d = 0, negated when the entries -1 enter with an odd total power. No
+    coefficient is multiplied on this path. An orthogonal map with a zero
+    entry is always a signed permutation.
+
+    Any other map multiplies each term out one linear factor at a time: start
     from c, multiply i times by (a x + b y), then j times by (c x + d y). A
-    map entry that is exactly zero contributes no product, and neither does a
-    partial coefficient that cancels to zero, so a signed permutation (one
-    entry +-1 per row) only relabels the terms and signs them.
+    partial coefficient that cancels to zero contributes no product.
     """
-    x_row = [(e, step) for e, step in ((mp.a, (1, 0)), (mp.b, (0, 1))) if e]
-    y_row = [(e, step) for e, step in ((mp.c, (1, 0)), (mp.d, (0, 1))) if e]
+    if not mp.a or not mp.b:
+        swap = not mp.a
+        x_entry, y_entry = (mp.b, mp.c) if swap else (mp.a, mp.d)
+        x_flip, y_flip = x_entry.p < 0, y_entry.p < 0
+        relabelled = {}
+        for (i, j), coeff in poly.terms.items():
+            odd = (x_flip * i + y_flip * j) % 2
+            relabelled[(j, i) if swap else (i, j)] = -coeff if odd else coeff
+        return PolynomialPotential(relabelled)
+    x_row = [(mp.a, (1, 0)), (mp.b, (0, 1))]
+    y_row = [(mp.c, (1, 0)), (mp.d, (0, 1))]
     out: dict[tuple[int, int], SqrtTwoRational] = {}
     for (i, j), coeff in poly.terms.items():
         partial = {(0, 0): coeff}

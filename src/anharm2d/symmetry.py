@@ -40,11 +40,27 @@ def detect_group(poly: PolynomialPotential) -> SymmetryGroup:
 
     The invariant subset is the stabilizer of the potential, so it is a
     group: it holds the identity and is closed under products and inverses.
-    The table comes from index arithmetic (dihedral16_product), not from
-    composing the exact matrices.
+    The even-indexed elements R(2k) and S(2k) are the signed permutations, a
+    subgroup of index 2 whose substitution only relabels terms; the kept ones
+    form a subgroup K of the stabilizer with index at most 2. So the kept
+    odd-indexed elements, which have entries +-sqrt(2)/2, are none or one
+    coset g K: one test of g decides all of g K, because g h (h in K) is kept
+    iff g = (g h) h^-1 is. The odd elements are visited in order, each coset
+    is tested once, and the first kept one ends the search, so at most 8/|K|
+    irrational maps are applied. The table comes from index arithmetic
+    (dihedral16_product), not from composing the exact matrices.
     """
     every = dihedral16()
-    kept = [k for k, mp in enumerate(every) if leaves_invariant(poly, mp)]
+    kept = [k for k in range(0, 16, 2) if leaves_invariant(poly, every[k])]  # K
+    decided = set()
+    for g in range(1, 16, 2):
+        if g in decided:
+            continue
+        coset = {dihedral16_product(g, h) for h in kept}
+        if leaves_invariant(poly, every[g]):
+            kept = sorted([*kept, *coset])
+            break
+        decided |= coset
     position = {k: pos for pos, k in enumerate(kept)}
     table = tuple(tuple(position[dihedral16_product(i, j)] for j in kept) for i in kept)
     return SymmetryGroup(elements=tuple(every[k] for k in kept), table=table)

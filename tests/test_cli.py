@@ -307,6 +307,38 @@ def test_numerical_failure_exits_3_with_json_error():
     assert json.loads(proc.stderr.splitlines()[-1])["error"] == "ConvergenceFailure"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--case", "3"],
+        ["spectrum", "--case", "5", "--lambda=-1/10"],
+        ["case", "4", "--lambda=-1/10"],
+        ["case", "5", "--lambda=-1/10"],
+    ],
+    ids=" ".join,
+)
+def test_unbounded_potential_has_no_variational_spectrum(capsys, monkeypatch, argv):
+    """Truncated levels of a potential with no ground state are artifacts: exit 2 before any solve."""
+
+    def no_solve(*args):
+        raise AssertionError("an unbounded potential was diagonalized")
+
+    monkeypatch.setattr(cli, "swap_blocks", no_solve)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unbounded from below" in err and "resonance command" in err
+
+
+def test_negative_coupling_is_passed_with_an_equals_sign(capsys):
+    assert cli.main(["symmetry", "--case", "3", "--lambda=-1/10"]) == 0
+    assert '"lambda": "-1/10"' in capsys.readouterr().out
+    with pytest.raises(SystemExit):
+        cli.main(["symmetry", "--help"])
+    assert "--lambda=-1/10" in capsys.readouterr().out
+
+
 def test_text_format():
     proc = run_cli("symmetry", "--case", "3", "--format", "text")
     assert proc.returncode == 0

@@ -20,6 +20,16 @@ def test_every_dihedral_element_is_orthogonal_with_unit_determinant():
     assert all(reflection(k).det() == -1 for k in range(8))
 
 
+def test_dihedral16_is_built_once_and_listed_afresh():
+    first, second = dihedral16(), dihedral16()
+    assert first is not second
+    assert all(a is b for a, b in zip(first, second))
+    assert first == [rotation(k) for k in range(8)] + [reflection(k) for k in range(8)]
+    assert [el.label for el in first] == [rotation(k).label for k in range(8)] + [reflection(k).label for k in range(8)]
+    first.pop()
+    assert len(dihedral16()) == 16
+
+
 def test_dihedral16_is_closed_under_composition():
     group = dihedral16()
     for a in group:

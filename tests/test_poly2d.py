@@ -194,10 +194,8 @@ def test_substitution_matches_the_oracle_composes_and_evaluates(poly, first, sec
     assert moved.evaluate(x, y) == pytest.approx(poly.evaluate(*first.apply(x, y)), abs=1e-13 * bound)
 
 
-def test_substitution_multiplies_no_exact_zero(monkeypatch):
-    """A zero map entry, or a partial coefficient that cancels to zero, costs no product."""
-    presets = [case_preset(cid).potential for cid in range(1, 6)]
-    maps = dihedral16() + [flip_x()]
+def _count_products(monkeypatch):
+    """Count SqrtTwoRational products from here on: ([calls], [operand pairs with an exact zero])."""
     calls, zero_operands = [0], []
     mul = SqrtTwoRational.__mul__
 
@@ -209,11 +207,30 @@ def test_substitution_multiplies_no_exact_zero(monkeypatch):
 
     monkeypatch.setattr(SqrtTwoRational, "__mul__", counting_mul)
     monkeypatch.setattr(SqrtTwoRational, "__rmul__", counting_mul)
+    return calls, zero_operands
+
+
+def test_substitution_multiplies_no_exact_zero(monkeypatch):
+    """A zero map entry, or a partial coefficient that cancels to zero, costs no product."""
+    presets = [case_preset(cid).potential for cid in range(1, 6)]
+    maps = dihedral16() + [flip_x()]
+    calls, zero_operands = _count_products(monkeypatch)
     for poly in presets:
         for mp2 in maps:
             apply_linear_map(poly, mp2)
     assert calls[0] > 0
     assert zero_operands == []
+
+
+def test_signed_permutations_multiply_nothing(monkeypatch):
+    """The 8 signed permutations of dihedral16 (its even indices) and flip_x only relabel terms."""
+    presets = [case_preset(cid).potential for cid in range(1, 6)]
+    maps = dihedral16()[::2] + [flip_x()]
+    calls, _ = _count_products(monkeypatch)
+    for poly in presets:
+        for mp2 in maps:
+            apply_linear_map(poly, mp2)
+    assert calls[0] == 0
 
 
 def test_non_orthogonal_map_cannot_be_built():

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from anharm2d import cli
+from anharm2d import cli, symmetry
 from anharm2d.cases import case_preset
-from anharm2d.exactnum import HALF_SQRT2
+from anharm2d.exactnum import HALF_SQRT2, SqrtTwoRational
 from anharm2d.maps import OrthogonalMap2, dihedral16, dihedral16_product, flip_x, identity, reflection, rotation
 from anharm2d.oscbasis import BasisSpec, build_hamiltonian
 from anharm2d.poly2d import PolynomialPotential, apply_linear_map, is_separable, make_quartic
@@ -165,16 +165,65 @@ def test_rotated_separable_quartic_is_found(separable, k):
     assert _check_separating_rotation(apply_linear_map(separable, rotation(k).transpose())) is not None
 
 
+def _detect_counting_irrational_maps(poly):
+    """detect_group(poly), and the maps with an entry +-sqrt(2)/2 it applied."""
+    applied, substitute = [], symmetry.apply_linear_map
+
+    def counting(p, mp2):
+        if any(e.q for row in mp2.entries() for e in row):
+            applied.append(mp2)
+        return substitute(p, mp2)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(symmetry, "apply_linear_map", counting)
+        return detect_group(poly), applied
+
+
+def _sum(polys):
+    total = {}
+    for poly in polys:
+        for ij, c in poly.terms.items():
+            total[ij] = total[ij] + c if ij in total else c
+    return PolynomialPotential(total)
+
+
+def _generated(gens):
+    subgroup = {0, *gens}
+    while len(grown := subgroup | {dihedral16_product(i, j) for i in subgroup for j in subgroup}) > len(subgroup):
+        subgroup = grown
+    return tuple(sorted(subgroup))
+
+
+# Every subgroup of dihedral16 is generated by two of its elements: these are all 19.
+_SUBGROUPS = sorted({_generated((i, j)) for i in range(16) for j in range(16)})
+_DEGREE4_KEYS = [(i, d - i) for d in range(5) for i in range(d + 1)]
+
+
+@st.composite
+def _averaged_polys(draw):
+    """A polynomial of degree <= 4 over Q(sqrt(2)), odd degrees included, summed
+    over its images under a random subgroup of dihedral16, so that every size
+    of stabilizer comes up."""
+    terms = draw(st.dictionaries(st.sampled_from(_DEGREE4_KEYS), st.builds(SqrtTwoRational, _COEFF, _COEFF), max_size=6))
+    every = dihedral16()
+    return _sum(apply_linear_map(PolynomialPotential(terms), every[k]) for k in draw(st.sampled_from(_SUBGROUPS)))
+
+
 # Coefficients from a small set, so that symmetric forms come up often.
 _SMALL_QUARTICS = st.tuples(*[st.sampled_from((0, 1, -1, 2))] * 5).map(lambda c: make_quartic(*c, 1))
+X3_XY2_Y = PolynomialPotential({(3, 0): 1, (1, 2): 1, (0, 1): 1})  # K = {E}
+X2_Y2_X3 = PolynomialPotential({(2, 0): 1, (0, 2): 1, (3, 0): 1})  # K = {E, S(0)}
 
 
-@settings(max_examples=80, deadline=None)
-@given(_SMALL_QUARTICS)
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(_SMALL_QUARTICS, _averaged_polys()))
 @example(make_quartic(1, 0, 0, 0, 1, 1))  # C4v, not abelian
 @example(make_quartic(0, 0, 0, 0, 0, 1))  # x^2 + y^2: all 16 elements
+@example(X3_XY2_Y)
+@example(X2_Y2_X3)
+@example(PolynomialPotential({(1, 0): 1}))  # x: K = {E, S(0)}, and four odd cosets dropped
 def test_detect_group_is_the_stabilizer_with_its_cayley_table(poly):
-    group = detect_group(poly)
+    group, irrational = _detect_counting_irrational_maps(poly)
     stabilizer = [g for g in dihedral16() if apply_linear_map(poly, g) == poly]
     assert [(g.label, g) for g in group.elements] == [(g.label, g) for g in stabilizer]
     assert identity() in group.elements
@@ -182,6 +231,24 @@ def test_detect_group_is_the_stabilizer_with_its_cayley_table(poly):
         for j, b in enumerate(group.elements):
             assert group.elements[group.table[i][j]] == a.compose(b)
         assert sorted(group.table[i]) == list(range(group.order))
+    # one test per coset of K, the kept signed permutations, among the 8 irrational maps
+    signed = [g for g in dihedral16()[::2] if g in stabilizer]
+    assert len(irrational) <= 8 // len(signed)
+
+
+def test_examples_have_the_stated_subgroups():
+    assert [g.label for g in detect_group(X3_XY2_Y).elements] == ["E"]
+    assert [g.label for g in detect_group(X2_Y2_X3).elements] == ["E", "S(0pi/8)"]
+    assert len(_detect_counting_irrational_maps(X3_XY2_Y)[1]) == 8
+
+
+@pytest.mark.parametrize("lam", [None, "1/2", "3/10", "2"])
+@pytest.mark.parametrize("case", range(1, 6))
+def test_detect_group_tests_one_element_per_coset(case, lam):
+    """One irrational test per coset of K: 2 for the C2v cases, 1 for the C4v ones."""
+    group, irrational = _detect_counting_irrational_maps(case_preset(case, lam).potential)
+    assert len(irrational) == (1 if case in (2, 5) else 2)
+    assert group.order == (8 if case in (2, 5) else 4)
 
 
 def test_dihedral16_product_is_compose():
