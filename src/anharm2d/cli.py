@@ -24,7 +24,7 @@ Exit codes: 0 success, 2 flag/validation error (argparse convention; also an
 --out path that cannot be opened for writing, which is opened before the
 computation, like a shell redirection, a coupling that puts a coefficient
 outside the float range in a command that computes in floats, and a potential
-unbounded from below in spectrum and case 4|5, whose levels in a truncated
+unbounded from below in spectrum and case 1|2|4|5, whose levels in a truncated
 basis would be truncation artifacts), 3 numerical failure (the error name
 goes to stderr as a one-line JSON object), e.g. NoStationaryPoint when the
 case-3 sweep finds no decaying trajectory, as at lambda = 0, where case 3 is
@@ -36,6 +36,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import io
 import json
 import math
@@ -354,7 +355,7 @@ def _cmd_case(args) -> dict:
         args.nmax = 30 if args.case == 3 else 20
     preset = _float_case(args.case, args.lam)
     bounded = is_bounded_below(preset.potential)
-    if args.case in (4, 5):
+    if args.case != 3:
         _require_bounded(preset, bounded)
     payload = {
         "case": args.case,
@@ -434,6 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # main's parser, built once: parse_args keeps no state in it
 _HANDLERS = {
     "case": _cmd_case,
     "transform": _cmd_transform,
@@ -445,7 +447,7 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
         out = open(args.out_path, "w") if args.out_path else contextlib.nullcontext(sys.stdout)

@@ -1,7 +1,8 @@
 """Hamiltonian matrices in products of 1D harmonic-oscillator states.
 
-build_hamiltonian, parity_blocks and swap_blocks assemble the Hermitian
-matrices densely; theta_factors and rotated form the complex-scaled ones.
+build_hamiltonian, parity_blocks, swap_blocks and build_hamiltonian_1d scatter
+the Hermitian matrices from the 1D factors' nonzeros; theta_factors and
+rotated form the complex-scaled ones.
 
 Basis convention: eigenfunctions of h0 = p^2 + omega^2 x^2 (energies
 omega*(2n+1)), so at omega = 1 the unperturbed 2D levels are 2(nx+ny)+2.
@@ -9,7 +10,7 @@ Complex scaling x -> x e^{i theta} enters as analytic continuation of the
 matrix elements: the kinetic block picks up e^{-2i theta} and a potential
 term of total degree k picks up e^{i k theta}. rotated applies these phases
 to the sparse parts of theta_factors, and nothing else does. At theta = 0 the
-matrix is built dense as real float64, bit for bit rotated's real part.
+matrix is real float64, bit for bit rotated's real part.
 
 Parity sectors: x^i y^j only couples states whose (nx mod 2, ny mod 2)
 differ by (i mod 2, j mod 2), and the kinetic term keeps both parities.
@@ -47,8 +48,8 @@ from .poly2d import PolynomialPotential
 from .symmetry import leaves_invariant
 
 _PAD = 4  # assemble x on n_max+_PAD states so x^k (k <= 4) truncates exactly
-# Rows per slab of _assemble's in-place updates and of OperatorMatrix.is_hermitian,
-# so that neither makes a temporary of the full matrix's size.
+# Rows per slab of OperatorMatrix.is_hermitian, so that it makes no temporary
+# of the full matrix's size.
 _ROW_BLOCK = 64
 
 
@@ -146,36 +147,6 @@ def _position_powers(n_max: int, omega: float, max_power: int) -> list[np.ndarra
     return powers
 
 
-def _assemble(kin: np.ndarray, terms) -> OperatorMatrix:
-    """kin + sum coeff matrix over (coeff, matrix), accumulated in `kin` itself.
-
-    Terms are added in place, _ROW_BLOCK rows at a time, with the same
-    elementwise products and sums as adding whole matrices.
-    """
-    for coeff, mat in terms:
-        for lo in range(0, kin.shape[0], _ROW_BLOCK):
-            kin[lo : lo + _ROW_BLOCK] += coeff * mat[lo : lo + _ROW_BLOCK]
-    return OperatorMatrix(kin)
-
-
-def _kron_pieces(a: np.ndarray, b: np.ndarray, pieces) -> np.ndarray:
-    """kron(a, b) on a union of product sets of basis states.
-
-    `pieces` lists (x states, y states) index arrays. Rows and columns run
-    through the pieces in order, each piece in kron order, and every entry is
-    the product a[r, c] * b[s, t] that np.kron forms.
-    """
-    edges = np.cumsum([0] + [px.size * py.size for px, py in pieces])
-    out = np.empty((edges[-1], edges[-1]))
-    for (rx, ry), r0, r1 in zip(pieces, edges, edges[1:]):
-        for (cx, cy), c0, c1 in zip(pieces, edges, edges[1:]):
-            # the (row piece, column piece) block as kron's 4-index outer product; a
-            # reshape that only splits axes of a slice is always a view of `out`
-            view = out[r0:r1, c0:c1].reshape(rx.size, ry.size, cx.size, cy.size)
-            np.multiply(a[np.ix_(rx, cx)][:, None, :, None], b[np.ix_(ry, cy)][None, :, None, :], out=view)
-    return out
-
-
 def _xy_powers(poly: PolynomialPotential, basis: BasisSpec) -> tuple[list, list]:
     """The 1D power lists [I, X, ..., X^_PAD] of the x and the y mode, once the terms fit the pad."""
     for (i, j) in poly.terms:
@@ -188,18 +159,42 @@ def _xy_powers(poly: PolynomialPotential, basis: BasisSpec) -> tuple[list, list]
     return xpow, xpow if ny == nx else _position_powers(ny, omega, _PAD)
 
 
+def _scatter(pieces, shape: tuple[int, int], products) -> OperatorMatrix:
+    """sum coeff kron(a, b) over (coeff, a, b) in `products`, on the states of `pieces`.
+
+    `pieces` lists (x states, y states) index arrays of a `shape` basis; rows
+    run through them in order, each in kron order. Each product adds
+    coeff * (a[r, c] * b[s, t]) over the pairs of nonzeros of a and b whose
+    row and column lie in the pieces, to a matrix that starts at zero.
+    """
+    row = np.full(shape, -1, dtype=np.intp)  # each state's row, -1 outside the pieces
+    start = 0
+    for px, py in pieces:
+        row[np.ix_(px, py)] = np.arange(start, start + px.size * py.size).reshape(px.size, py.size)
+        start += px.size * py.size
+    out = np.zeros((start, start))
+    for coeff, a, b in products:
+        (ra, ca), (rb, cb) = np.nonzero(a), np.nonzero(b)
+        rows, cols = row[np.ix_(ra, rb)], row[np.ix_(ca, cb)]
+        keep = (rows >= 0) & (cols >= 0)
+        out[rows[keep], cols[keep]] += coeff * (a[ra, ca][:, None] * b[rb, cb][None, :])[keep]
+    return OperatorMatrix(out)
+
+
 def _build_pieces(poly: PolynomialPotential, basis: BasisSpec, pieces) -> OperatorMatrix:
-    """The Hermitian Hamiltonian (theta = 0) restricted to the product pieces."""
+    """The Hermitian Hamiltonian (theta = 0) on the product pieces, scattered by _scatter.
+
+    K (x) I and I (x) K come first, then X^i (x) Y^j per term in float_terms()
+    order, so each entry adds the nonzero products of the dense sum
+    K (x) I + I (x) K + sum coeff X^i (x) Y^j in its order and has its bits,
+    but for a zero's sign: the dense sum can leave -0 where no product is
+    nonzero and every coefficient is negative.
+    """
     xpow, ypow = _xy_powers(poly, basis)
     nx, ny, omega = basis.n_max_x, basis.n_max_y, basis.omega
-    kin = _kron_pieces(kinetic_matrix_1d(nx, omega), np.eye(ny), pieces) + _kron_pieces(
-        np.eye(nx), kinetic_matrix_1d(ny, omega), pieces
-    )
-    terms = (
-        (coeff, _kron_pieces(xpow[i], ypow[j], pieces))
-        for (i, j), coeff in poly.float_terms().items()
-    )
-    return _assemble(kin, terms)
+    products = [(1.0, kinetic_matrix_1d(nx, omega), ypow[0]), (1.0, xpow[0], kinetic_matrix_1d(ny, omega))]
+    products += [(coeff, xpow[i], ypow[j]) for (i, j), coeff in poly.float_terms().items()]
+    return _scatter(pieces, (nx, ny), products)
 
 
 def build_hamiltonian(poly: PolynomialPotential, basis: BasisSpec) -> OperatorMatrix:
@@ -346,8 +341,9 @@ def build_hamiltonian_1d(coeffs: dict[int, float], n_max: int, omega: float) -> 
     """
     if any(k > _PAD or k < 0 for k in coeffs):
         raise DegreeTooHigh(f"power beyond the pad-{_PAD} truncation policy")
-    xpow = _position_powers(n_max, omega, _PAD)
-    return _assemble(kinetic_matrix_1d(n_max, omega), ((c, xpow[k]) for k, c in coeffs.items()))
+    xpow, one = _position_powers(n_max, omega, _PAD), np.ones((1, 1))  # y: one state, no kinetic term
+    products = [(1.0, kinetic_matrix_1d(n_max, omega), one)] + [(c, xpow[k], one) for k, c in coeffs.items()]
+    return _scatter([(np.arange(n_max), np.arange(1))], (n_max, 1), products)
 
 
 def optimal_omega(g: float) -> float:

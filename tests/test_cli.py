@@ -314,21 +314,56 @@ def test_numerical_failure_exits_3_with_json_error():
         ["spectrum", "--case", "5", "--lambda=-1/10"],
         ["case", "4", "--lambda=-1/10"],
         ["case", "5", "--lambda=-1/10"],
+        ["case", "1", "--lambda=-1/10"],
+        ["case", "2", "--lambda=-1/10"],
     ],
     ids=" ".join,
 )
 def test_unbounded_potential_has_no_variational_spectrum(capsys, monkeypatch, argv):
     """Truncated levels of a potential with no ground state are artifacts: exit 2 before any solve."""
 
-    def no_solve(*args):
+    def no_solve(*args, **kwargs):
         raise AssertionError("an unbounded potential was diagonalized")
 
     monkeypatch.setattr(cli, "swap_blocks", no_solve)
+    monkeypatch.setattr(cli, "build_hamiltonian_1d", no_solve)
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "unbounded from below" in err and "resonance command" in err
+
+
+def _main_result(capsys, argv):
+    """(exit code, stdout, stderr) of cli.main(argv), argparse's exits included."""
+    try:
+        rc = cli.main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    out, err = capsys.readouterr()
+    return rc, out, err
+
+
+@pytest.mark.parametrize(
+    "first, second, first_rc",
+    [
+        (["case", "3", "--nmax", "8", "--theta-steps", "5"], ["case", "1"], 0),
+        (["spectrum", "--case", "1", "--count", "3"], ["spectrum", "--case", "2"], 0),
+        (["spectrum", "--case", "9"], ["transform", "--case", "2"], 2),
+    ],
+    ids=lambda value: " ".join(value) if isinstance(value, list) else str(value),
+)
+def test_one_parser_serves_commands_in_turn(capsys, first, second, first_rc):
+    """main builds its parser once per process, and no state of one command reaches the next."""
+    fresh = []
+    for argv in (first, second):
+        cli._parser.cache_clear()
+        fresh.append(_main_result(capsys, argv))
+    cli._parser.cache_clear()
+    assert [_main_result(capsys, first), _main_result(capsys, second)] == fresh
+    info = cli._parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)  # built for the first command, reused for the second
+    assert [rc for rc, _, _ in fresh] == [first_rc, 0]
 
 
 def test_negative_coupling_is_passed_with_an_equals_sign(capsys):

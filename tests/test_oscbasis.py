@@ -210,6 +210,7 @@ def _expected_blocks(poly, nx, ny):
 
 
 _MONOMIALS = [(i, j) for i in range(5) for j in range(5 - i)]
+_COEFFS = st.fractions(min_value=-5, max_value=5, max_denominator=30)
 
 
 @settings(max_examples=60, deadline=None)
@@ -242,6 +243,29 @@ def test_parity_blocks_are_exact_submatrices(terms, nx, ny, omega):
     assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1.0)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    terms=st.dictionaries(st.sampled_from(_MONOMIALS), _COEFFS, max_size=8),
+    nx=st.integers(1, 8),
+    ny=st.integers(1, 8),
+    omega=st.sampled_from([1.0, 1.7]),
+)
+@example(terms={(2, 0): Fraction(-3, 2), (1, 1): Fraction(2), (4, 0): Fraction(1)}, nx=7, ny=4, omega=1.7)
+@example(terms={(2, 0): Fraction(-1), (0, 2): Fraction(-2), (3, 1): Fraction(-1, 3)}, nx=5, ny=8, omega=1.0)
+def test_parity_blocks_are_the_dense_kron_sum(terms, nx, ny, omega):
+    """Oracle independent of the builder's assembly: the explicit np.kron sum at each block's rows."""
+    poly = PolynomialPotential({(2, 0): 1, (0, 2): 1, **terms})
+    xpow, ypow = _position_powers(nx, omega, 4), _position_powers(ny, omega, 4)
+    want = np.kron(kinetic_matrix_1d(nx, omega), np.eye(ny)) + np.kron(np.eye(nx), kinetic_matrix_1d(ny, omega))
+    for (i, j), c in poly.float_terms().items():
+        want = want + c * np.kron(xpow[i], ypow[j])
+    blocks = parity_blocks(poly, BasisSpec(nx, ny, omega=omega))
+    expected = _expected_blocks(poly, nx, ny)
+    assert len(blocks) == len(expected)
+    for rows, mat in zip(expected, blocks):
+        assert np.array_equal(mat.entries, want[np.ix_(rows, rows)])
+
+
 def test_parity_blocks_reject_a_rotated_basis():
     with pytest.raises(ValueError):
         parity_blocks(case_preset(3).potential, BasisSpec(6, 6, theta=0.1))
@@ -264,9 +288,6 @@ def test_parity_block_count(poly, count):
 def _block_levels(blocks):
     """The merged spectrum of swap_blocks' output, each block's levels repeated by its multiplicity."""
     return np.sort(np.concatenate([np.repeat(np.linalg.eigvalsh(mat.entries), times) for mat, times in blocks]))
-
-
-_COEFFS = st.fractions(min_value=-5, max_value=5, max_denominator=30)
 
 
 @settings(max_examples=60, deadline=None)
@@ -430,3 +451,16 @@ def test_hermitian_check_allocates_slabs_only():
     finally:
         tracemalloc.stop()
     assert peak < mat.entries.nbytes / 4
+
+
+@pytest.mark.parametrize("case", [1, 2, 4, 5])
+def test_parity_blocks_make_no_full_size_temporaries(case):
+    """The blocks are scattered from the 1D factors' nonzeros, not cut from dense kron products."""
+    tracemalloc.start()
+    try:
+        blocks = parity_blocks(case_preset(case).potential, BasisSpec(40, 40))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    sizes = [mat.entries.nbytes for mat in blocks]
+    assert peak - sum(sizes) < max(sizes)
