@@ -28,7 +28,7 @@ from .poly2d import (
     quartic_form_min,
 )
 from .resonance import Resonance, ThetaScan, find_lowest_resonance, theta_trajectory
-from .rpm import HankelSpec, RiccatiSeries, hankel_det, riccati_coeffs, rpm_eigenvalue
+from .rpm import RiccatiSeries, riccati_coeffs, rpm_eigenvalue
 from .symmetry import (
     SymmetryGroup,
     detect_group,
@@ -42,7 +42,6 @@ __all__ = [
     "BasisSpec",
     "Boundedness",
     "CasePreset",
-    "HankelSpec",
     "OperatorMatrix",
     "OrthogonalMap2",
     "PolynomialPotential",
@@ -63,7 +62,6 @@ __all__ = [
     "exact_lambda",
     "find_lowest_resonance",
     "flip_x",
-    "hankel_det",
     "is_bounded_below",
     "is_separable",
     "kinetic_matrix_1d",

@@ -11,7 +11,7 @@ all but rpm take --lambda, the coupling, written --lambda=-1/10 when negative):
   transform, symmetry   --case
   spectrum        --case, --count, --nmax, --omega fixed:<val>|optimal
   resonance       (case 3 only) --nmax, --theta-*, --emit-table1
-  rpm             --g, --state, --seed, --displacement, --digits, --dmax
+  rpm             --g, --state, --seed, --displacement (>= 0), --digits, --dmax
 There are no environment variables.
 
 `case 4` reports isospectral_max_diff without a second spectrum: the largest

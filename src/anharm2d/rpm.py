@@ -20,16 +20,12 @@ binary exponent per row. One O(D^2) pass over the moments mu_l = f_{l+d+1}
 gives the ratios sigma_kk = H_{k+1}/H_k of consecutive leading minors, and
 H_D = prod_{k<D} sigma_kk.
 
-The same determinant on raw `mpmath.libmp` tuples, at the working precision's
-rounding (`mp.mp._prec_rounding`), is the public `riccati_coeffs` +
-`hankel_det`: the kernel's fallback where an exactly zero pivot stops its
-recursion, and the tests' oracle. `hankel_det` runs the same Chebyshev
-algorithm; it does not pivot, so it is not bit-identical to `mp.det`. Where
-an exactly zero sigma_kk stops it, the block goes to `_lu_det`, mpmath's own
-scaled-partial-pivot LU (`mp.det`/`LU_decomp` of mpmath 1.3) operation for
-operation: that one is bit-identical to `mp.det(mp.matrix(...))`, including
-its `int 0` for a block with a pivot at or below the singularity threshold
-||A||_1 * eps.
+Where an exactly zero pivot stops that recursion, the block goes to
+mpmath's own scaled-partial-pivot LU, `mp.det(mp.matrix(...))` of the
+`riccati_coeffs` series at the working precision: O(D^3), but no workload
+reaches it. It returns `int 0` for a block with a pivot at or below the
+singularity threshold ||A||_1 * eps, as for the harmonic series, whose
+moments all vanish.
 """
 
 from __future__ import annotations
@@ -40,26 +36,7 @@ from fractions import Fraction
 from operator import mul
 
 import mpmath as mp
-from mpmath.libmp import (
-    MPZ_ONE,
-    fzero,
-    from_int,
-    from_man_exp,
-    mpf_abs,
-    mpf_add,
-    mpf_div,
-    mpf_gt,
-    mpf_le,
-    mpf_mul,
-    mpf_mul_int,
-    mpf_rdiv_int,
-    mpf_sub,
-    mpf_sum,
-)
-
-
-class InsufficientCoefficients(ValueError):
-    """The series is too short for the requested determinant block."""
+from mpmath.libmp import from_int, from_man_exp, mpf_add, mpf_div, mpf_mul, mpf_sub, mpf_sum
 
 
 class NewtonDivergence(RuntimeError):
@@ -76,22 +53,6 @@ class RiccatiSeries:
 
     s: int
     coeffs: tuple = field(repr=False)
-
-
-@dataclass(frozen=True)
-class HankelSpec:
-    """Determinant block: dimension D and displacement d."""
-
-    D: int
-    d: int = 0
-
-    def __post_init__(self):
-        if self.D < 1 or self.d < 0:
-            raise ValueError("need D >= 1 and d >= 0")
-
-    @property
-    def max_index(self) -> int:
-        return 2 * self.D - 1 + self.d
 
 
 def _to_mpf(value):
@@ -127,123 +88,6 @@ def riccati_coeffs(v, s: int, e_value, m_max: int) -> RiccatiSeries:
     return RiccatiSeries(s=s, coeffs=coeffs)
 
 
-def _moments(series: RiccatiSeries, spec: HankelSpec) -> list:
-    """Raw tuples of the moments mu_l = f_{l+d+1}, l = 0..2D-2: the block is [mu_{i+j}]."""
-    if len(series.coeffs) <= spec.max_index:
-        raise InsufficientCoefficients(
-            f"need coefficients up to index {spec.max_index}, have {len(series.coeffs) - 1}"
-        )
-    return [c._mpf_ for c in series.coeffs[spec.d + 1 : spec.d + 2 * spec.D]]
-
-
-def hankel_det(series: RiccatiSeries, spec: HankelSpec):
-    """det[f_{i+j+d+1}], i, j = 0..D-1, by the Chebyshev algorithm.
-
-    In the 1-based form of the Riccati-Padé literature this is
-    H_D^d = |f_{i+j+d-1}|, i, j = 1..D; D = 1 gives f_{d+1}.
-
-    With moments mu_l = f_{l+d+1}, the Chebyshev algorithm (Gautschi,
-    Orthogonal Polynomials: Computation and Approximation, 2004) runs the
-    three-term recurrence of the monic orthogonal polynomials on the mixed
-    moments
-
-        sigma_{k,l} = sigma_{k-1,l+1} - alpha_{k-1} sigma_{k-1,l} - beta_{k-1} sigma_{k-2,l},
-        alpha_k = sigma_{k,k+1} / sigma_{k,k} - sigma_{k-1,k} / sigma_{k-1,k-1},
-        beta_k = sigma_{k,k} / sigma_{k-1,k-1},
-
-    starting from sigma_{-1,l} = 0 and sigma_{0,l} = mu_l. The diagonal is the
-    ratio of consecutive leading minors, sigma_{k,k} = H_{k+1} / H_k, so
-    H_D = prod_{k<D} sigma_{k,k}: O(D^2) operations on libmp tuples at the
-    working precision, against O(D^3) for an LU. The recursion does no
-    pivoting, so the result is not bit-identical to `mp.det` (only `_lu_det`
-    is). It breaks down when some sigma_{k,k} is exactly zero; the block is
-    then handed to `_lu_det`, which returns `int 0` for a singular block, as
-    `mp.det` does.
-    """
-    mu = _moments(series, spec)
-    prec, rnd = mp.mp._prec_rounding
-    D = spec.D
-    # Row k holds sigma_{k,l} at index l and needs l = k..2D-2-k only.
-    prev, cur = [fzero] * len(mu), mu  # sigma_{-1,l} = 0 and sigma_{0,l} = mu_l
-    shift = beta = fzero  # at k = 0 both multiply sigma_{-1,l} = 0
-    for k in range(D):
-        pivot = cur[k]  # sigma_{k,k} = H_{k+1} / H_k
-        if pivot == fzero:
-            return _lu_det(series, spec)
-        det = mpf_mul(det, pivot, prec, rnd) if k else pivot
-        if k + 1 == D:
-            return mp.mp.make_mpf(det)
-        ratio = mpf_div(cur[k + 1], pivot, prec, rnd)
-        alpha, shift = mpf_sub(ratio, shift, prec, rnd), ratio
-        if k:
-            beta = mpf_div(pivot, prev[k - 1], prec, rnd)
-        row = [None] * (k + 1)
-        for l in range(k + 1, 2 * D - 2 - k):
-            term = mpf_sub(cur[l + 1], mpf_mul(alpha, cur[l], prec, rnd), prec, rnd)
-            row.append(mpf_sub(term, mpf_mul(beta, prev[l], prec, rnd), prec, rnd))
-        prev, cur = cur, row
-
-
-def _lu_det(series: RiccatiSeries, spec: HankelSpec):
-    """The same determinant by LU, bit-identical to `mp.det(mp.matrix(...))`.
-
-    The LU is mpmath 1.3's scaled-partial-pivot `LU_decomp`, run on libmp
-    tuples with the working precision's rounding: the pivot row maximizes
-    |a_kj| / sum_l |a_kl| over the remaining rows, and each multiplier,
-    product and difference is rounded once, in mpmath's order. The result is
-    the mpf `mp.det` returns, bit for bit. When a row sum or a pivot is at or
-    below the singularity threshold |(||A||_1 * eps)|, the result is `int 0`,
-    as from `mp.det`. It is also `int 0` when the remaining column is exactly
-    zero, where mpmath 1.3 finds no pivot row and fails with a TypeError.
-    `hankel_det` calls it only where its recursion breaks down; it is also
-    the tests' oracle.
-    """
-    D = spec.D
-    prec, rnd = mp.mp._prec_rounding
-    f = _moments(series, spec)
-    # Each row holds only the columns not yet eliminated: rows[0][0] is the
-    # next pivot. Multipliers (the L factor) are not needed for det.
-    rows = [f[i : i + D] for i in range(D)]
-    norm = None  # ||A||_1, the largest column sum; compared as numbers, not tuples
-    for col in rows:  # the block is symmetric: its columns are its rows
-        total = mpf_sum([mpf_abs(x) for x in col], prec, rnd, True)
-        if norm is None or mpf_gt(total, norm):
-            norm = total
-    tol = mpf_abs(mpf_mul(norm, (0, MPZ_ONE, 1 - prec, 1), prec, rnd), prec, rnd)
-    sign = 1
-    pivots = []
-    while rows:
-        if len(rows) > 1:  # mpmath searches no pivot row for the last column
-            biggest, k_max = fzero, None
-            for k, row in enumerate(rows):
-                total = mpf_sum([mpf_abs(x, prec, rnd) for x in row], prec, rnd)
-                if mpf_le(mpf_abs(total, prec, rnd), tol):
-                    return 0
-                current = mpf_mul(mpf_rdiv_int(1, total, prec, rnd), mpf_abs(row[0], prec, rnd), prec, rnd)
-                if mpf_gt(current, biggest):
-                    biggest, k_max = current, k
-            if k_max:  # None when the column is exactly zero: the pivot test returns 0
-                rows[0], rows[k_max] = rows[k_max], rows[0]
-                sign = -sign
-        top = rows[0]
-        head = top[0]
-        if mpf_le(mpf_abs(head, prec, rnd), tol):
-            return 0
-        pivots.append(head)
-        tail = top[1:]
-        eliminated = []
-        for row in rows[1:]:
-            factor = mpf_div(row[0], head, prec, rnd)
-            eliminated.append(
-                [mpf_sub(x, mpf_mul(factor, y, prec, rnd), prec, rnd) for x, y in zip(row[1:], tail)]
-            )
-        rows = eliminated
-    det = mpf_mul_int(pivots[0], sign, prec, rnd)
-    for pivot in pivots[1:]:
-        det = mpf_mul(det, pivot, prec, rnd)
-    return mp.mp.make_mpf(det)
-
-
 GUARD_BITS = 64  # fixed-point bits of `scaled_hankel_det` beyond the working precision
 
 
@@ -273,10 +117,24 @@ def _scale_exponent(v, s: int, energy, m_max: int) -> int:
     return -round(slope)
 
 
+def _mp_det(v, s: int, energy, D: int, d: int):
+    """`mp.det` of the block [f_{i+j+d+1}] of `riccati_coeffs` at the working
+    precision: the kernel's fallback after an exactly zero pivot. `int 0` for
+    a singular block, as from `mp.det`, also where the remaining column is
+    exactly zero and mpmath 1.3 finds no pivot row and fails with a TypeError.
+    """
+    f = riccati_coeffs(v, s, energy, 2 * D - 1 + d).coeffs
+    try:
+        return mp.det(mp.matrix([[f[i + j + d + 1] for j in range(D)] for i in range(D)]))
+    except TypeError:
+        return 0
+
+
 def scaled_hankel_det(v, s: int, energy, D: int, d: int, t: int):
     """det[f_{i+j+d+1}(energy)], i, j = 0..D-1, on Python integers: the
-    determinant of the root trail, equal to `hankel_det` of `riccati_coeffs`
-    to the working precision.
+    Hankel determinant of the root trail, to the working precision. In the
+    1-based form of the Riccati-Padé literature this is
+    H_D^d = |f_{i+j+d-1}|, i, j = 1..D; D = 1 gives f_{d+1}.
 
     The series is rescaled exactly to g_j = f_j 2^{t(j+1)}, which turns the
     recursion into
@@ -287,16 +145,27 @@ def scaled_hankel_det(v, s: int, energy, D: int, d: int, t: int):
     product is an exact int, each convolution (summed over j < m/2 and
     doubled, by its j <-> m-1-j symmetry) is shifted once. With t from
     `_scale_exponent`, the g_j stay near 1, so the fixed point loses no
-    digits to their range. The Chebyshev algorithm of `hankel_det` then runs
-    on the moments g_{l+d+1}, one binary exponent per row: alpha and beta are
-    P-bit fixed-point ratios, and each new row, computed exactly from them,
-    is shifted right until its pivot has P bits. The product of the pivots is
+    digits to their range.
+
+    With moments mu_l = g_{l+d+1}, the Chebyshev algorithm (Gautschi,
+    Orthogonal Polynomials: Computation and Approximation, 2004) runs the
+    three-term recurrence of the monic orthogonal polynomials on the mixed
+    moments
+
+        sigma_{k,l} = sigma_{k-1,l+1} - alpha_{k-1} sigma_{k-1,l} - beta_{k-1} sigma_{k-2,l},
+        alpha_k = sigma_{k,k+1} / sigma_{k,k} - sigma_{k-1,k} / sigma_{k-1,k-1},
+        beta_k = sigma_{k,k} / sigma_{k-1,k-1},
+
+    starting from sigma_{-1,l} = 0 and sigma_{0,l} = mu_l. The diagonal is the
+    ratio of consecutive leading minors, sigma_{k,k} = H_{k+1} / H_k, so
+    H_D = prod_{k<D} sigma_{k,k}: O(D^2) operations, against O(D^3) for an
+    LU. Each row keeps one binary exponent: alpha and beta are P-bit
+    fixed-point ratios, and each new row, computed exactly from them, is
+    shifted right until its pivot has P bits. The product of the pivots is
     exact; the block's scaling is undone by the exact power
     det[f] = 2^{-tD(d+2) - tD(D-1)} det[g], and the result is rounded once,
-    to the working precision. Where an exactly zero pivot stops the
-    recursion, the block goes to `hankel_det` on the libmp series (and from
-    there to `_lu_det`); the harmonic series, whose moments all vanish, gets
-    `int 0` that way.
+    to the working precision. The recursion does no pivoting: where an
+    exactly zero sigma_{k,k} stops it, the block goes to `_mp_det`.
     """
     prec, rnd = mp.mp._prec_rounding
     P = prec + GUARD_BITS
@@ -318,7 +187,7 @@ def scaled_hankel_det(v, s: int, energy, D: int, d: int, t: int):
     for k in range(D):
         pivot = row[0]
         if not pivot:
-            return hankel_det(riccati_coeffs(v, s, energy, 2 * D - 1 + d), HankelSpec(D=D, d=d))
+            return _mp_det(v, s, energy, D, d)
         det, det_exp = det * pivot, det_exp + exp
         if k + 1 == D:
             break
@@ -411,9 +280,9 @@ def rpm_eigenvalue(
     root, its certified digits and the whole trail.
 
     Every determinant comes from `scaled_hankel_det` on scaled integers,
-    with the exponent t of `_scale_exponent` fitted once, at the seed; the
-    libmp `riccati_coeffs` + `hankel_det` path runs only where the kernel
-    meets an exactly zero pivot.
+    with the exponent t of `_scale_exponent` fitted once, at the seed;
+    `mp.det` of the `riccati_coeffs` block runs only where the kernel meets
+    an exactly zero pivot.
 
     `stabilized_digits` is the smaller of two counts: the digits on which the
     last two dimensions agree (the truncation in D), and the digits that the
@@ -426,6 +295,8 @@ def rpm_eigenvalue(
         raise ValueError("an explicit finite seed (e.g. a variational estimate) is required")
     if D_max < 3:
         raise ValueError("D_max must be >= 3")
+    if d < 0:
+        raise ValueError("displacement d must be >= 0")
     with mp.workdps(precision_digits):
         roots = [_to_mpf(seed)]
         scale = _scale_exponent(v, s, roots[0], 2 * D_max - 1 + d)

@@ -147,6 +147,9 @@ def test_validation_failures_exit_2():
     for seed in ("nan", "inf"):
         assert run_cli("rpm", "--g", "1", "--seed", seed).returncode == 2
     assert run_cli("rpm", "--g", "4", "--dmax", "2").returncode == 2
+    for displacement in ("-1", "-3"):
+        argv = ("rpm", "--g", "1", f"--displacement={displacement}", "--dmax", "8", "--digits", "30")
+        assert run_cli(*argv).returncode == 2
     assert run_cli("case", "3", "--theta-min", "0.2", "--theta-max", "0.1").returncode == 2
     for count in ("-1", "0"):
         assert run_cli("spectrum", "--case", "5", "--nmax", "3", "--count", count).returncode == 2

@@ -10,12 +10,9 @@ from anharm2d import cli, rpm
 from anharm2d.eig import eig_selfadjoint
 from anharm2d.oscbasis import build_hamiltonian_1d, optimal_omega
 from anharm2d.rpm import (
-    HankelSpec,
-    InsufficientCoefficients,
     RiccatiSeries,
-    _lu_det,
+    _mp_det,
     _scale_exponent,
-    hankel_det,
     riccati_coeffs,
     rpm_eigenvalue,
     scaled_hankel_det,
@@ -97,40 +94,37 @@ def test_recursion_is_bit_identical_to_mpf_arithmetic(s):
 
 def test_hankel_harmonic_is_exactly_zero(monkeypatch):
     # Every moment is zero, so sigma_{0,0} = 0 stops the Chebyshev recursion
-    # and the LU's exact int 0 comes back; the integer kernel gets it from
-    # the same fallback.
+    # and mp.det's exact int 0 comes back from the fallback.
     fallbacks = []
-    monkeypatch.setattr(rpm, "_lu_det", lambda series, spec: fallbacks.append(spec) or _lu_det(series, spec))
+    monkeypatch.setattr(rpm, "_mp_det", lambda *args: fallbacks.append(args) or _mp_det(*args))
     with mp.workdps(40):
-        series = riccati_coeffs([0, 1], s=0, e_value=1, m_max=11)
         for D in (1, 2, 4, 5):
-            det = hankel_det(series, HankelSpec(D=D))
-            assert type(det) is int and det == 0
             for t in (-3, 0, 3):
                 det = scaled_hankel_det([0, 1], 0, 1, D, 0, t)
                 assert type(det) is int and det == 0
-    assert len(fallbacks) == 4 * 4
+    assert len(fallbacks) == 4 * 3
 
 
 def test_hankel_one_by_one_is_first_coefficient():
+    # D = 1 is the entry f_{d+1}: f_1 = (f_0^2 - 1) / 3 comes out bit for bit,
+    # and the later f_j, rounded differently in the fixed point, agree to the
+    # working precision (6.6e-41 relative at most, measured).
     with mp.workdps(40):
         series = riccati_coeffs([0, 1, 4], s=0, e_value=mp.mpf("1.9"), m_max=3)
-        for d in (0, 1, 2):
-            assert hankel_det(series, HankelSpec(D=1, d=d))._mpf_ == series.coeffs[d + 1]._mpf_
-
-
-def test_hankel_needs_enough_coefficients():
-    series = riccati_coeffs([0, 1, 4], s=0, e_value=2, m_max=3)
-    with pytest.raises(InsufficientCoefficients):
-        hankel_det(series, HankelSpec(D=3))
+        for t in (-3, 0, 3):
+            assert scaled_hankel_det([0, 1, 4], 0, mp.mpf("1.9"), 1, 0, t)._mpf_ == series.coeffs[1]._mpf_
+            for d in (1, 2):
+                det, f = scaled_hankel_det([0, 1, 4], 0, mp.mpf("1.9"), 1, d, t), series.coeffs[d + 1]
+                assert abs(det - f) <= mp.mpf(10) ** -40 * abs(f)
 
 
 def test_hankel_sign_change_brackets_the_eigenvalue():
-    # D = 3 at d = 0 uses f_1..f_5, exactly the coefficients computed here; the
-    # D = 2 root (1.89265) is still 0.01 below the eigenvalue 1.90314.
+    # D = 3 at d = 0 uses f_1..f_5; the D = 2 root (1.89265) is still 0.01
+    # below the eigenvalue 1.90314.
     with mp.workdps(40):
-        lo = hankel_det(riccati_coeffs([0, 1, 4], 0, mp.mpf("1.9"), 5), HankelSpec(D=3))
-        hi = hankel_det(riccati_coeffs([0, 1, 4], 0, mp.mpf("1.91"), 5), HankelSpec(D=3))
+        t = _scale_exponent([0, 1, 4], 0, mp.mpf("1.9"), 5)
+        lo = scaled_hankel_det([0, 1, 4], 0, mp.mpf("1.9"), 3, 0, t)
+        hi = scaled_hankel_det([0, 1, 4], 0, mp.mpf("1.91"), 3, 0, t)
     assert lo * hi < 0
     # the bracketed root sits at the variational ground energy
     e_var = eig_selfadjoint(build_hamiltonian_1d({2: 1.0, 4: 4.0}, 50, optimal_omega(4.0))).eigenvalues[0]
@@ -229,17 +223,19 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         rpm_eigenvalue([0, 1, 4], s=0, D_max=6, seed=float("nan"))
     with pytest.raises(ValueError):
+        rpm_eigenvalue([0, 1, 4], s=0, d=-1, D_max=6, seed=1.9)
+    with pytest.raises(ValueError):
         riccati_coeffs([0, 1], s=2, e_value=1, m_max=3)
 
 
-def _mp_det_oracle(series, spec):
+def _mp_det_oracle(v, s, energy, D, d):
     """Reference determinant: mpmath's own LU on an mp.matrix of the block."""
-    D, d = spec.D, spec.d
-    return mp.det(mp.matrix([[series.coeffs[i + j + d + 1] for j in range(D)] for i in range(D)]))
+    f = riccati_coeffs(v, s, energy, 2 * D - 1 + d).coeffs
+    return mp.det(mp.matrix([[f[i + j + d + 1] for j in range(D)] for i in range(D)]))
 
 
-def _assert_same_det(series, spec):
-    mine, ref = _lu_det(series, spec), _mp_det_oracle(series, spec)
+def _assert_same_det(v, s, energy, D, d=0):
+    mine, ref = _mp_det(v, s, energy, D, d), _mp_det_oracle(v, s, energy, D, d)
     assert type(mine) is type(ref)
     if isinstance(ref, mp.mpf):
         assert mine._mpf_ == ref._mpf_
@@ -248,87 +244,39 @@ def _assert_same_det(series, spec):
     return ref
 
 
-def test_hankel_matches_mp_det_when_pivoting_swaps_rows():
-    # At E = 1.9 the scaled pivot rule swaps rows once for D = 3 and twice
-    # for D = 4, so the sign bookkeeping is exercised.
-    with mp.workdps(40):
-        for D in (2, 3, 4):
-            series = riccati_coeffs([0, 1, 4], 0, mp.mpf("1.9"), 2 * D - 1)
-            assert isinstance(_assert_same_det(series, HankelSpec(D=D)), mp.mpf)
-        for d in (1, 2):
-            series = riccati_coeffs([0, 1, Fraction(1, 10)], 1, mp.mpf("0.5"), 2 * 6 - 1 + d)
-            _assert_same_det(series, HankelSpec(D=6, d=d))
-
-
 def test_hankel_matches_mp_det_on_the_harmonic_series():
     with mp.workdps(40):
-        series = riccati_coeffs([0, 1], s=0, e_value=1, m_max=11)
         for D in (1, 2, 5):
-            assert _assert_same_det(series, HankelSpec(D=D)) == 0
+            det = _assert_same_det([0, 1], 0, 1, D)
+            assert type(det) is int and det == 0
 
 
 def test_hankel_matches_mp_det_below_the_singularity_threshold():
     # A Newton iterate of rpm_eigenvalue([0, 1, 1], s=1, D_max=25, seed=<variational>)
     # at 80 digits. At D = 16 its last pivot is below ||A||_1 * eps, so mp.det
-    # returns int 0; the largest column sum decides that, and comparing the
-    # sums as raw tuples would pick a smaller one and miss the threshold.
+    # returns int 0.
     with mp.workdps(80):
         energy = mp.mpf((551214833145542759595461655893291741944393698487717823256927585795641601746067609, -266))
-        series = riccati_coeffs([0, 1, 1], s=1, e_value=energy, m_max=2 * 16 - 1)
-        assert _assert_same_det(series, HankelSpec(D=16)) == 0
-        assert isinstance(_assert_same_det(series, HankelSpec(D=4)), mp.mpf)
+        det = _assert_same_det([0, 1, 1], 1, energy, 16)
+        assert type(det) is int and det == 0
+        assert isinstance(_assert_same_det([0, 1, 1], 1, energy, 4), mp.mpf)
 
 
-def test_hankel_matches_mp_det_at_dimension_one():
-    with mp.workdps(40):
-        series = riccati_coeffs([0, 1, 4], s=0, e_value=mp.mpf("1.9"), m_max=3)
-        for d in (0, 1, 2):
-            _assert_same_det(series, HankelSpec(D=1, d=d))
-
-
-def test_hankel_exactly_zero_column_is_singular():
+def test_hankel_exactly_zero_column_is_singular(monkeypatch):
     # [[1,1,1],[1,1,1],[1,1,0]]: after the first elimination the second column
-    # is exactly zero, so no pivot row exists (mpmath 1.3's det fails there).
+    # is exactly zero, so mpmath 1.3's det finds no pivot row and fails with
+    # a TypeError; the fallback returns int 0 there.
     coeffs = tuple(mp.mpf(c) for c in (0, 1, 1, 1, 1, 0))
-    det = _lu_det(RiccatiSeries(s=0, coeffs=coeffs), HankelSpec(D=3))
+    with pytest.raises(TypeError):
+        mp.det(mp.matrix([[coeffs[i + j + 1] for j in range(3)] for i in range(3)]))
+    monkeypatch.setattr(rpm, "riccati_coeffs", lambda *args: RiccatiSeries(s=0, coeffs=coeffs))
+    det = _mp_det([0, 1], 0, 1, 3, 0)
     assert type(det) is int and det == 0
-
-
-def test_hankel_breakdown_falls_back_to_the_lu():
-    # The block above has sigma_{1,1} = 1 - 1 = 0 in the Chebyshev recursion,
-    # which then hands it to the LU.
-    coeffs = tuple(mp.mpf(c) for c in (0, 1, 1, 1, 1, 0))
-    det = hankel_det(RiccatiSeries(s=0, coeffs=coeffs), HankelSpec(D=3))
-    assert type(det) is int and det == 0
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    g=st.fractions(min_value=Fraction(1, 10), max_value=100, max_denominator=1000),
-    s=st.sampled_from((0, 1)),
-    d=st.integers(0, 2),
-    D=st.integers(1, 16),
-    energy=st.fractions(min_value=Fraction(1, 2), max_value=9, max_denominator=10**6),
-    dps=st.sampled_from((30, 40, 80)),
-)
-def test_chebyshev_det_accuracy_where_the_lu_is_accurate(g, s, d, D, energy, dps):
-    """Wherever the pivoted LU is good to half the digits, the unpivoted
-    recursion is good to a quarter of them. Both are measured against mp.det
-    of the same block at twice the digits."""
-    spec = HankelSpec(D=D, d=d)
-    with mp.workdps(dps):
-        series = riccati_coeffs([0, 1, g], s, energy, spec.max_index)
-        fast, lu = hankel_det(series, spec), _lu_det(series, spec)
-    with mp.workdps(2 * dps):
-        ref = _mp_det_oracle(riccati_coeffs([0, 1, g], s, energy, spec.max_index), spec)
-        if ref == 0 or abs(lu - ref) > mp.mpf(10) ** (-dps / 2) * abs(ref):
-            return
-        assert abs(fast - ref) <= mp.mpf(10) ** (-dps / 4) * abs(ref)
 
 
 def _libmp_reference_det(v, s, energy, D, d, t):
     """The trail's determinant from the libmp series and mp.det, for `scaled_hankel_det`."""
-    return _mp_det_oracle(riccati_coeffs(v, s, energy, 2 * D - 1 + d), HankelSpec(D=D, d=d))
+    return _mp_det_oracle(v, s, energy, D, d)
 
 
 @pytest.mark.parametrize(
@@ -350,36 +298,35 @@ def test_rpm_result_agrees_with_mp_det_path(monkeypatch, v, s, seed, d_max, dps)
             assert abs(a - b) <= bound * abs(b)
 
 
-def test_rpm_takes_the_chebyshev_path(monkeypatch):
-    """Every determinant of a root trail comes from the integer kernel; none
-    falls back to the libmp recursion or the O(D^3) LU."""
-    calls = {"kernel": 0, "hankel": 0, "lu": 0}
-    kernel, libmp_det = rpm.scaled_hankel_det, rpm.hankel_det
+def test_rpm_takes_the_chebyshev_path(monkeypatch, capsys):
+    """Every determinant of the benchmark's root trails (`rpm --g` at the CLI
+    defaults: D_max 25, 80 digits, variational seed) comes from the integer
+    kernel; none falls back to the O(D^3) mp.det."""
+    calls = {}
+    kernel, fallback = rpm.scaled_hankel_det, rpm._mp_det
 
     def counted(*args):
         calls["kernel"] += 1
         return kernel(*args)
 
-    def no_hankel(series, spec):
-        calls["hankel"] += 1
-        return libmp_det(series, spec)
-
-    def no_lu(series, spec):
-        calls["lu"] += 1
-        return _lu_det(series, spec)
+    def no_fallback(*args):
+        calls["fallback"] += 1
+        return fallback(*args)
 
     monkeypatch.setattr(rpm, "scaled_hankel_det", counted)
-    monkeypatch.setattr(rpm, "hankel_det", no_hankel)
-    monkeypatch.setattr(rpm, "_lu_det", no_lu)
-    rpm_eigenvalue([0, 1, 1], s=0, D_max=12, seed=1.39, precision_digits=50)
-    assert calls["kernel"] > 0
-    assert calls["hankel"] == 0
-    assert calls["lu"] == 0
+    monkeypatch.setattr(rpm, "_mp_det", no_fallback)
+    for g in ("1", "3/2", "5/4", "6/5"):
+        calls.update(kernel=0, fallback=0)
+        assert cli.main(["rpm", "--g", g]) == 0
+        capsys.readouterr()
+        assert calls["kernel"] > 0, g
+        assert calls["fallback"] == 0, g
 
 
 def _relative_error(x, ref, dps):
-    """|x - ref| / |ref|, floored at the working precision's 10^-dps."""
-    return max(abs(x - ref) / abs(ref), mp.mpf(10) ** -dps)
+    """|x - ref| / |ref| between the working precision's 10^-dps and 1: an
+    error of 100% or more is no correct digit, whatever its size."""
+    return min(max(abs(x - ref) / abs(ref), mp.mpf(10) ** -dps), 1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -391,20 +338,22 @@ def _relative_error(x, ref, dps):
     energy=st.fractions(min_value=Fraction(1, 2), max_value=9, max_denominator=10**6),
     dps=st.sampled_from((30, 40, 80)),
 )
-def test_integer_kernel_is_as_accurate_as_the_libmp_path(g, s, d, D, energy, dps):
-    """On every block the integer kernel is within one digit of the libmp
-    `hankel_det`, or better, both measured against mp.det of the same block
-    at twice the digits."""
-    spec = HankelSpec(D=D, d=d)
+def test_integer_kernel_is_as_accurate_as_mp_det(g, s, d, D, energy, dps):
+    """On every block the integer kernel is within one digit of mp.det at the
+    same working precision, or better, both measured against mp.det of the
+    same block at twice the digits. Where cancellation leaves no digit at the
+    working precision, mp.det returns int 0 (g = 1/10, s = 0, d = 1, D = 15,
+    E = 179677/19965 at 30 digits; the kernel reads 3.4e-223 for -1.06e-226)
+    and neither has an error below 1."""
     with mp.workdps(dps):
-        t = _scale_exponent([0, 1, g], s, energy, spec.max_index)
+        t = _scale_exponent([0, 1, g], s, energy, 2 * D - 1 + d)
         fast = scaled_hankel_det([0, 1, g], s, energy, D, d, t)
-        libmp = hankel_det(riccati_coeffs([0, 1, g], s, energy, spec.max_index), spec)
+        lu = _mp_det_oracle([0, 1, g], s, energy, D, d)
     with mp.workdps(2 * dps):
-        ref = _mp_det_oracle(riccati_coeffs([0, 1, g], s, energy, spec.max_index), spec)
+        ref = _mp_det_oracle([0, 1, g], s, energy, D, d)
         if ref == 0:
             return
-        assert _relative_error(fast, ref, dps) <= 10 * _relative_error(libmp, ref, dps)
+        assert _relative_error(fast, ref, dps) <= 10 * _relative_error(lu, ref, dps)
 
 
 @pytest.mark.parametrize("v, s, seed", [([0, 1, 1], 0, 1.39), ([0, 1, Fraction(1, 10)], 1, 3.3), ([0, 1, 100], 0, 5.0)])
