@@ -30,7 +30,12 @@ symmetry.leaves_invariant, as for cases 1-5), the swap is a permutation
 |m,n> -> |n,m> of basis states that commutes with the matrix. `swap_blocks`
 splits a parity block that the swap maps to itself into a swap-even block
 on the orbit states (|m,n> + |n,m>)/sqrt(2), with |m,m> itself in it, and a
-swap-odd block on (|m,n> - |n,m>)/sqrt(2). A block that the swap maps onto
+swap-odd block on (|m,n> - |n,m>)/sqrt(2), without a dense parity block: one
+scatter gives the N representatives |m,n>, m <= n, rows 0..N-1 in the
+block's row order and each partner |n,m> row N + its representative's, and
+its four N x N quadrants, H at rows R or P and columns R' or P', are summed
+with the orbit weights. Each block is so, bit for bit, the weighted orbit
+sums of build_hamiltonian's entries. A block that the swap maps onto
 another one (eo and oe, the two partners of the 2D irrep E of C4v, in cases
 2 and 5) has that block's spectrum, so only the first of the two is built,
 with multiplicity 2. Any other potential or basis gets the parity blocks.
@@ -147,80 +152,74 @@ def _position_powers(n_max: int, omega: float, max_power: int) -> list[np.ndarra
     return powers
 
 
-def _xy_powers(poly: PolynomialPotential, basis: BasisSpec) -> tuple[list, list]:
-    """The 1D power lists [I, X, ..., X^_PAD] of the x and the y mode, once the terms fit the pad."""
+def _products(poly: PolynomialPotential, basis: BasisSpec) -> list[tuple]:
+    """(coeff, degree, a, b) per product coeff a (x) b of the Hamiltonian, in assembly order.
+
+    K (x) I and I (x) K come first, at degree -2, then X^i (x) Y^j at degree
+    i + j per term, in poly.float_terms() order. _scatter adds them in this
+    order and theta_factors krons them, so the order is written here only.
+    """
     for (i, j) in poly.terms:
         if i > _PAD or j > _PAD:
-            raise DegreeTooHigh(
-                f"term x^{i} y^{j} exceeds the pad-{_PAD} exact truncation policy"
-            )
+            raise DegreeTooHigh(f"term x^{i} y^{j} exceeds the pad-{_PAD} exact truncation policy")
     nx, ny, omega = basis.n_max_x, basis.n_max_y, basis.omega
     xpow = _position_powers(nx, omega, _PAD)
-    return xpow, xpow if ny == nx else _position_powers(ny, omega, _PAD)
+    ypow = xpow if ny == nx else _position_powers(ny, omega, _PAD)
+    kinetic = [(1.0, -2, kinetic_matrix_1d(nx, omega), ypow[0]), (1.0, -2, xpow[0], kinetic_matrix_1d(ny, omega))]
+    return kinetic + [(coeff, i + j, xpow[i], ypow[j]) for (i, j), coeff in poly.float_terms().items()]
 
 
-def _scatter(pieces, shape: tuple[int, int], products) -> OperatorMatrix:
-    """sum coeff kron(a, b) over (coeff, a, b) in `products`, on the states of `pieces`.
+def _scatter(row: np.ndarray, dim: int, products) -> np.ndarray:
+    """sum coeff kron(a, b) over (coeff, degree, a, b) in `products`, on a dim-row block.
 
-    `pieces` lists (x states, y states) index arrays of a `shape` basis; rows
-    run through them in order, each in kron order. Each product adds
-    coeff * (a[r, c] * b[s, t]) over the pairs of nonzeros of a and b whose
-    row and column lie in the pieces, to a matrix that starts at zero.
+    `row` maps each state (nx, ny) to its row and column in the block, -1
+    outside it. Each product adds coeff * (a[r, c] * b[s, t]) over the pairs
+    of nonzeros of a and b inside the block to a matrix that starts at zero, so
+    each entry adds the dense sum's nonzero products in its order and has its
+    bits but for a zero's sign (the dense sum can leave -0 where no product is
+    nonzero and every coefficient is negative). The degree is not read.
     """
-    row = np.full(shape, -1, dtype=np.intp)  # each state's row, -1 outside the pieces
-    start = 0
-    for px, py in pieces:
-        row[np.ix_(px, py)] = np.arange(start, start + px.size * py.size).reshape(px.size, py.size)
-        start += px.size * py.size
-    out = np.zeros((start, start))
-    for coeff, a, b in products:
+    out = np.zeros((dim, dim))
+    for coeff, _, a, b in products:
         (ra, ca), (rb, cb) = np.nonzero(a), np.nonzero(b)
         rows, cols = row[np.ix_(ra, rb)], row[np.ix_(ca, cb)]
         keep = (rows >= 0) & (cols >= 0)
         out[rows[keep], cols[keep]] += coeff * (a[ra, ca][:, None] * b[rb, cb][None, :])[keep]
-    return OperatorMatrix(out)
+    return out
 
 
-def _build_pieces(poly: PolynomialPotential, basis: BasisSpec, pieces) -> OperatorMatrix:
-    """The Hermitian Hamiltonian (theta = 0) on the product pieces, scattered by _scatter.
-
-    K (x) I and I (x) K come first, then X^i (x) Y^j per term in float_terms()
-    order, so each entry adds the nonzero products of the dense sum
-    K (x) I + I (x) K + sum coeff X^i (x) Y^j in its order and has its bits,
-    but for a zero's sign: the dense sum can leave -0 where no product is
-    nonzero and every coefficient is negative.
-    """
-    xpow, ypow = _xy_powers(poly, basis)
-    nx, ny, omega = basis.n_max_x, basis.n_max_y, basis.omega
-    products = [(1.0, kinetic_matrix_1d(nx, omega), ypow[0]), (1.0, xpow[0], kinetic_matrix_1d(ny, omega))]
-    products += [(coeff, xpow[i], ypow[j]) for (i, j), coeff in poly.float_terms().items()]
-    return _scatter(pieces, (nx, ny), products)
+def _piece_map(pieces, shape: tuple[int, int]) -> tuple[np.ndarray, int]:
+    """(row map, rows) for _scatter on pieces (x states, y states): the pieces in order, each x-major."""
+    row = np.full(shape, -1, dtype=np.intp)
+    start = 0
+    for px, py in pieces:
+        row[np.ix_(px, py)] = np.arange(start, start + px.size * py.size).reshape(px.size, py.size)
+        start += px.size * py.size
+    return row, start
 
 
 def build_hamiltonian(poly: PolynomialPotential, basis: BasisSpec) -> OperatorMatrix:
     """Matrix of e^{-2i theta}(px^2+py^2) + sum c_ij e^{i(i+j)theta} X^i Y^j, real at theta = 0."""
     if basis.theta == 0.0:
-        return _build_pieces(poly, basis, [(np.arange(basis.n_max_x), np.arange(basis.n_max_y))])
+        nx, ny = basis.n_max_x, basis.n_max_y
+        return OperatorMatrix(_scatter(np.arange(nx * ny).reshape(nx, ny), nx * ny, _products(poly, basis)))
     return OperatorMatrix(rotated(theta_factors(poly, basis), basis.theta).toarray(order="C"))
 
 
 def theta_factors(poly: PolynomialPotential, basis: BasisSpec) -> tuple:
     """(K, [(coeff, i + j, X^i Y^j), ...]): kinetic matrix and per-term products, unscaled.
 
-    The terms come in poly.float_terms() order, as build_hamiltonian adds
-    them; each matrix is CSC in its x-major order. basis.theta is not read.
-    scipy is imported here, not when the module loads.
+    K sums the two degree -2 products of _products, and the terms follow in
+    its order, as build_hamiltonian adds them; each matrix is CSC in its
+    x-major order. basis.theta is not read. scipy is imported here, not at load.
     """
     from scipy import sparse
 
-    xpow, ypow = _xy_powers(poly, basis)
-    nx, ny, omega = basis.n_max_x, basis.n_max_y, basis.omega
-    kin = sparse.kron(kinetic_matrix_1d(nx, omega), sparse.identity(ny)) + sparse.kron(
-        sparse.identity(nx), kinetic_matrix_1d(ny, omega)
-    )
+    (_, _, kx, iy), (_, _, ix, ky), *terms = _products(poly, basis)
+    kin = sparse.kron(kx, iy) + sparse.kron(ix, ky)
     return kin.tocsc(), [
-        (coeff, i + j, sparse.kron(sparse.csr_matrix(xpow[i]), sparse.csr_matrix(ypow[j]), format="csc"))
-        for (i, j), coeff in poly.float_terms().items()
+        (coeff, degree, sparse.kron(sparse.csr_matrix(a), sparse.csr_matrix(b), format="csc"))
+        for coeff, degree, a, b in terms
     ]
 
 
@@ -276,35 +275,35 @@ def parity_blocks(poly: PolynomialPotential, basis: BasisSpec) -> list[OperatorM
     columns, bit for bit. Sectors without states are skipped, and so is a
     block without any. Only the Hermitian matrix (basis.theta = 0) is split.
     """
-    return [_build_pieces(poly, basis, pieces) for _, pieces in _parity_pieces(poly, basis)]
+    blocks, products = _parity_pieces(poly, basis), _products(poly, basis)
+    shape = (basis.n_max_x, basis.n_max_y)
+    return [OperatorMatrix(_scatter(*_piece_map(pieces, shape), products)) for _, pieces in blocks]
 
 
-def _swap_split(mat: np.ndarray, pieces, n: int) -> list[OperatorMatrix]:
+def _swap_halves(products, pieces, n: int) -> list[OperatorMatrix]:
     """The swap-even and swap-odd blocks of a parity block that the swap maps to itself.
 
     Orbit states are w (|m,n> + |n,m>) with m <= n, w = 1/sqrt(2) for m < n and
     1/2 for m = n (so the state is |m,m>), and (|m,n> - |n,m>)/sqrt(2) with
-    m < n, both in the block's row order of the representative |m,n>. An
-    entry is the weighted sum of the four parity-block entries at rows R, P
-    and columns R', P', where P is the row of the partner |n,m>.
+    m < n, both in the block's row order of the representative |m,n>. The
+    quadrants A, B, C, D are H at (R, R'), (R, P'), (P, R') and (P, P').
     """
     mx = np.concatenate([np.repeat(px, py.size) for px, py in pieces])
     my = np.concatenate([np.tile(py, px.size) for px, py in pieces])
-    row = np.empty((n, n), dtype=np.intp)
-    row[mx, my] = np.arange(mx.size)
-    partner = row[my, mx]
-    even = np.flatnonzero(mx <= my)
-    odd = np.flatnonzero(mx < my)
-    pair = mat[even] + mat[partner[even]]
-    diff = mat[odd] - mat[partner[odd]]
+    mx, my = mx[mx <= my], my[mx <= my]
+    size, off, diag = mx.size, np.flatnonzero(mx < my), np.flatnonzero(mx == my)
+    row = np.full((n, n), -1, dtype=np.intp)
+    row[mx, my] = np.arange(size)
+    row[my[off], mx[off]] = size + off
+    h = _scatter(row, 2 * size, products)
+    h[size + diag] = h[diag]
+    h[:, size + diag] = h[:, diag]  # a diagonal orbit is its own partner
+    a, b, c, d = h[:size, :size], h[:size, size:], h[size:, :size], h[size:, size:]
     # the weight product by the number of diagonal orbits among (row, column), each correctly rounded
-    diag = (mx[even] == my[even]).astype(np.intp)
-    scale = np.array([0.5, 0.5**1.5, 0.25])[diag[:, None] + diag[None, :]]
-    blocks = [
-        (pair.take(even, axis=1) + pair.take(partner[even], axis=1)) * scale,
-        (diff.take(odd, axis=1) - diff.take(partner[odd], axis=1)) * 0.5,
-    ]
-    return [OperatorMatrix(b) for b in blocks if b.size]
+    k = (mx == my).astype(np.intp)
+    even = ((a + c) + (b + d)) * np.array([0.5, 0.5**1.5, 0.25])[k[:, None] + k[None, :]]
+    odd = ((a - c) - (b - d))[np.ix_(off, off)] * 0.5
+    return [OperatorMatrix(m) for m in (even, odd) if m.size]
 
 
 def swap_blocks(poly: PolynomialPotential, basis: BasisSpec) -> list[tuple[OperatorMatrix, int]]:
@@ -314,21 +313,22 @@ def swap_blocks(poly: PolynomialPotential, basis: BasisSpec) -> list[tuple[Opera
     When the basis is square and the swap (x, y) -> (y, x), the shared
     S(2pi/8) = dihedral16()[10], leaves `poly` exactly invariant
     (symmetry.leaves_invariant), a parity block that the swap maps to itself
-    gives its swap-even and swap-odd blocks (_swap_split), and of two blocks
-    that the swap maps onto each other (eo and oe, the 2D irrep E of C4v)
-    the first is kept with multiplicity 2. Otherwise the blocks are
+    gives its swap-even and swap-odd blocks from one quadrant scatter, each
+    bit for bit the weighted orbit sums of build_hamiltonian's entries, and of
+    two blocks that the swap maps onto each other (eo and oe, the 2D irrep E
+    of C4v) the first is kept with multiplicity 2. Otherwise the blocks are
     parity_blocks', each once.
     """
     n = basis.n_max_x
     if n != basis.n_max_y or not leaves_invariant(poly, dihedral16()[10]):
         return [(mat, 1) for mat in parity_blocks(poly, basis)]
-    blocks, seen = [], []
+    blocks, seen, products = [], [], _products(poly, basis)
     for sectors, pieces in _parity_pieces(poly, basis):
         swapped = sorted((b, a) for a, b in sectors)
         if swapped == sectors:
-            blocks += [(mat, 1) for mat in _swap_split(_build_pieces(poly, basis, pieces).entries, pieces, n)]
+            blocks += [(mat, 1) for mat in _swap_halves(products, pieces, n)]
         elif swapped not in seen:
-            blocks.append((_build_pieces(poly, basis, pieces), 2))
+            blocks.append((OperatorMatrix(_scatter(*_piece_map(pieces, (n, n)), products)), 2))
         seen.append(sectors)
     return blocks
 
@@ -342,8 +342,8 @@ def build_hamiltonian_1d(coeffs: dict[int, float], n_max: int, omega: float) -> 
     if any(k > _PAD or k < 0 for k in coeffs):
         raise DegreeTooHigh(f"power beyond the pad-{_PAD} truncation policy")
     xpow, one = _position_powers(n_max, omega, _PAD), np.ones((1, 1))  # y: one state, no kinetic term
-    products = [(1.0, kinetic_matrix_1d(n_max, omega), one)] + [(c, xpow[k], one) for k, c in coeffs.items()]
-    return _scatter([(np.arange(n_max), np.arange(1))], (n_max, 1), products)
+    products = [(1.0, -2, kinetic_matrix_1d(n_max, omega), one)] + [(c, k, xpow[k], one) for k, c in coeffs.items()]
+    return OperatorMatrix(_scatter(np.arange(n_max).reshape(n_max, 1), n_max, products))
 
 
 def optimal_omega(g: float) -> float:

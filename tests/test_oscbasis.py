@@ -269,6 +269,8 @@ def test_parity_blocks_are_the_dense_kron_sum(terms, nx, ny, omega):
 def test_parity_blocks_reject_a_rotated_basis():
     with pytest.raises(ValueError):
         parity_blocks(case_preset(3).potential, BasisSpec(6, 6, theta=0.1))
+    with pytest.raises(ValueError):
+        swap_blocks(case_preset(3).potential, BasisSpec(6, 6, theta=0.1))
 
 
 @pytest.mark.parametrize(
@@ -290,12 +292,43 @@ def _block_levels(blocks):
     return np.sort(np.concatenate([np.repeat(np.linalg.eigvalsh(mat.entries), times) for mat, times in blocks]))
 
 
+def _orbit_blocks(full, poly, n):
+    """Oracle: swap_blocks' (block, multiplicity) pairs, from the full matrix's entries.
+
+    In a parity block that the swap maps to itself, the representatives R are
+    its rows |m,n> with m <= n in block order, and P their partners |n,m>. The
+    swap-even block is ((H[R,R'] + H[P,R']) + (H[R,P'] + H[P,P'])) times the
+    weights 1/2, 1/(2 sqrt 2) or 1/4, by the number of diagonal orbits among
+    (row, column); the swap-odd block is ((H[R,R'] - H[P,R']) - (H[R,P'] -
+    H[P,P'])) / 2 on the orbits with m < n. Of two blocks that the swap maps
+    onto each other, the first is kept with multiplicity 2.
+    """
+    out, seen = [], []
+    for rows in _expected_blocks(poly, n, n):
+        mx, my = np.divmod(rows, n)
+        swapped = sorted(my * n + mx)
+        if swapped == sorted(rows):
+            rep = mx <= my
+            r, p, diag = rows[rep], (my * n + mx)[rep], (mx == my)[rep].astype(int)
+            weight = np.array([0.5, 0.5**1.5, 0.25])[diag[:, None] + diag[None, :]]
+            even = ((full[np.ix_(r, r)] + full[np.ix_(p, r)]) + (full[np.ix_(r, p)] + full[np.ix_(p, p)])) * weight
+            r, p = r[diag == 0], p[diag == 0]
+            odd = ((full[np.ix_(r, r)] - full[np.ix_(p, r)]) - (full[np.ix_(r, p)] - full[np.ix_(p, p)])) * 0.5
+            out += [(mat, 1) for mat in (even, odd) if mat.size]
+        elif swapped not in seen:
+            out.append((full[np.ix_(rows, rows)], 2))
+        seen.append(sorted(rows))
+    return out
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     terms=st.dictionaries(st.sampled_from([(i, j) for i, j in _MONOMIALS if i <= j]), _COEFFS, max_size=6),
     n=st.integers(1, 8),
     omega=st.sampled_from([1.0, 1.7]),
 )
+@example(terms={}, n=1, omega=1.0)
+@example(terms={(1, 3): Fraction(-1, 3), (2, 2): Fraction(2)}, n=7, omega=1.7)
 def test_swap_blocks_give_the_full_spectrum(terms, n, omega):
     # c_ij = c_ji: the swap (x, y) -> (y, x) leaves the potential invariant
     poly = PolynomialPotential({(2, 0): 1, (0, 2): 1, **{(j, i): c for (i, j), c in terms.items()}, **terms})
@@ -305,6 +338,11 @@ def test_swap_blocks_give_the_full_spectrum(terms, n, omega):
     assert sum(mat.dim * times for mat, times in blocks) == n * n
     want = np.linalg.eigvalsh(full)
     assert np.abs(_block_levels(blocks) - want).max() <= 1e-12 * np.abs(full).max()
+    oracle = _orbit_blocks(full, poly, n)
+    assert [times for _, times in blocks] == [times for _, times in oracle]
+    for (mat, _), (want, _) in zip(blocks, oracle):
+        assert mat.entries.shape == want.shape and mat.entries.dtype == want.dtype
+        assert np.array_equal(mat.entries.view(np.uint8), want.view(np.uint8))
 
 
 @settings(max_examples=40, deadline=None)
@@ -464,3 +502,21 @@ def test_parity_blocks_make_no_full_size_temporaries(case):
         tracemalloc.stop()
     sizes = [mat.entries.nbytes for mat in blocks]
     assert peak - sum(sizes) < max(sizes)
+
+
+@pytest.mark.parametrize("case, bound", [(1, 6), (2, 2)])
+def test_swap_blocks_make_no_dense_parity_block(case, bound):
+    """The orbit blocks come from one quadrant scatter, not from gathers out of a dense parity block.
+
+    Case 1's two self-swapped parity blocks are the whole basis, and each
+    quadrant scatter holds four blocks of its swap-even block's size; case 2's
+    largest block is the eo block, kept with multiplicity 2.
+    """
+    tracemalloc.start()
+    try:
+        blocks = swap_blocks(case_preset(case).potential, BasisSpec(40, 40))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    sizes = [mat.entries.nbytes for mat, _ in blocks]
+    assert peak - sum(sizes) < bound * max(sizes)
