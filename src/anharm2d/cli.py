@@ -7,11 +7,11 @@ values, and the JSON, CSV and text renderings are all built here.
 Commands and their own options (every command also takes --format and --out;
 all but rpm take --lambda, the coupling, written --lambda=-1/10 when negative):
   case K          --nmax, --theta-min/--theta-max/--theta-steps (case 3),
-                  --digits, --dmax (cases 1 and 2)
+                  --digits (> 10 where the RPM runs), --dmax (cases 1 and 2)
   transform, symmetry   --case
   spectrum        --case, --count, --nmax, --omega fixed:<val>|optimal
   resonance       (case 3 only) --nmax, --theta-*, --emit-table1
-  rpm             --g, --state, --seed, --displacement (>= 0), --digits, --dmax
+  rpm             --g, --state, --seed, --displacement (>= 0), --digits (> 10), --dmax
 There are no environment variables.
 
 `case 4` reports isospectral_max_diff without a second spectrum: the largest
@@ -130,7 +130,7 @@ def _separated_quartic_coeffs(poly) -> tuple[Fraction, Fraction] | None:
     coeffs = []
     for ij in ((4, 0), (0, 4)):
         c = poly.coefficient(*ij)
-        if c.q != 0:
+        if c.b:
             return None
         coeffs.append(c.p)
     return coeffs[0], coeffs[1]

@@ -124,7 +124,7 @@ def apply_linear_map(poly: PolynomialPotential, mp: OrthogonalMap2) -> Polynomia
     if not mp.a or not mp.b:
         swap = not mp.a
         x_entry, y_entry = (mp.b, mp.c) if swap else (mp.a, mp.d)
-        x_flip, y_flip = x_entry.p < 0, y_entry.p < 0
+        x_flip, y_flip = x_entry.sign() < 0, y_entry.sign() < 0
         relabelled = {}
         for (i, j), coeff in poly.terms.items():
             odd = (x_flip * i + y_flip * j) % 2

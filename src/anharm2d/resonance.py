@@ -186,7 +186,10 @@ def find_lowest_resonance(
     basis are assembled once and serve every window and the solve at theta*:
     the reported energy is the eigenvalue nearest the pick of one dense
     eig_complex solve of those factors rotated to theta*, the value the full
-    dense sweep reports. Convergence is always checked: the resonance is
+    dense sweep reports. That eigenvalue must confirm the pick: it lies within
+    `_DRIFT_TOL` of it and decays by the same test, or NoStationaryPoint is
+    raised (a spurious Ritz value near a degenerate bound level, as at
+    lambda = 0, fails here). Convergence is always checked: the resonance is
     converged when the n+5 basis at theta* has an eigenvalue within
     `_DRIFT_TOL` = 1e-4 of it.
     """
@@ -208,6 +211,11 @@ def find_lowest_resonance(
 
     dense = eig_complex(OperatorMatrix(rotated(factors, theta_star).toarray(order="C"))).eigenvalues
     energy = complex(dense[np.argmin(np.abs(dense - window_energy))])
+    if abs(energy - window_energy) > _DRIFT_TOL or -energy.imag <= apriori_bound(basis.dim) * abs(energy):
+        raise NoStationaryPoint(
+            f"the dense solve at theta* does not confirm the window pick {window_energy:.6g}; "
+            "adjust lambda or the window"
+        )
     converged = stability < _STABILITY_TOL and _drift(poly, basis, theta_star, energy) < _DRIFT_TOL
 
     return Resonance(energy=energy, theta_star=theta_star, stability=stability, converged=converged)

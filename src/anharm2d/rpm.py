@@ -297,6 +297,9 @@ def rpm_eigenvalue(
         raise ValueError("D_max must be >= 3")
     if d < 0:
         raise ValueError("displacement d must be >= 0")
+    if precision_digits <= 10:
+        # the secant's stop threshold 10^(10-dps) would be >= 1 relative
+        raise ValueError("precision_digits must be > 10")
     with mp.workdps(precision_digits):
         roots = [_to_mpf(seed)]
         scale = _scale_exponent(v, s, roots[0], 2 * D_max - 1 + d)

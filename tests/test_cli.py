@@ -28,6 +28,15 @@ def run_cli(*args, env=None):
     return run_python("-m", "anharm2d.cli", *args, env=env)
 
 
+def test_package_runs_as_a_module():
+    package, module = run_python("-m", "anharm2d", "symmetry", "--case", "5"), run_cli("symmetry", "--case", "5")
+    assert package.returncode == module.returncode == 0, package.stderr
+    assert package.stdout == module.stdout
+    assert run_python("-m", "anharm2d", "case", "7").returncode == 2
+    # importing the module, as a tracer that walks the package does, runs nothing
+    assert run_python("-c", "import anharm2d.__main__").returncode == 0
+
+
 def test_transform_case1_emits_exact_map_and_potential():
     proc = run_cli("transform", "--case", "1")
     assert proc.returncode == 0
@@ -156,6 +165,10 @@ def test_validation_failures_exit_2():
     assert run_cli("spectrum", "--case", "5", "--nmax", "0").returncode == 2
     assert run_cli("rpm", "--g", "1", "--digits", "0").returncode == 2
     assert run_cli("case", "1", "--digits", "0").returncode == 2
+    # at 10 digits or fewer the secant would stop after one step at every D
+    assert run_cli("rpm", "--g", "1", "--digits", "8").returncode == 2
+    # the harmonic limit never calls the RPM, so a low precision is fine there
+    assert run_cli("case", "1", "--lambda", "0", "--digits", "5").returncode == 0
     # a zero denominator is a bad value, not a numerical failure
     assert run_cli("symmetry", "--case", "1", "--lambda", "1/0").returncode == 2
     assert run_cli("rpm", "--g", "1/0").returncode == 2
@@ -209,6 +222,9 @@ HARMONIC_ARGVS = (
     + [["spectrum", "--case", str(k), "--nmax", "6", "--omega", omega] for k in range(1, 6) for omega in ("fixed:1", "optimal")]
     + [["case", k, "--digits", "30", "--dmax", "6", "--nmax", "6"] for k in "1245"]
     + [["case", "3", "--nmax", "6", "--theta-steps", "5"], ["resonance", "--nmax", "6", "--theta-steps", "5"]]
+    # the default basis, where a spurious Ritz value near a degenerate level is
+    # theta-stable in the window sweep and the dense solve at theta* refuses it
+    + [["case", "3"], ["resonance"]]
 )
 
 

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anharm2d.exactnum import HALF_SQRT2, ONE, ZERO, SqrtTwoRational
 
@@ -90,3 +92,119 @@ def test_immutability():
     a = SqrtTwoRational(1, 2)
     with pytest.raises(AttributeError):
         a.p = Fraction(3)
+
+
+# -- properties against a Fraction-pair oracle ---------------------------------
+
+
+class _FractionPair:
+    """p + q*sqrt(2) on two Fractions: the arithmetic SqrtTwoRational had before
+    it stored three ints, kept here as the oracle."""
+
+    def __init__(self, p, q=0):
+        self.p, self.q = Fraction(p), Fraction(q)
+
+    def __add__(self, other):
+        return _FractionPair(self.p + other.p, self.q + other.q)
+
+    def __neg__(self):
+        return _FractionPair(-self.p, -self.q)
+
+    def __mul__(self, other):
+        return _FractionPair(self.p * other.p + 2 * self.q * other.q, self.p * other.q + self.q * other.p)
+
+    def inverse(self):
+        norm = self.p * self.p - 2 * self.q * self.q
+        return _FractionPair(self.p / norm, -self.q / norm)
+
+    def sign(self):
+        if self.q == 0:
+            return (self.p > 0) - (self.p < 0)
+        if self.p == 0:
+            return (self.q > 0) - (self.q < 0)
+        if (self.p > 0) == (self.q > 0):
+            return 1 if self.p > 0 else -1
+        if self.p > 0:
+            return 1 if self.p * self.p > 2 * self.q * self.q else -1
+        return 1 if self.p * self.p < 2 * self.q * self.q else -1
+
+    def __float__(self):
+        return float(self.p) + float(self.q) * math.sqrt(2.0)
+
+    def __hash__(self):
+        return hash(self.p) if self.q == 0 else hash((self.p, self.q))
+
+    def __repr__(self):
+        if self.q == 0:
+            return f"SqrtTwoRational({self.p})"
+        return f"SqrtTwoRational({self.p}, {self.q})"
+
+    def __str__(self):
+        if self.q == 0:
+            return str(self.p)
+        if self.p == 0:
+            return f"{self.q}*sqrt(2)"
+        sign = "+" if self.q > 0 else "-"
+        return f"{self.p} {sign} {abs(self.q)}*sqrt(2)"
+
+
+# Wide fractions for the arithmetic; a small set, so that equal values and
+# exact cancellations come up often.
+_WIDE = st.fractions(min_value=-(10**12), max_value=10**12, max_denominator=10**6)
+_SMALL = st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-3, 4), Fraction(2), Fraction(7, 3)])
+_PAIRS = st.tuples(_WIDE, _WIDE) | st.tuples(_SMALL, _SMALL)
+
+
+def _same(x, oracle):
+    """x holds the oracle's value in canonical fields."""
+    assert (x.p, x.q) == (oracle.p, oracle.q)
+    assert x.d > 0 and math.gcd(x.a, x.b, x.d) == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(_PAIRS, _PAIRS)
+def test_field_operations_match_the_fraction_pair_oracle(u, v):
+    x, y = SqrtTwoRational(*u), SqrtTwoRational(*v)
+    ox, oy = _FractionPair(*u), _FractionPair(*v)
+    _same(x, ox)
+    _same(x + y, ox + oy)
+    _same(x - y, ox + -oy)
+    _same(-x, -ox)
+    _same(x * y, ox * oy)
+    assert x.sign() == ox.sign() and (x - y).sign() == (ox + -oy).sign()
+    assert (x == y) == ((ox.p, ox.q) == (oy.p, oy.q))
+    if oy.p == oy.q == 0:
+        with pytest.raises(ZeroDivisionError):
+            y.inverse()
+        with pytest.raises(ZeroDivisionError):
+            x / y
+    else:
+        _same(y.inverse(), oy.inverse())
+        _same(x / y, ox * oy.inverse())
+
+
+@settings(max_examples=200, deadline=None)
+@given(_PAIRS, _PAIRS)
+def test_equal_values_have_equal_fields(u, v):
+    x, y = SqrtTwoRational(*u), SqrtTwoRational(*v)
+    for same in (x + y - y, y + x - y, (x * y / y if y else x), -(-x)):
+        assert same == x and (same.a, same.b, same.d) == (x.a, x.b, x.d) and hash(same) == hash(x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_PAIRS)
+def test_float_hash_str_and_repr_match_the_fraction_pair_oracle(u):
+    x, oracle = SqrtTwoRational(*u), _FractionPair(*u)
+    assert float(x).hex() == float(oracle).hex()
+    assert hash(x) == hash(oracle)
+    assert str(x) == str(oracle) and repr(x) == repr(oracle)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_WIDE | _SMALL)
+def test_rational_values_equal_and_hash_like_their_fraction_or_int(f):
+    x = SqrtTwoRational(f)
+    assert x == f and hash(x) == hash(f) and x.b == 0
+    if f.denominator == 1:
+        assert x == int(f) and hash(x) == hash(int(f)) and x.d == 1
+    assert x != f + Fraction(1, 10**7)
