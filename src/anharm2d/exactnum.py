@@ -31,6 +31,8 @@ class SqrtTwoRational:
     __slots__ = ("a", "b", "d")
 
     def __new__(cls, p=0, q=0):
+        if isinstance(p, int) and isinstance(q, int):
+            return _canonical(p, q, 1)
         if isinstance(p, float) or isinstance(q, float):  # see coerce
             raise TypeError("SqrtTwoRational takes exact p and q, not float")
         p, q = Fraction(p), Fraction(q)

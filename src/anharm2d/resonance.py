@@ -184,9 +184,11 @@ def find_lowest_resonance(
     while the pick is the window's farthest eigenvalue from `_SIGMA` at
     theta*, until the window is the whole spectrum. The theta_factors of the
     basis are assembled once and serve every window and the solve at theta*:
-    the reported energy is the eigenvalue nearest the pick of one dense
+    the reported energy is the eigenvalue nearest the pick of the dense
     eig_complex solve of those factors rotated to theta*, the value the full
-    dense sweep reports. That eigenvalue must confirm the pick: it lies within
+    dense sweep reports. eig_complex solves each decoupled component on its
+    own, so for case 3 that is one LAPACK call per nx + ny parity block.
+    That eigenvalue must confirm the pick: it lies within
     `_DRIFT_TOL` of it and decays by the same test, or NoStationaryPoint is
     raised (a spurious Ritz value near a degenerate bound level, as at
     lambda = 0, fails here). Convergence is always checked: the resonance is

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import eig as scipy_eig
 
 from anharm2d.cases import case_preset
-from anharm2d.eig import NotHermitian, eig_complex, eig_selfadjoint
+from anharm2d.eig import ConvergenceFailure, NotHermitian, apriori_bound, eig_complex, eig_selfadjoint
 from anharm2d.oscbasis import (
     BasisSpec,
     OperatorMatrix,
@@ -126,3 +129,55 @@ def test_residual_contract_with_vectors():
         vals, v = lapack(a)
         resid = np.linalg.norm(a @ v - v * vals[None, :], axis=0).max()
         assert resid <= result.residual_bound * np.linalg.norm(a, ord=np.inf) + 1e-15
+
+
+@st.composite
+def _scattered_blocks(draw):
+    """Random complex blocks of 1-8 rows and their direct sum, scattered by a
+    permutation that keeps each block's rows in order, so each block is its
+    component's principal submatrix with indices ascending; the coupling
+    between blocks is exactly zero and every entry inside a block is nonzero."""
+    sizes = draw(st.lists(st.integers(1, 8), min_size=1, max_size=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blocks = [rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)) for m in sizes]
+    labels = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+    mat = np.zeros((labels.size, labels.size), dtype=complex)
+    for b, block in enumerate(blocks):
+        rows = np.flatnonzero(labels == b)
+        mat[np.ix_(rows, rows)] = block
+    return blocks, mat
+
+
+@settings(max_examples=200, deadline=None)
+@given(_scattered_blocks())
+def test_decoupled_blocks_are_solved_one_by_one(case):
+    blocks, mat = case
+    got = np.sort_complex(eig_complex(as_operator(mat)).eigenvalues)
+    per_block = np.sort_complex(np.concatenate([np.linalg.eigvals(b) for b in blocks]))
+    assert np.array_equal(got, per_block)
+    # Both solves are backward stable within apriori_bound(n) * ||A||, so to
+    # first order an eigenvalue of condition number kappa = 1 / |y^H x| (unit
+    # left and right eigenvectors) moves by at most kappa times that in each.
+    kappa = 1.0
+    for block in blocks:
+        _, left, right = scipy_eig(block, left=True, right=True)
+        kappa = max(kappa, (1 / np.abs(np.sum(left.conj() * right, axis=0))).max())
+    whole = np.linalg.eigvals(mat)
+    gap = np.abs(got[:, None] - whole[None, :])
+    allowance = 2 * kappa * apriori_bound(mat.shape[0]) * np.linalg.norm(mat, ord=np.inf)
+    assert max(gap.min(axis=0).max(), gap.min(axis=1).max()) <= allowance
+
+
+def test_irreducible_matrix_takes_one_lapack_call():
+    rng = np.random.default_rng(3)
+    mat = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
+    mat[np.triu_indices(40, 2)] = 0.0  # lower Hessenberg: one component
+    assert np.array_equal(eig_complex(as_operator(mat)).eigenvalues, np.linalg.eigvals(mat))
+
+
+@pytest.mark.parametrize("blocks", [1, 2])
+def test_nan_entry_raises_convergence_failure(blocks):
+    mat = np.kron(np.eye(blocks), np.ones((3, 3))).astype(complex)
+    mat[1, 2] = np.nan
+    with pytest.raises(ConvergenceFailure):
+        eig_complex(as_operator(mat))
