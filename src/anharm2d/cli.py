@@ -27,8 +27,9 @@ outside the float range in a command that computes in floats, and a potential
 unbounded from below in spectrum and case 1|2|4|5, whose levels in a truncated
 basis would be truncation artifacts), 3 numerical failure (the error name
 goes to stderr as a one-line JSON object), e.g. NoStationaryPoint when the
-case-3 sweep finds no decaying trajectory, as at lambda = 0, where case 3 is
-the bounded harmonic oscillator.
+case-3 sweep finds no decaying trajectory, or, before any sweep, when case 3
+is not unbounded from below: at lambda = 0 it is the harmonic oscillator,
+whose spectrum is discrete.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from .eig import eig_selfadjoint
 from .maps import flip_x
 from .oscbasis import BasisSpec, build_hamiltonian_1d, optimal_omega, swap_blocks
 from .poly2d import Boundedness, apply_linear_map, is_bounded_below, quartic_form_min
-from .resonance import find_lowest_resonance
+from .resonance import NoStationaryPoint, find_lowest_resonance
 from .rpm import rpm_eigenvalue
 from .symmetry import detect_group, separating_rotation
 
@@ -278,12 +279,20 @@ def _cmd_spectrum(args) -> dict:
 
 
 def _lowest_resonance(args, lam: Fraction):
-    """Case-3 resonance at coupling `lam`, swept as --nmax and the --theta-* flags say."""
+    """Case-3 resonance at coupling `lam`, swept as --nmax and the --theta-* flags say.
+
+    A potential that is not unbounded from below has a discrete spectrum and
+    no resonance, so it is refused before the sweep."""
+    poly = _float_case(3, lam).potential
+    verdict = is_bounded_below(poly)
+    if verdict is not Boundedness.UNBOUNDED:
+        raise NoStationaryPoint(
+            f"case 3 at lambda {lam} is {verdict.value.lower()}, not unbounded from below, so its spectrum "
+            "is discrete and has no resonance"
+        )
     window = (args.theta_min * math.pi, args.theta_max * math.pi)
     basis = BasisSpec(args.nmax, args.nmax, omega=1.0)
-    return find_lowest_resonance(
-        _float_case(3, lam).potential, basis, theta_window=window, n_points=args.theta_steps
-    )
+    return find_lowest_resonance(poly, basis, theta_window=window, n_points=args.theta_steps)
 
 
 def _resonance_report(args) -> dict:

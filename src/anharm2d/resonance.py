@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .eig import apriori_bound, eig_complex, eig_nearest
+from .eig import apriori_bound, eig_complex, eig_nearest, nearest_component
 from .oscbasis import BasisSpec, OperatorMatrix, rotated, theta_factors
 from .poly2d import PolynomialPotential
 
@@ -186,9 +186,10 @@ def find_lowest_resonance(
     basis are assembled once and serve every window and the solve at theta*:
     the reported energy is the eigenvalue nearest the pick of the dense
     eig_complex solve of those factors rotated to theta*, the value the full
-    dense sweep reports. eig_complex solves each decoupled component on its
-    own, so for case 3 that is one LAPACK call per nx + ny parity block.
-    That eigenvalue must confirm the pick: it lies within
+    dense sweep reports. Only the decoupled component that holds it is
+    solved (eig.nearest_component, one k = 1 shift-invert solve per
+    component), so for case 3 that is one LAPACK call, on the pick's nx + ny
+    parity block. That eigenvalue must confirm the pick: it lies within
     `_DRIFT_TOL` of it and decays by the same test, or NoStationaryPoint is
     raised (a spurious Ritz value near a degenerate bound level, as at
     lambda = 0, fails here). Convergence is always checked: the resonance is
@@ -211,7 +212,9 @@ def find_lowest_resonance(
     _, k, window_energy, stability = best
     theta_star = float(thetas[k])
 
-    dense = eig_complex(OperatorMatrix(rotated(factors, theta_star).toarray(order="C"))).eigenvalues
+    ham = rotated(factors, theta_star)
+    rows = nearest_component(ham, window_energy)
+    dense = eig_complex(OperatorMatrix(ham[rows][:, rows].toarray(order="C"))).eigenvalues
     energy = complex(dense[np.argmin(np.abs(dense - window_energy))])
     if abs(energy - window_energy) > _DRIFT_TOL or -energy.imag <= apriori_bound(basis.dim) * abs(energy):
         raise NoStationaryPoint(

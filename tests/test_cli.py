@@ -222,8 +222,8 @@ HARMONIC_ARGVS = (
     + [["spectrum", "--case", str(k), "--nmax", "6", "--omega", omega] for k in range(1, 6) for omega in ("fixed:1", "optimal")]
     + [["case", k, "--digits", "30", "--dmax", "6", "--nmax", "6"] for k in "1245"]
     + [["case", "3", "--nmax", "6", "--theta-steps", "5"], ["resonance", "--nmax", "6", "--theta-steps", "5"]]
-    # the default basis, where a spurious Ritz value near a degenerate level is
-    # theta-stable in the window sweep and the dense solve at theta* refuses it
+    # the default basis: the command refuses the bounded potential before any
+    # sweep (test_resonance checks the refusal of the sweep's spurious pick)
     + [["case", "3"], ["resonance"]]
 )
 
@@ -235,6 +235,7 @@ def test_harmonic_limit_in_every_command(capsys, argv):
     if argv[:2] == ["case", "3"] or argv[0] == "resonance":
         assert rc == 3
         assert json.loads(err)["error"] == "NoStationaryPoint"
+        assert "spectrum is discrete" in json.loads(err)["detail"]
         return
     assert rc == 0, err
     got = json.loads(out)

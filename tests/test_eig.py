@@ -5,9 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eig as scipy_eig
+from scipy.sparse import csr_matrix
+from scipy.sparse import linalg as sparse_linalg
 
+from anharm2d import eig
 from anharm2d.cases import case_preset
-from anharm2d.eig import ConvergenceFailure, NotHermitian, apriori_bound, eig_complex, eig_selfadjoint
+from anharm2d.eig import (
+    ConvergenceFailure,
+    NotHermitian,
+    apriori_bound,
+    eig_complex,
+    eig_nearest,
+    eig_selfadjoint,
+    nearest_component,
+)
 from anharm2d.oscbasis import (
     BasisSpec,
     OperatorMatrix,
@@ -15,6 +26,8 @@ from anharm2d.oscbasis import (
     build_hamiltonian_1d,
     optimal_omega,
     parity_blocks,
+    rotated,
+    theta_factors,
 )
 from anharm2d.poly2d import make_quartic
 
@@ -133,25 +146,26 @@ def test_residual_contract_with_vectors():
 
 @st.composite
 def _scattered_blocks(draw):
-    """Random complex blocks of 1-8 rows and their direct sum, scattered by a
-    permutation that keeps each block's rows in order, so each block is its
-    component's principal submatrix with indices ascending; the coupling
-    between blocks is exactly zero and every entry inside a block is nonzero."""
+    """Random complex blocks of 1-8 rows, the rows each takes, and their direct
+    sum, scattered by a permutation that keeps each block's rows in order, so
+    each block is its component's principal submatrix with indices ascending;
+    the coupling between blocks is exactly zero and every entry inside a
+    block is nonzero."""
     sizes = draw(st.lists(st.integers(1, 8), min_size=1, max_size=4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     blocks = [rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)) for m in sizes]
     labels = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+    rows = [np.flatnonzero(labels == b) for b in range(len(sizes))]
     mat = np.zeros((labels.size, labels.size), dtype=complex)
-    for b, block in enumerate(blocks):
-        rows = np.flatnonzero(labels == b)
-        mat[np.ix_(rows, rows)] = block
-    return blocks, mat
+    for block, where in zip(blocks, rows):
+        mat[np.ix_(where, where)] = block
+    return blocks, rows, mat
 
 
 @settings(max_examples=200, deadline=None)
 @given(_scattered_blocks())
 def test_decoupled_blocks_are_solved_one_by_one(case):
-    blocks, mat = case
+    blocks, _, mat = case
     got = np.sort_complex(eig_complex(as_operator(mat)).eigenvalues)
     per_block = np.sort_complex(np.concatenate([np.linalg.eigvals(b) for b in blocks]))
     assert np.array_equal(got, per_block)
@@ -181,3 +195,87 @@ def test_nan_entry_raises_convergence_failure(blocks):
     mat[1, 2] = np.nan
     with pytest.raises(ConvergenceFailure):
         eig_complex(as_operator(mat))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_scattered_blocks())
+def test_nearest_component_holds_the_nearest_eigenvalue(case):
+    """A target beside an eigenvalue of each block in turn returns the rows of
+    the block whose spectrum holds the nearest eigenvalue: that block itself,
+    unless another block's eigenvalue lies nearer still."""
+    blocks, rows, mat = case
+    spectra = [np.linalg.eigvals(block) for block in blocks]
+    every = np.concatenate(spectra)
+    owner = np.repeat(np.arange(len(blocks)), [block.shape[0] for block in blocks])
+    for vals in spectra:
+        target = vals[0] + 1e-3 * (1 + 1j)
+        want = rows[owner[np.argmin(np.abs(every - target))]]
+        assert np.array_equal(nearest_component(csr_matrix(mat), target), want)
+
+
+def test_nearest_component_of_an_irreducible_matrix_is_every_row(monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("one component needs no solve")
+
+    rng = np.random.default_rng(3)
+    mat = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
+    mat[np.triu_indices(40, 2)] = 0.0  # lower Hessenberg: one component
+    monkeypatch.setattr(eig, "eig_nearest", no_solve)
+    assert np.array_equal(nearest_component(csr_matrix(mat), 0.5), np.arange(40))
+
+
+def _factorizations(monkeypatch):
+    """(matrix, factor) of every splu call, with None for a factor SuperLU refused."""
+    made, factor = [], sparse_linalg.splu
+
+    def spy(a, **options):
+        made.append((a, None))
+        made[-1] = (a, factor(a, **options))
+        return made[-1][1]
+
+    monkeypatch.setattr(sparse_linalg, "splu", spy)
+    return made
+
+
+@pytest.mark.parametrize("lam", ["1/10", "14/100"])
+def test_shift_invert_windows_at_the_sweep_angles(monkeypatch, lam):
+    """At the 15 default sweep angles (case 3, n = 30) each window rests on one
+    SuperLU factorization of H - 2 that solves a fixed right-hand side to a
+    relative residual within 1e-14 (2.2e-15 measured), and equals the 12 dense
+    eigenvalues nearest the shift within apriori_bound(dim) * ||H||, the
+    dense solve's backward-error allowance (7e-13 measured, 1e-5 of it). The
+    13th-nearest eigenvalue is at least 0.0097 farther, so both sides choose
+    the same 12."""
+    factors = theta_factors(case_preset(3, lam).potential, BasisSpec(30, 30))
+    made = _factorizations(monkeypatch)
+    rhs = np.random.default_rng(0).standard_normal(900) + 0j
+    for theta in np.linspace(0.03 * math.pi, 0.10 * math.pi, 15):
+        ham = rotated(factors, theta)
+        window = eig_nearest(ham, 12, 2.0)
+        [(shifted, lu)] = made
+        made.clear()
+        assert np.linalg.norm(shifted @ lu.solve(rhs) - rhs) <= 1e-14 * np.linalg.norm(rhs)
+        every = eig_complex(OperatorMatrix(ham.toarray())).eigenvalues
+        dense = every[np.argsort(np.abs(every - 2.0))[:12]]
+        gap = np.abs(window[:, None] - dense[None, :])
+        allowance = apriori_bound(900) * np.linalg.norm(ham.toarray(), ord=np.inf)
+        assert max(gap.min(axis=0).max(), gap.min(axis=1).max()) <= allowance
+
+
+def test_exactly_singular_shift_takes_the_dense_fallback(monkeypatch):
+    """Case 3 at lambda = 0, theta = 0 is the oscillator, whose level 2 makes
+    H - 2 exactly singular: SuperLU refuses the factorization and the window
+    is the 12 nearest of the dense spectrum."""
+    ham = rotated(theta_factors(case_preset(3, 0).potential, BasisSpec(30, 30)), 0.0)
+    made = _factorizations(monkeypatch)
+    dense_rows, solve = [], eig.eig_complex
+
+    def dense_spy(mat):
+        dense_rows.append(mat.dim)
+        return solve(mat)
+
+    monkeypatch.setattr(eig, "eig_complex", dense_spy)
+    window = eig_nearest(ham, 12, 2.0)
+    assert [lu for _, lu in made] == [None]
+    assert dense_rows == [900]
+    assert np.abs(np.sort(window.real) - [2, 4, 4, 6, 6, 6, 8, 8, 8, 8, 10, 10]).max() < 1e-12

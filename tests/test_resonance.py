@@ -78,8 +78,8 @@ def test_unperturbed_spectrum_at_zero_angle():
     expected = np.sort([2.0 * (nx + ny) + 2.0 for nx in range(4) for ny in range(4)])
     assert np.abs(got - expected).max() < 1e-12
     assert np.abs(scan.trajectories[:, 0].imag).max() < 1e-12
-    # at 10 x 10 it is the 12 levels nearest 2: 2, 4 (twice), 6 (3 times), 8 (4 times), 10 (twice)
-    scan = theta_trajectory(theta_factors(case_preset(3, 0).potential, BasisSpec(10, 10)), [0.0])
+    # at 12 x 12 it is the 12 levels nearest 2: 2, 4 (twice), 6 (3 times), 8 (4 times), 10 (twice)
+    scan = theta_trajectory(theta_factors(case_preset(3, 0).potential, BasisSpec(12, 12)), [0.0])
     got = np.sort(scan.trajectories[:, 0].real)
     assert np.abs(got - [2, 4, 4, 6, 6, 6, 8, 8, 8, 8, 10, 10]).max() < 1e-12
     assert np.abs(scan.trajectories[:, 0].imag).max() < 1e-12
@@ -113,8 +113,8 @@ def test_rotated_spectrum_matches_hermitian_at_small_angle():
 def test_trajectory_linking_shapes_and_flags():
     poly = case_preset(3, "0.1").potential
     thetas = np.linspace(0.03, 0.08, 4) * math.pi
-    # 6 x 6 solves the whole spectrum, 10 x 10 the window of 12
-    for n, rows in ((6, 36), (10, 12)):
+    # 6 x 6 solves the whole spectrum, 12 x 12 the window of 12
+    for n, rows in ((6, 36), (12, 12)):
         factors = theta_factors(poly, BasisSpec(n, n))
         scan = theta_trajectory(factors, thetas)
         assert scan.trajectories.shape == (rows, 4)
@@ -204,21 +204,52 @@ def test_window_rule(monkeypatch, stable_rows, want_sizes, want_energy):
     assert (best and best[2]) == want_energy
 
 
+def _dense_solve_spy(monkeypatch):
+    """The row count of every matrix find_lowest_resonance hands eig_complex."""
+    rows, solve = [], resonance.eig_complex
+
+    def spy(mat):
+        rows.append(mat.dim)
+        return solve(mat)
+
+    monkeypatch.setattr(resonance, "eig_complex", spy)
+    return rows
+
+
 @pytest.mark.parametrize("lam", ["1/10", "14/100"])
-def test_theta_star_solve_matches_the_full_matrix(lam):
-    """At the benchmark basis the solve at theta* runs block by block; the
-    whole rotated matrix in one LAPACK call is the oracle. Each solve is
-    backward stable within apriori_bound(dim) * ||H||, and the resonance's
-    eigenvalue condition number is 1.14 at lambda = 1/10 and 1.12 at 14/100,
-    so the two agree within 3 times that: 1.5e-7 and 2.2e-7, where 5e-14 and
-    6e-13 are measured. theta* is the Table 1 grid angle 0.08 pi, where the
-    full dense sweep puts it too."""
+def test_theta_star_solve_matches_the_full_matrix(monkeypatch, lam):
+    """At the benchmark basis the solve at theta* is one LAPACK call on the
+    450-row nx + ny parity block that holds the pick; the whole rotated
+    matrix in one LAPACK call is the oracle. Each solve is backward stable
+    within apriori_bound(dim) * ||H||, and the resonance's eigenvalue
+    condition number is 1.14 at lambda = 1/10 and 1.12 at 14/100, so the two
+    agree within 3 times that: 1.5e-7 and 2.2e-7, where 5e-14 and 6e-13 are
+    measured. theta* is the Table 1 grid angle 0.08 pi, where the full dense
+    sweep puts it too."""
     poly, basis = case_preset(3, lam).potential, BasisSpec(30, 30)
+    dense_rows = _dense_solve_spy(monkeypatch)
     res = find_lowest_resonance(poly, basis)
+    assert dense_rows == [450]
     ham = rotated(theta_factors(poly, basis), res.theta_star).toarray()
     allowance = 3 * apriori_bound(basis.dim) * np.linalg.norm(ham, ord=np.inf)
     assert np.min(np.abs(np.linalg.eigvals(ham) - res.energy)) <= allowance
     assert res.theta_star == DEFAULT_THETAS[10]
+
+
+def test_dense_block_refuses_a_spurious_window_pick(monkeypatch):
+    """At lambda = 0 case 3 is the oscillator, which the command line refuses
+    before any sweep. Its window at n = 18 holds a theta-stable Ritz value
+    beside the threefold level 6 that passes the decay test: 6.0000005 -
+    1.5e-7j at 1 BLAS thread, 6.0000011 - 5.1e-8j at 2 to 4. The dense solve
+    at theta* of the component that holds it, 81 rows (at lambda = 0 each of
+    the four (nx, ny) parity sectors is a component), puts the level on the
+    real axis to rounding, |Im E| < 1e-14, and refuses the pick. n = 18 is the
+    smallest basis that makes such a pick at each of 1 to 4 BLAS threads (at
+    1 thread n = 14 does too). The test takes about 0.1-0.2 s."""
+    dense_rows = _dense_solve_spy(monkeypatch)
+    with pytest.raises(NoStationaryPoint, match="does not confirm the window pick 6-"):
+        find_lowest_resonance(case_preset(3, 0).potential, BasisSpec(18, 18))
+    assert dense_rows == [81]
 
 
 def test_window_sweep_at_a_noise_flat_coupling():
