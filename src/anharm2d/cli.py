@@ -14,11 +14,12 @@ all but rpm take --lambda, the coupling, written --lambda=-1/10 when negative):
   rpm             --g, --state, --seed, --displacement (>= 0), --digits (> 10), --dmax
 There are no environment variables.
 
-`case 4` reports isospectral_max_diff without a second spectrum: the largest
-|c - (-1)^i c'| between case 4's float coefficients c of x^i y^j and case 1's
-c', in assembly order. At 0 case 4's matrix is bit for bit case 1's
-conjugated by diag((-1)^nx), so the two spectra are equal; it is 0 whenever
-flip_conjugation_exact holds.
+`case 4` reports isospectral_max_diff from the exact flip check, without a
+second spectrum: 0 when flip_conjugation_exact holds, inf otherwise. Both
+presets come from make_quartic with the same key order, and a negated float
+is exact, so when the flipped case 4 equals case 1 exactly their float
+coefficients agree bit for bit in assembly order, and case 4's matrix is
+case 1's conjugated by diag((-1)^nx): the two spectra are equal.
 
 Exit codes: 0 success, 2 flag/validation error (argparse convention; also an
 --out path that cannot be opened for writing, which is opened before the
@@ -175,8 +176,9 @@ def _levels_1d(g: Fraction, n_max: int) -> np.ndarray:
     return eig_selfadjoint(ham).eigenvalues
 
 
-def _levels_2d(poly, basis: BasisSpec) -> np.ndarray:
-    """Rayleigh-Ritz levels of the 2D Hamiltonian in `basis`, ascending.
+def _lowest_levels(poly, nmax: int, omega: float, count: int) -> list[str]:
+    """The `count` lowest Rayleigh-Ritz levels of the 2D Hamiltonian in the
+    nmax x nmax basis at `omega`, ascending and formatted.
 
     Each block of oscbasis.swap_blocks is diagonalized once and its levels
     are counted as often as its multiplicity says. The blocks are the parity
@@ -186,30 +188,24 @@ def _levels_2d(poly, basis: BasisSpec) -> np.ndarray:
     orthogonal projections of the full matrix with zero coupling between
     them, so the merged levels are the full matrix's spectrum.
     """
-    blocks = swap_blocks(poly, basis)
-    return np.sort(np.concatenate([np.repeat(eig_selfadjoint(mat).eigenvalues, times) for mat, times in blocks]))
+    blocks = swap_blocks(poly, BasisSpec(nmax, nmax, omega=omega))
+    levels = np.sort(np.concatenate([np.repeat(eig_selfadjoint(mat).eigenvalues, times) for mat, times in blocks]))
+    return [_fmt(e) for e in levels[:count]]
 
 
-def _flip_mismatch(poly, twin) -> float:
-    """max |c - (-1)^i c'| over the float terms of `poly` and `twin` in assembly order,
-    inf when their keys differ in set or order.
-
-    A sign flip is exact in every product and sum of the assembly, so at 0
-    the matrix of `poly` is bit for bit S H S, with H that of `twin` and
-    S = diag((-1)^nx): the two have the same spectrum, with no solve of `twin`.
-    """
-    ours, theirs = poly.float_terms(), twin.float_terms()
-    if list(ours) != list(theirs):
-        return math.inf
-    return max(abs(c - (-1) ** i * theirs[i, j]) for (i, j), c in ours.items())
+def _rotation_fields(angle: float, mp2, separated) -> dict:
+    """The fields of a separating rotation (separating_rotation's result), for transform and case 1|2."""
+    return {
+        "rotation_angle": _fmt(angle),
+        "map": {"label": mp2.label, "entries": [[str(v) for v in row] for row in mp2.entries()]},
+        "transformed": _poly_dict(separated),
+    }
 
 
-def _rpm_ground(g: Fraction, digits: int, d_max: int):
-    """High-precision even ground state of p^2 + x^2 + g x^4 (g rational)."""
-    if g == 0:
-        return mp.mpf(1)
-    seed = float(_levels_1d(g, 40)[0])
-    return rpm_eigenvalue([0, 1, g], s=0, d=0, D_max=d_max, seed=seed, precision_digits=digits).e_value
+def _quartic_fields(poly) -> dict:
+    """The minimum of the quartic form on the unit circle and its angle, for symmetry and case 3."""
+    qmin, angle = quartic_form_min(poly)
+    return {"quartic_form_min": _fmt(qmin), "quartic_form_argmin": _fmt(angle)}
 
 
 def _cmd_transform(args) -> dict:
@@ -222,10 +218,7 @@ def _cmd_transform(args) -> dict:
         "separable": found is not None,
     }
     if found is not None:
-        angle, mp2, separated = found
-        payload["rotation_angle"] = _fmt(angle)
-        payload["map"] = {"label": mp2.label, "entries": [[str(v) for v in row] for row in mp2.entries()]}
-        payload["transformed"] = _poly_dict(separated)
+        payload.update(_rotation_fields(*found))
     return payload
 
 
@@ -235,7 +228,6 @@ def _cmd_symmetry(args) -> dict:
     if bounded is not Boundedness.MARGINAL:  # quartic_form_min floats the quartic coefficients
         _require_float_range(preset.lam, preset.potential.homogeneous_part(4).terms.values())
     group = detect_group(preset.potential)
-    qmin, angle = quartic_form_min(preset.potential)
     return {
         "case": args.case,
         "lambda": str(preset.lam),
@@ -245,8 +237,7 @@ def _cmd_symmetry(args) -> dict:
             "table": [list(row) for row in group.table],
         },
         "boundedness": bounded.value,
-        "quartic_form_min": _fmt(qmin),
-        "quartic_form_argmin": _fmt(angle),
+        **_quartic_fields(preset.potential),
     }
 
 
@@ -267,14 +258,12 @@ def _cmd_spectrum(args) -> dict:
     preset = _float_case(args.case, args.lam)
     _require_bounded(preset, is_bounded_below(preset.potential))
     omega = _omega_for(args, preset.potential)
-    basis = BasisSpec(args.nmax, args.nmax, omega=omega)
-    levels = _levels_2d(preset.potential, basis)
     return {
         "case": args.case,
         "lambda": str(preset.lam),
         "nmax": args.nmax,
         "omega": _fmt(omega),
-        "eigenvalues": [_fmt(e) for e in levels[: args.count]],
+        "eigenvalues": _lowest_levels(preset.potential, args.nmax, omega, args.count),
     }
 
 
@@ -338,20 +327,25 @@ def _cmd_rpm(args) -> dict:
 
 
 def _case_separable_report(preset, digits: int, d_max: int) -> dict:
-    angle, mp2, transformed = separating_rotation(preset.potential)
-    ab = _separated_quartic_coeffs(transformed)
+    found = separating_rotation(preset.potential)
+    ab = _separated_quartic_coeffs(found[2])
     with mp.workdps(digits):
-        # (RPM, variational) ground energies, once per distinct coupling
-        grounds = {g: (_rpm_ground(g, digits, d_max), float(_levels_1d(g, 60)[0])) for g in dict.fromkeys(ab)}
+        grounds = {}  # (RPM, variational) ground energies, once per distinct coupling
+        for g in dict.fromkeys(ab):
+            # one variational solve: it seeds the RPM and is the printed variational
+            # energy; the harmonic factor's ground energy is exactly 1, with no RPM
+            level = float(_levels_1d(g, 60)[0])
+            rpm = mp.mpf(1)
+            if g != 0:
+                rpm = rpm_eigenvalue([0, 1, g], s=0, d=0, D_max=d_max, seed=level, precision_digits=digits).e_value
+            grounds[g] = (rpm, level)
         total = mp.fsum(grounds[g][0] for g in ab)
         variational = sum(grounds[g][1] for g in ab)
         # Exact agreement (the harmonic limit λ = 0) certifies every digit.
         gap = abs(total - variational)
         agreement = digits if gap == 0 else int(mp.floor(-mp.log10(gap / abs(total))))
         return {
-            "rotation_angle": _fmt(angle),
-            "map": {"label": mp2.label, "entries": [[str(v) for v in row] for row in mp2.entries()]},
-            "transformed": _poly_dict(transformed),
+            **_rotation_fields(*found),
             "factor_couplings": [str(g) for g in ab],
             "ground_energy_rpm": mp.nstr(total, digits),
             "ground_energy_variational": _fmt(variational),
@@ -375,21 +369,15 @@ def _cmd_case(args) -> dict:
     if args.case in (1, 2):
         payload.update(_case_separable_report(preset, args.digits, args.dmax))
     elif args.case == 3:
-        qmin, angle = quartic_form_min(preset.potential)
-        payload["quartic_form_min"] = _fmt(qmin)
-        payload["quartic_form_argmin"] = _fmt(angle)
+        payload.update(_quartic_fields(preset.potential))
         res = _resonance_report(args)
         payload.update((key, res[key]) for key in ("re_e", "im_e", "theta_star", "converged"))
-    elif args.case == 4:
-        twin = case_preset(1, preset.lam).potential
-        payload["flip_conjugation_exact"] = apply_linear_map(preset.potential, flip_x()) == twin
-        payload["isospectral_max_diff"] = _fmt(_flip_mismatch(preset.potential, twin))
-        basis = BasisSpec(args.nmax, args.nmax, omega=1.0)
-        payload["lowest_eigenvalues"] = [_fmt(e) for e in _levels_2d(preset.potential, basis)[:10]]
-    elif args.case == 5:
-        basis = BasisSpec(args.nmax, args.nmax, omega=1.0)
-        eigs = _levels_2d(preset.potential, basis)[:10]
-        payload["lowest_eigenvalues"] = [_fmt(e) for e in eigs]
+    else:
+        if args.case == 4:
+            exact = apply_linear_map(preset.potential, flip_x()) == case_preset(1, preset.lam).potential
+            payload["flip_conjugation_exact"] = exact
+            payload["isospectral_max_diff"] = _fmt(0.0 if exact else math.inf)
+        payload["lowest_eigenvalues"] = _lowest_levels(preset.potential, args.nmax, 1.0, 10)
     return payload
 
 

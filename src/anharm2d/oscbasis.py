@@ -1,8 +1,8 @@
 """Hamiltonian matrices in products of 1D harmonic-oscillator states.
 
-build_hamiltonian, parity_blocks, swap_blocks and build_hamiltonian_1d scatter
-the Hermitian matrices from the 1D factors' nonzeros; theta_factors and
-rotated form the complex-scaled ones.
+build_hamiltonian, swap_blocks and build_hamiltonian_1d scatter the Hermitian
+matrices from the 1D factors' nonzeros; theta_factors and rotated form the
+complex-scaled ones.
 
 Basis convention: eigenfunctions of h0 = p^2 + omega^2 x^2 (energies
 omega*(2n+1)), so at omega = 1 the unperturbed 2D levels are 2(nx+ny)+2.
@@ -14,15 +14,15 @@ matrix is real float64, bit for bit rotated's real part.
 
 Parity sectors: x^i y^j only couples states whose (nx mod 2, ny mod 2)
 differ by (i mod 2, j mod 2), and the kinetic term keeps both parities.
-`parity_blocks` joins two sectors when their parity difference is (0, 0) or
+`swap_blocks` joins two sectors when their parity difference is (0, 0) or
 that of a key of `poly.terms`, and each connected group of sectors is one
 block: ee, eo, oe and oo apart when every term is even in x and in y (cases
 2 and 5), {ee, oo} and {eo, oe} when the other terms are odd in both (cases
 1, 3 and 4), one block when terms of two different odd parities are
 present (x and y, say). It reads only the exact term keys, so no tolerance
-is involved. Each block is assembled from the same products, added in the
-same order, as `build_hamiltonian`, so it is bitwise equal to the matching
-submatrix, and the entries between blocks are exactly zero.
+is involved. A whole parity block is assembled from the same products, added
+in the same order, as `build_hamiltonian`, so it is bitwise equal to the
+matching submatrix, and the entries between blocks are exactly zero.
 
 Swap blocks: when the basis is square and the swap (x, y) -> (y, x) leaves
 the potential exactly invariant (decided over Q(sqrt(2)) by
@@ -38,7 +38,8 @@ with the orbit weights. Each block is so, bit for bit, the weighted orbit
 sums of build_hamiltonian's entries. A block that the swap maps onto
 another one (eo and oe, the two partners of the 2D irrep E of C4v, in cases
 2 and 5) has that block's spectrum, so only the first of the two is built,
-with multiplicity 2. Any other potential or basis gets the parity blocks.
+with multiplicity 2. For any other potential or basis the swap does not
+apply, and every parity block is scattered whole, with multiplicity 1.
 """
 
 from __future__ import annotations
@@ -253,33 +254,6 @@ def _sector_blocks(keys) -> list[list[tuple[int, int]]]:
     return blocks
 
 
-def _parity_pieces(poly: PolynomialPotential, basis: BasisSpec) -> list[tuple[list, list]]:
-    """(sectors, product pieces) of each parity block that has states, sectors without states dropped."""
-    if basis.theta != 0.0:
-        raise ValueError("parity blocks need basis.theta = 0")
-    nx, ny = basis.n_max_x, basis.n_max_y
-    blocks = []
-    for sectors in _sector_blocks(poly.terms):
-        pieces = [(np.arange(a, nx, 2), np.arange(b, ny, 2)) for a, b in sectors]
-        pieces = [(px, py) for px, py in pieces if px.size and py.size]
-        if pieces:
-            blocks.append((sectors, pieces))
-    return blocks
-
-
-def parity_blocks(poly: PolynomialPotential, basis: BasisSpec) -> list[OperatorMatrix]:
-    """The parity blocks of build_hamiltonian(poly, basis), as matrices.
-
-    A block's rows are its sectors' states in sector order (ee, eo, oe, oo),
-    each sector x-major, and its matrix is the full matrix at those rows and
-    columns, bit for bit. Sectors without states are skipped, and so is a
-    block without any. Only the Hermitian matrix (basis.theta = 0) is split.
-    """
-    blocks, products = _parity_pieces(poly, basis), _products(poly, basis)
-    shape = (basis.n_max_x, basis.n_max_y)
-    return [OperatorMatrix(_scatter(*_piece_map(pieces, shape), products)) for _, pieces in blocks]
-
-
 def _swap_halves(products, pieces, n: int) -> list[OperatorMatrix]:
     """The swap-even and swap-odd blocks of a parity block that the swap maps to itself.
 
@@ -308,7 +282,7 @@ def _swap_halves(products, pieces, n: int) -> list[OperatorMatrix]:
 
 def swap_blocks(poly: PolynomialPotential, basis: BasisSpec) -> list[tuple[OperatorMatrix, int]]:
     """(block, multiplicity) pairs whose spectra, each repeated `multiplicity` times, make up
-    the spectrum of build_hamiltonian(poly, basis).
+    the spectrum of build_hamiltonian(poly, basis), which must be Hermitian (basis.theta = 0).
 
     When the basis is square and the swap (x, y) -> (y, x), the shared
     S(2pi/8) = dihedral16()[10], leaves `poly` exactly invariant
@@ -316,19 +290,27 @@ def swap_blocks(poly: PolynomialPotential, basis: BasisSpec) -> list[tuple[Opera
     gives its swap-even and swap-odd blocks from one quadrant scatter, each
     bit for bit the weighted orbit sums of build_hamiltonian's entries, and of
     two blocks that the swap maps onto each other (eo and oe, the 2D irrep E
-    of C4v) the first is kept with multiplicity 2. Otherwise the blocks are
-    parity_blocks', each once.
+    of C4v) the first is kept whole with multiplicity 2. Otherwise every
+    parity block is kept whole, once: its rows are its sectors' states in
+    sector order (ee, eo, oe, oo), each sector x-major, and its matrix is the
+    full matrix at those rows and columns, bit for bit. Sectors and blocks
+    without states are skipped.
     """
-    n = basis.n_max_x
-    if n != basis.n_max_y or not leaves_invariant(poly, dihedral16()[10]):
-        return [(mat, 1) for mat in parity_blocks(poly, basis)]
+    if basis.theta != 0.0:
+        raise ValueError("swap blocks need basis.theta = 0")
+    shape = nx, ny = basis.n_max_x, basis.n_max_y
+    swap = nx == ny and leaves_invariant(poly, dihedral16()[10])
     blocks, seen, products = [], [], _products(poly, basis)
-    for sectors, pieces in _parity_pieces(poly, basis):
+    for sectors in _sector_blocks(poly.terms):
+        pieces = [(np.arange(a, nx, 2), np.arange(b, ny, 2)) for a, b in sectors]
+        pieces = [(px, py) for px, py in pieces if px.size and py.size]
+        if not pieces:
+            continue
         swapped = sorted((b, a) for a, b in sectors)
-        if swapped == sectors:
-            blocks += [(mat, 1) for mat in _swap_halves(products, pieces, n)]
-        elif swapped not in seen:
-            blocks.append((OperatorMatrix(_scatter(*_piece_map(pieces, (n, n)), products)), 2))
+        if swap and swapped == sectors:
+            blocks += [(mat, 1) for mat in _swap_halves(products, pieces, nx)]
+        elif not (swap and swapped in seen):
+            blocks.append((OperatorMatrix(_scatter(*_piece_map(pieces, shape), products)), 2 if swap else 1))
         seen.append(sectors)
     return blocks
 
@@ -357,9 +339,10 @@ def optimal_omega(g: float) -> float:
         raise ValueError("g must be non-negative")
     if g == 0:
         return 1.0
-    roots = np.roots([1.0, 0.0, -1.0, -3.0 * g])
-    real = [r.real for r in roots if abs(r.imag) < 1e-9 * max(1.0, abs(r)) and r.real > 0]
-    omega = max(real)
+    # Descartes' rule of signs gives exactly one positive root, and the roots
+    # sum to 0, so a complex pair u +- iv has u = -omega/2 < 0: the largest
+    # real part is omega, with no tolerance on the imaginary parts
+    omega = max(np.roots([1.0, 0.0, -1.0, -3.0 * g]).real)
     # one Newton polish: the companion-matrix root is good to ~1e-12 already
     f = omega**3 - omega - 3.0 * g
     fp = 3.0 * omega**2 - 1.0

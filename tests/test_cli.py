@@ -1,15 +1,22 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anharm2d import cli
+from anharm2d.cases import case_preset
+from anharm2d.maps import flip_x
+from anharm2d.poly2d import apply_linear_map
 from anharm2d.rpm import rpm_eigenvalue
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -438,3 +445,117 @@ def test_cli_import_does_not_load_concurrent_futures():
     proc = run_python("-c", code)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "[]"
+
+
+# One code path per printed result: `case K` prints the fields of the topic
+# reports (transform, symmetry, spectrum) from the same helpers.
+
+
+def _report(capsys, argv):
+    assert cli.main(argv) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def _coupling(lam):
+    return [] if lam is None else ["--lambda", lam]
+
+
+@pytest.mark.parametrize("lam", [None, "3/10"])
+@pytest.mark.parametrize("case", ["1", "2"])
+def test_separable_case_prints_the_transform_fields(capsys, case, lam):
+    got = _report(capsys, ["case", case, "--dmax", "6", "--digits", "30"] + _coupling(lam))
+    want = _report(capsys, ["transform", "--case", case] + _coupling(lam))
+    for key in ("rotation_angle", "map", "transformed"):
+        assert got[key] == want[key]
+
+
+@pytest.mark.parametrize("lam", [None, "13/100"])
+def test_case3_prints_the_symmetry_quartic_fields(capsys, lam):
+    got = _report(capsys, ["case", "3", "--nmax", "10", "--theta-steps", "5"] + _coupling(lam))
+    want = _report(capsys, ["symmetry", "--case", "3"] + _coupling(lam))
+    for key in ("quartic_form_min", "quartic_form_argmin"):
+        assert got[key] == want[key]
+
+
+@pytest.mark.parametrize("lam", [None, "1/2"])
+@pytest.mark.parametrize("case", ["4", "5"])
+def test_case_prints_the_spectrum_levels(capsys, case, lam):
+    got = _report(capsys, ["case", case, "--nmax", "8"] + _coupling(lam))
+    want = _report(capsys, ["spectrum", "--case", case, "--nmax", "8", "--count", "10"] + _coupling(lam))
+    assert got["lowest_eigenvalues"] == want["eigenvalues"]
+
+
+def _flip_mismatch(poly, twin) -> float:
+    """Oracle: max |c - (-1)^i c'| over the float terms of `poly` and `twin` in assembly order,
+    inf when their keys differ in set or order.
+
+    A sign flip is exact in every product and sum of the assembly, so at 0
+    the matrix of `poly` is bit for bit S H S, with H that of `twin` and
+    S = diag((-1)^nx): the two have the same spectrum, with no solve of `twin`.
+    """
+    ours, theirs = poly.float_terms(), twin.float_terms()
+    if list(ours) != list(theirs):
+        return math.inf
+    return max(abs(c - (-1) ** i * theirs[i, j]) for (i, j), c in ours.items())
+
+
+# exact couplings, negative, tiny and large, whose coefficients (at most 6 lambda) stay in the float range
+_EXACT_COUPLINGS = st.one_of(
+    st.fractions(min_value=-10, max_value=10, max_denominator=1000),
+    st.floats(min_value=-1e300, max_value=1e300, allow_nan=False).map(Fraction),
+    st.builds(lambda sign, k: sign * Fraction(1, 10**k), st.sampled_from([1, -1]), st.integers(1, 300)),
+    st.builds(lambda sign, k: sign * Fraction(10**k), st.sampled_from([1, -1]), st.integers(1, 300)),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(lam=_EXACT_COUPLINGS)
+def test_isospectral_max_diff_comes_from_the_exact_flip_check(lam):
+    """The exact flip check implies the float scan's 0, which case 4 prints without running it."""
+    p4, p1 = case_preset(4, lam).potential, case_preset(1, lam).potential
+    assert apply_linear_map(p4, flip_x()) == p1
+    assert _flip_mismatch(p4, p1) == 0.0
+    if lam < 0:
+        return  # case 4 is unbounded from below there, and the command refuses it before any report
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["case", "4", "--nmax", "4", f"--lambda={lam.numerator}/{lam.denominator}"]) == 0
+    got = json.loads(out.getvalue())
+    assert (got["flip_conjugation_exact"], got["isospectral_max_diff"]) == (True, "0")
+
+
+@pytest.mark.parametrize(
+    "argv, sizes",
+    [
+        # case 1 separates into factors at g = 0 and g = 4 lambda, case 2 into two at one g
+        (["case", "1"], [60, 60]),
+        (["case", "2"], [60]),
+        (["case", "1", "--lambda", "0", "--digits", "5"], [60]),
+        # rpm prints the whole root trail, so it keeps its 40-state seed
+        (["rpm", "--g", "1"], [40]),
+    ],
+    ids=lambda value: " ".join(map(str, value)),
+)
+def test_one_variational_solve_per_separated_factor(capsys, monkeypatch, argv, sizes):
+    calls, build = [], cli.build_hamiltonian_1d
+    monkeypatch.setattr(cli, "build_hamiltonian_1d", lambda *a, **k: calls.append(k["n_max"]) or build(*a, **k))
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert calls == sizes
+
+
+@pytest.mark.parametrize("lam", [None, "1/2", "3/10", "2"])
+@pytest.mark.parametrize("case", ["1", "2"])
+def test_rpm_ground_energy_is_the_one_seeded_from_40_states(capsys, case, lam):
+    """The 60-state level that seeds the RPM gives the same 80 digits as a 40-state seed."""
+    got = _report(capsys, ["case", case] + _coupling(lam))
+    couplings = [Fraction(g) for g in got["factor_couplings"]]
+    with mp.workdps(80):
+        grounds = {
+            g: rpm_eigenvalue(
+                [0, 1, g], s=0, d=0, D_max=25, seed=float(cli._levels_1d(g, 40)[0]), precision_digits=80
+            ).e_value if g else mp.mpf(1)
+            for g in set(couplings)
+        }
+        want = mp.nstr(mp.fsum(grounds[g] for g in couplings), 80)
+    assert got["ground_energy_rpm"] == want

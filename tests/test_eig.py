@@ -25,8 +25,8 @@ from anharm2d.oscbasis import (
     build_hamiltonian,
     build_hamiltonian_1d,
     optimal_omega,
-    parity_blocks,
     rotated,
+    swap_blocks,
     theta_factors,
 )
 from anharm2d.poly2d import make_quartic
@@ -74,10 +74,25 @@ def test_not_hermitian_rejected():
 
 @pytest.mark.parametrize("case_id", range(1, 6))
 def test_builder_blocks_pass_the_hermitian_check(case_id):
-    # blocks with X^3 or X^4 terms (cases 1-4) are Hermitian only to rounding, within the check's 1e-12
-    for mat in parity_blocks(case_preset(case_id).potential, BasisSpec(40, 40)):
-        assert mat.entries.dtype == np.float64
-        assert eig_selfadjoint(mat).eigenvalues.size == mat.dim
+    # blocks with X^3 or X^4 terms (cases 1-4) are Hermitian only to rounding, within the check's 1e-12;
+    # the 40 x 39 basis keeps the parity blocks whole, the 40 x 40 one splits them by the swap
+    for basis in (BasisSpec(40, 39), BasisSpec(40, 40)):
+        for mat, _ in swap_blocks(case_preset(case_id).potential, basis):
+            assert mat.entries.dtype == np.float64
+            assert eig_selfadjoint(mat).eigenvalues.size == mat.dim
+
+
+def test_rotated_build_and_complex_solve_as_the_blas_probe_calls_them():
+    """perfbench/probe_blas.py times eig_complex on build_hamiltonian(case 3, BasisSpec(30, 30, 1.0, 0.2)).
+
+    That caller is why BasisSpec.theta and the theta branch of build_hamiltonian
+    stay, though the command line reaches complex scaling only through
+    theta_factors and rotated.
+    """
+    mat = build_hamiltonian(case_preset(3).potential, BasisSpec(6, 6, 1.0, 0.2))
+    assert mat.entries.dtype == np.complex128
+    values = eig_complex(mat).eigenvalues
+    assert values.size == 36 and np.iscomplexobj(values)
 
 
 def test_circulant_oracle():

@@ -20,7 +20,6 @@ from anharm2d.oscbasis import (
     build_hamiltonian_1d,
     kinetic_matrix_1d,
     optimal_omega,
-    parity_blocks,
     position_matrix_1d,
     swap_blocks,
 )
@@ -225,10 +224,14 @@ _COEFFS = st.fractions(min_value=-5, max_value=5, max_denominator=30)
     omega=st.sampled_from([1.0, 1.7]),
 )
 def test_parity_blocks_are_exact_submatrices(terms, nx, ny, omega):
+    """swap_blocks' whole-block path, where the swap does not apply: the parity blocks, once each."""
     poly = PolynomialPotential({(2, 0): 1, (0, 2): 1, **terms})
+    assume(nx != ny or not leaves_invariant(poly, reflection(2)))
     basis = BasisSpec(nx, ny, omega=omega)
     full = build_hamiltonian(poly, basis).entries
-    blocks = parity_blocks(poly, basis)
+    pairs = swap_blocks(poly, basis)
+    assert [times for _, times in pairs] == [1] * len(pairs)
+    blocks = [mat for mat, _ in pairs]
     expected = _expected_blocks(poly, nx, ny)
     assert np.array_equal(np.sort(np.concatenate(expected)), np.arange(nx * ny))
     assert [mat.dim for mat in blocks] == [rows.size for rows in expected]
@@ -255,20 +258,22 @@ def test_parity_blocks_are_exact_submatrices(terms, nx, ny, omega):
 def test_parity_blocks_are_the_dense_kron_sum(terms, nx, ny, omega):
     """Oracle independent of the builder's assembly: the explicit np.kron sum at each block's rows."""
     poly = PolynomialPotential({(2, 0): 1, (0, 2): 1, **terms})
+    assume(nx != ny or not leaves_invariant(poly, reflection(2)))  # swap_blocks keeps the parity blocks whole
     xpow, ypow = _position_powers(nx, omega, 4), _position_powers(ny, omega, 4)
     want = np.kron(kinetic_matrix_1d(nx, omega), np.eye(ny)) + np.kron(np.eye(nx), kinetic_matrix_1d(ny, omega))
     for (i, j), c in poly.float_terms().items():
         want = want + c * np.kron(xpow[i], ypow[j])
-    blocks = parity_blocks(poly, BasisSpec(nx, ny, omega=omega))
+    blocks = swap_blocks(poly, BasisSpec(nx, ny, omega=omega))
     expected = _expected_blocks(poly, nx, ny)
     assert len(blocks) == len(expected)
-    for rows, mat in zip(expected, blocks):
+    for rows, (mat, _) in zip(expected, blocks):
         assert np.array_equal(mat.entries, want[np.ix_(rows, rows)])
 
 
 def test_parity_blocks_reject_a_rotated_basis():
+    # on the whole-block path (a basis that is not square) and on the swap path
     with pytest.raises(ValueError):
-        parity_blocks(case_preset(3).potential, BasisSpec(6, 6, theta=0.1))
+        swap_blocks(case_preset(3).potential, BasisSpec(6, 5, theta=0.1))
     with pytest.raises(ValueError):
         swap_blocks(case_preset(3).potential, BasisSpec(6, 6, theta=0.1))
 
@@ -282,9 +287,10 @@ def test_parity_blocks_reject_a_rotated_basis():
     ],
 )
 def test_parity_block_count(poly, count):
-    assert len(parity_blocks(poly, BasisSpec(6, 5))) == count
+    # a basis that is not square keeps every parity block whole
+    assert [times for _, times in swap_blocks(poly, BasisSpec(6, 5))] == [1] * count
     # a single state per mode leaves only the ee sector
-    assert len(parity_blocks(poly, BasisSpec(1, 1))) == 1
+    assert [times for _, times in swap_blocks(poly, BasisSpec(1, 1))] == [1]
 
 
 def _block_levels(blocks):
@@ -357,9 +363,10 @@ def test_swap_blocks_without_the_swap_are_the_parity_blocks(terms, nx, ny):
     poly = PolynomialPotential({(2, 0): 1, (0, 2): 1, **terms})
     assume(nx != ny or not leaves_invariant(poly, reflection(2)))
     basis = BasisSpec(nx, ny)
-    blocks, parity = swap_blocks(poly, basis), parity_blocks(poly, basis)
+    full = build_hamiltonian(poly, basis).entries
+    blocks, parity = swap_blocks(poly, basis), [full[np.ix_(rows, rows)] for rows in _expected_blocks(poly, nx, ny)]
     assert [times for _, times in blocks] == [1] * len(parity)
-    assert all(np.array_equal(mat.entries, want.entries) for (mat, _), want in zip(blocks, parity))
+    assert all(np.array_equal(mat.entries, want) for (mat, _), want in zip(blocks, parity))
 
 
 @pytest.mark.parametrize(
@@ -376,14 +383,22 @@ def test_swap_block_shapes(case, shape):
 @pytest.mark.parametrize("n", [20, 40])
 @pytest.mark.parametrize("lam", ["1/10", "1/2", "3/10", "2"])
 def test_case4_is_the_flip_conjugate_of_case1_bit_for_bit(lam, n):
-    """H4 = S H1 S with S = diag((-1)^nx), exactly, at case 4's default and the survey couplings."""
+    """H4 = S H1 S with S = diag((-1)^nx), exactly, at case 4's default and the survey couplings.
+
+    The parity blocks are compared in an n x (n - 1) basis, where the swap
+    does not apply, so swap_blocks keeps them whole.
+    """
     basis = BasisSpec(n, n)
     p4, p1 = case_preset(4, lam).potential, case_preset(1, lam).potential
     sign = np.repeat((-1.0) ** np.arange(n), n)  # (-1)^nx in x-major order
     h4 = build_hamiltonian(p4, basis).entries
     assert np.array_equal(h4, sign[:, None] * build_hamiltonian(p1, basis).entries * sign[None, :])
-    for rows, b4, b1 in zip(_expected_blocks(p1, n, n), parity_blocks(p4, basis), parity_blocks(p1, basis)):
-        s = sign[rows]
+    rect, rect_sign = BasisSpec(n, n - 1), np.repeat((-1.0) ** np.arange(n), n - 1)
+    expected, blocks4, blocks1 = _expected_blocks(p1, n, n - 1), swap_blocks(p4, rect), swap_blocks(p1, rect)
+    assert len(blocks4) == len(blocks1) == len(expected)
+    for rows, (b4, once4), (b1, once1) in zip(expected, blocks4, blocks1):
+        assert once4 == once1 == 1
+        s = rect_sign[rows]
         assert np.array_equal(b4.entries, s[:, None] * b1.entries * s[None, :])
         assert np.array_equal(np.linalg.eigvalsh(b4.entries), np.linalg.eigvalsh(b1.entries))
     assert np.array_equal(_block_levels(swap_blocks(p4, basis)), _block_levels(swap_blocks(p1, basis)))
@@ -427,6 +442,31 @@ def test_optimal_omega_examples():
         assert w**3 - w - 3 * g == pytest.approx(0.0, abs=1e-7 * max(1.0, 3 * g))
     # dominant balance at strong coupling
     assert optimal_omega(2e6) == pytest.approx((6e6) ** (1 / 3), rel=1e-2)
+
+
+def _filtered_omega(g):
+    """Oracle: optimal_omega with a tolerance on the imaginary parts, the largest positive real root."""
+    roots = np.roots([1.0, 0.0, -1.0, -3.0 * g])
+    omega = max(r.real for r in roots if abs(r.imag) < 1e-9 * max(1.0, abs(r)) and r.real > 0)
+    return omega - (omega**3 - omega - 3.0 * g) / (3.0 * omega**2 - 1.0)
+
+
+def test_optimal_omega_needs_no_tolerance_on_the_roots():
+    """The largest real part of the roots of w^3 - w - 3g is the one positive root.
+
+    Sampled from 1e-300 to 1e300 and densely across the edge g = 2/sqrt(243)
+    of the window where all three roots are real, where the two negative ones
+    meet and the computed pair can carry a tiny imaginary part.
+    """
+    edge = 2 / math.sqrt(243)
+    couplings = np.concatenate([
+        np.logspace(-300, 300, 1201),
+        edge * (1 + np.linspace(-1e-2, 1e-2, 801)),
+        edge * (1 + np.linspace(-1e-7, 1e-7, 401)),
+        np.linspace(1e-3, 1.0, 401),
+    ])
+    for g in couplings:
+        assert optimal_omega(float(g)) == _filtered_omega(float(g)), g
 
 
 def test_omega_independence_of_spectrum():
@@ -479,8 +519,10 @@ def test_operator_matrix_shape_validation():
 
 
 def test_hermitian_check_allocates_slabs_only():
-    # the first parity block of case 1 at nmax 40 has 800 rows (ee and oo)
-    mat = parity_blocks(case_preset(1).potential, BasisSpec(40, 40))[0]
+    # with x^3 y alone the swap does not apply, and the first parity block at
+    # nmax 40 has 800 rows (ee and oo), as case 1's has
+    poly = PolynomialPotential({(2, 0): 1, (0, 2): 1, (3, 1): 1})
+    mat, _ = swap_blocks(poly, BasisSpec(40, 40))[0]
     assert mat.dim == 800
     tracemalloc.start()
     try:
@@ -493,14 +535,18 @@ def test_hermitian_check_allocates_slabs_only():
 
 @pytest.mark.parametrize("case", [1, 2, 4, 5])
 def test_parity_blocks_make_no_full_size_temporaries(case):
-    """The blocks are scattered from the 1D factors' nonzeros, not cut from dense kron products."""
+    """The whole blocks are scattered from the 1D factors' nonzeros, not cut from dense kron products.
+
+    The basis is not square, so the swap does not apply and every parity block is kept whole.
+    """
     tracemalloc.start()
     try:
-        blocks = parity_blocks(case_preset(case).potential, BasisSpec(40, 40))
+        blocks = swap_blocks(case_preset(case).potential, BasisSpec(40, 39))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    sizes = [mat.entries.nbytes for mat in blocks]
+    assert [times for _, times in blocks] == [1] * len(blocks)
+    sizes = [mat.entries.nbytes for mat, _ in blocks]
     assert peak - sum(sizes) < max(sizes)
 
 
