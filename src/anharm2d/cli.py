@@ -293,7 +293,8 @@ def _resonance_report(args) -> dict:
         "re_e": _fmt(res.energy.real),
         "im_e": _fmt(res.energy.imag),
         "theta_star": _fmt(res.theta_star),
-        "stability": _fmt(res.stability),
+        # a centred difference of window eigenvalues: past 3 digits it is rounding noise
+        "stability": format(res.stability, ".3g"),
         "nmax": args.nmax,
         "converged": res.converged,
     }

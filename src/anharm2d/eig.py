@@ -1,24 +1,21 @@
 """Eigensolver contracts on top of LAPACK, ARPACK and SuperLU.
 
-Four entry points, all for eigenvalues only: a real-spectrum solver for
+Three solvers, all for eigenvalues only: a real-spectrum solver for
 Hermitian matrices, the one place that checks Hermiticity (Rayleigh-Ritz
 energies); a dense complex-spectrum solver for the complex-scaled,
-complex-symmetric matrices of the resonance runs; `eig_nearest`, the
+complex-symmetric matrices of the resonance runs; and `eig_nearest`, the
 eigenvalues of a sparse matrix nearest a shift, which the resonance sweep
-uses at every angle; and `nearest_component`, the rows of the decoupled
-block that holds the eigenvalue nearest a target, so that a caller who
-needs one eigenvalue densely solves only that block. The dense solvers
-certify their spectra with the a-priori backward-error bound of
-`apriori_bound`. A failure of either eigenvalue library raises
-ConvergenceFailure.
+uses at every angle. The dense solvers certify their spectra with the
+a-priori backward-error bound of `apriori_bound`. A failure of either
+eigenvalue library raises ConvergenceFailure.
 
-The complex solver splits its matrix into the connected components of the
-exact nonzero pattern and solves each on its own: the coupling between
-components is exactly zero, so the spectrum is the union of theirs. A
-case-3 H(theta) couples only states of equal nx + ny parity, so its 900 rows
-at nmax 30 are two 450-row components. `eig_nearest` factors each shifted
-matrix with SuperLU's symmetric mode, since every rotated H(theta) is
-structurally symmetric.
+`components` gives the connected components of a matrix's exact nonzero
+pattern. The coupling between components is exactly zero, so the spectrum
+is the union of theirs: the complex solver solves each on its own, and the
+resonance sweep runs its windows on each. A case-3 H(theta) couples only
+states of equal nx + ny parity, so its 900 rows at nmax 30 are two 450-row
+components. `eig_nearest` factors each shifted matrix with SuperLU's
+symmetric mode, since every rotated H(theta) is structurally symmetric.
 """
 
 from __future__ import annotations
@@ -42,11 +39,11 @@ class ConvergenceFailure(RuntimeError):
 # machine epsilon times the dimension.
 _APRIORI_EPS_FACTOR = 64.0
 # eig_nearest solves the whole spectrum densely once k reaches this share of the
-# dimension, where the two cost about the same on a case-3 H(theta) at
-# lambda = 1/100 (1 BLAS thread, best of 3): ARPACK took 0.035 s for k = 40 of
-# 400 rows, 0.238 s for k = 80 of 900 and 1.24 s for k = 144 of 1600, LAPACK
-# 0.036 s, 0.240 s and 1.04 s for all of them on their two parity components.
-_ARNOLDI_SHARE = 0.09
+# dimension. On case-3 parity components, as the resonance sweep hands them over,
+# at lambda = 1/100 (1 BLAS thread, best of 5), LAPACK took 0.121 s for all 450
+# rows and 0.505 s for all 800, ARPACK 0.088 s for k = 58 of 450 and 0.469 s for
+# k = 104 of 800; they cross near shares of 0.147 and 0.134.
+_ARNOLDI_SHARE = 0.13
 
 
 def apriori_bound(dim: int) -> float:
@@ -77,7 +74,7 @@ def eig_selfadjoint(mat: OperatorMatrix) -> SpectralResult:
     return _solve(np.linalg.eigvalsh, mat)
 
 
-def _components(mat) -> list[np.ndarray]:
+def components(mat) -> list[np.ndarray]:
     """Rows, ascending, of each connected component of the exact nonzero pattern of a dense or sparse matrix."""
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import connected_components
@@ -93,23 +90,8 @@ def eig_complex(mat: OperatorMatrix) -> SpectralResult:
     principal submatrix with indices ascending. scipy is imported here, not
     when the module loads.
     """
-    blocks = _components(mat.entries)
+    blocks = components(mat.entries)
     return _solve(lambda a: np.concatenate([np.linalg.eigvals(a[np.ix_(b, b)]) for b in blocks]), mat)
-
-
-def nearest_component(mat, target: complex) -> np.ndarray:
-    """Rows, ascending, of the component of a sparse square matrix that holds its eigenvalue nearest target.
-
-    The components decouple exactly, so each eigenvalue belongs to one of
-    them; each component's nearest comes from a k = 1 eig_nearest. A matrix of
-    one component returns all its rows without a solve.
-    """
-    blocks = _components(mat)
-    if len(blocks) == 1:
-        return blocks[0]
-    mat = mat.tocsr()
-    gaps = [np.min(np.abs(eig_nearest(mat[b][:, b], 1, target) - target)) for b in blocks]
-    return blocks[int(np.argmin(gaps))]
 
 
 def eig_nearest(mat, k: int, sigma: complex) -> np.ndarray:

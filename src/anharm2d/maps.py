@@ -71,9 +71,6 @@ class OrthogonalMap2:
     def det(self) -> SqrtTwoRational:
         return self.a * self.d - self.b * self.c
 
-    def transpose(self) -> "OrthogonalMap2":
-        return OrthogonalMap2(self.a, self.c, self.b, self.d, label=f"{self.label}^T")
-
     def compose(self, other: "OrthogonalMap2", label: str | None = None) -> "OrthogonalMap2":
         """Matrix product self @ other (apply `other` first)."""
         a = self.a * other.a + self.b * other.c

@@ -57,10 +57,6 @@ class PolynomialPotential:
     def float_terms(self) -> dict[tuple[int, int], float]:
         return {ij: float(c) for ij, c in self.terms.items()}
 
-    def evaluate(self, x: float, y: float) -> float:
-        """Floating-point value of the polynomial at (x, y)."""
-        return sum(c * x**i * y**j for (i, j), c in self.float_terms().items())
-
     def __eq__(self, other):
         if not isinstance(other, PolynomialPotential):
             return NotImplemented

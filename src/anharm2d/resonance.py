@@ -3,13 +3,14 @@
 Each rotation angle theta gives a non-Hermitian matrix whose spectrum rotates
 with theta except near resonances, where one eigenvalue stalls. The sparse
 parts of the matrix are assembled once per basis (oscbasis.theta_factors) and
-rotated to each angle (oscbasis.rotated), where only a window of eigenvalues
-is solved: the k nearest the shift `_SIGMA`, by shift-invert Arnoldi
+rotated to each angle (oscbasis.rotated). The sweep runs on each decoupled
+component (for case 3, each nx + ny parity block), where only a window is
+solved: the k eigenvalues nearest the shift `_SIGMA`, by shift-invert Arnoldi
 (eig.eig_nearest). Window eigenvalues are linked across neighbouring angles by
-greedy nearest-neighbour matching, and the resonance is the theta-stationary
-point of the stalled trajectory. The greedy matching is computed as rounds of
-mutual-nearest pairs, which give the same links as taking pairs in ascending
-distance with ties in row-major order.
+greedy nearest-neighbour matching, computed as rounds of mutual-nearest pairs
+(the same links as taking pairs in ascending distance, ties in row-major
+order), and the resonance is the theta-stationary point of the stalled
+trajectory.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .eig import apriori_bound, eig_complex, eig_nearest, nearest_component
+from .eig import apriori_bound, components, eig_complex, eig_nearest
 from .oscbasis import BasisSpec, OperatorMatrix, rotated, theta_factors
 from .poly2d import PolynomialPotential
 
@@ -28,8 +29,8 @@ from .poly2d import PolynomialPotential
 _STABILITY_TOL = 5e-2
 # Largest |E(n+5) - E(n)| of a resonance certified as converged.
 _DRIFT_TOL = 1e-4
-# The sweep's first window: the _WINDOW eigenvalues nearest _SIGMA, the
-# unperturbed ground level of p^2 + x^2 + y^2.
+# The sweep's first windows share the _WINDOW eigenvalues nearest _SIGMA, the
+# unperturbed ground level of p^2 + x^2 + y^2, among the components by rows.
 _WINDOW = 12
 _SIGMA = 2.0
 
@@ -144,24 +145,36 @@ def _drift(poly: PolynomialPotential, basis: BasisSpec, theta: float, energy: co
     return float(np.min(np.abs(nearest - energy)))
 
 
-def _settled_pick(factors, thetas):
-    """_pick of the first window that settles it, doubling k from `_WINDOW`.
+def _factor_components(factors) -> list[np.ndarray]:
+    """eig.components of the factors' joint nonzero pattern, which every rotated(factors, theta) shares."""
+    kin, terms = factors
+    return components(sum((abs(mat) for _, _, mat in terms), abs(kin)))
 
-    Every window rotates the same factors. A window settles the pick when the
-    pick is not its farthest eigenvalue from `_SIGMA` at theta*, or when it
-    is the whole spectrum.
-    """
+
+def _restrict(factors, rows):
+    """The factors' principal submatrices on rows."""
+    kin, terms = factors
+    return kin[rows][:, rows], [(coeff, degree, mat[rows][:, rows]) for coeff, degree, mat in terms]
+
+
+def _settled_pick(factors, thetas):
+    """(component factors, _pick) of the windows that settle the pick, or None (see find_lowest_resonance)."""
     dim = factors[0].shape[0]
     noise = apriori_bound(dim)
-    k = _WINDOW
+    parts = [_restrict(factors, rows) for rows in _factor_components(factors)]
+    sizes = [math.ceil(_WINDOW * part[0].shape[0] / dim) for part in parts]
     while True:
-        scan = theta_trajectory(factors, thetas, k)
-        best = _pick(scan, noise)
-        if scan.trajectories.shape[0] == dim:
-            return best
-        if best is not None and np.argmax(np.abs(scan.trajectories[:, best[1]] - _SIGMA)) != best[0]:
-            return best
-        k *= 2
+        found, whole = None, True
+        for part, k in zip(parts, sizes):
+            scan = theta_trajectory(part, thetas, k)
+            whole = whole and scan.trajectories.shape[0] == part[0].shape[0]
+            best = _pick(scan, noise)
+            if best is not None and (found is None or best[2].real < found[1][2].real):
+                found = (part, best)
+                settled = np.argmax(np.abs(scan.trajectories[:, best[1]] - _SIGMA)) != best[0]
+        if whole or (found is not None and settled):
+            return found
+        sizes = [2 * k for k in sizes]
 
 
 def find_lowest_resonance(
@@ -179,22 +192,23 @@ def find_lowest_resonance(
     relative to |E|: a bound state (the whole spectrum at lambda = 0) sits at
     Im E = 0 up to rounding and is never reported.
 
-    Window rule: the sweep starts from the `_WINDOW` eigenvalues nearest
-    `_SIGMA` at each angle and doubles that count k while there is no pick, or
-    while the pick is the window's farthest eigenvalue from `_SIGMA` at
-    theta*, until the window is the whole spectrum. The theta_factors of the
-    basis are assembled once and serve every window and the solve at theta*:
-    the reported energy is the eigenvalue nearest the pick of the dense
-    eig_complex solve of those factors rotated to theta*, the value the full
-    dense sweep reports. Only the decoupled component that holds it is
-    solved (eig.nearest_component, one k = 1 shift-invert solve per
-    component), so for case 3 that is one LAPACK call, on the pick's nx + ny
-    parity block. That eigenvalue must confirm the pick: it lies within
-    `_DRIFT_TOL` of it and decays by the same test, or NoStationaryPoint is
-    raised (a spurious Ritz value near a degenerate bound level, as at
-    lambda = 0, fails here). Convergence is always checked: the resonance is
-    converged when the n+5 basis at theta* has an eigenvalue within
-    `_DRIFT_TOL` = 1e-4 of it.
+    Window rule: the sweep runs on each decoupled component of the
+    theta_factors, the components of their joint nonzero pattern. A
+    component of rows_c of the dim rows starts from its share of the
+    `_WINDOW` eigenvalues nearest `_SIGMA` at each angle, k_c = ceil(_WINDOW
+    * rows_c / dim): 6 for each 450-row parity block of case 3 at nmax 30.
+    The pick is the least Re E over all components. Every k_c doubles while
+    there is no pick, or while the pick is the farthest eigenvalue from
+    `_SIGMA` of its own component's window at theta*, until every component
+    is solved whole. The reported energy is the eigenvalue nearest the pick
+    of the dense eig_complex solve of the pick's component factors rotated
+    to theta*, the value the full dense sweep reports: for case 3 one LAPACK
+    call, on the pick's nx + ny parity block. It must confirm the pick: it
+    lies within `_DRIFT_TOL` of it and decays by the same test, or
+    NoStationaryPoint is raised (a spurious Ritz value near a degenerate
+    bound level, as at lambda = 0, fails here). Convergence is always
+    checked: the resonance is converged when the n+5 basis at theta* has an
+    eigenvalue within `_DRIFT_TOL` = 1e-4 of it.
     """
     lo, hi = theta_window
     if not (0.0 < lo < hi < math.pi / 4):
@@ -203,18 +217,16 @@ def find_lowest_resonance(
         raise ValueError("need at least 3 sweep points for a centred difference")
     thetas = np.linspace(lo, hi, n_points)
     factors = theta_factors(poly, basis)
-    best = _settled_pick(factors, thetas)
-    if best is None:
+    found = _settled_pick(factors, thetas)
+    if found is None:
         raise NoStationaryPoint(
             "no theta-stationary decaying trajectory in the window; "
             "adjust lambda or the window"
         )
-    _, k, window_energy, stability = best
+    part, (_, k, window_energy, stability) = found
     theta_star = float(thetas[k])
 
-    ham = rotated(factors, theta_star)
-    rows = nearest_component(ham, window_energy)
-    dense = eig_complex(OperatorMatrix(ham[rows][:, rows].toarray(order="C"))).eigenvalues
+    dense = eig_complex(OperatorMatrix(rotated(part, theta_star).toarray(order="C"))).eigenvalues
     energy = complex(dense[np.argmin(np.abs(dense - window_energy))])
     if abs(energy - window_energy) > _DRIFT_TOL or -energy.imag <= apriori_bound(basis.dim) * abs(energy):
         raise NoStationaryPoint(

@@ -17,6 +17,7 @@ from anharm2d import cli
 from anharm2d.cases import case_preset
 from anharm2d.maps import flip_x
 from anharm2d.poly2d import apply_linear_map
+from anharm2d.resonance import Resonance
 from anharm2d.rpm import rpm_eigenvalue
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -153,6 +154,27 @@ def test_resonance_small_basis():
     payload = json.loads(proc.stdout)
     assert abs(float(payload["re_e"]) - 2.0733) < 1e-3
     assert float(payload["im_e"]) < 0
+
+
+@pytest.mark.parametrize(
+    "stability, printed",
+    [
+        # lambda = 1/10 and 1/20 at nmax 30: block-by-block windows move the
+        # 4th-6th digits of the whole-matrix windows' centred difference
+        (2.33030043355e-10, "2.33e-10"),
+        (2.33030977986e-10, "2.33e-10"),
+        (3.6883081387e-13, "3.69e-13"),
+        (3.6853658359e-13, "3.69e-13"),
+        (0.0496, "0.0496"),
+    ],
+)
+def test_resonance_prints_stability_to_three_digits(monkeypatch, capsys, stability, printed):
+    def resonance_stub(poly, basis, theta_window, n_points):
+        return Resonance(energy=2.07 - 4.6e-4j, theta_star=0.25, stability=stability, converged=True)
+
+    monkeypatch.setattr(cli, "find_lowest_resonance", resonance_stub)
+    assert cli.main(["resonance"]) == 0
+    assert json.loads(capsys.readouterr().out)["stability"] == printed
 
 
 def test_validation_failures_exit_2():

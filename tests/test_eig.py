@@ -14,10 +14,10 @@ from anharm2d.eig import (
     ConvergenceFailure,
     NotHermitian,
     apriori_bound,
+    components,
     eig_complex,
     eig_nearest,
     eig_selfadjoint,
-    nearest_component,
 )
 from anharm2d.oscbasis import (
     BasisSpec,
@@ -214,29 +214,15 @@ def test_nan_entry_raises_convergence_failure(blocks):
 
 @settings(max_examples=100, deadline=None)
 @given(_scattered_blocks())
-def test_nearest_component_holds_the_nearest_eigenvalue(case):
-    """A target beside an eigenvalue of each block in turn returns the rows of
-    the block whose spectrum holds the nearest eigenvalue: that block itself,
-    unless another block's eigenvalue lies nearer still."""
-    blocks, rows, mat = case
-    spectra = [np.linalg.eigvals(block) for block in blocks]
-    every = np.concatenate(spectra)
-    owner = np.repeat(np.arange(len(blocks)), [block.shape[0] for block in blocks])
-    for vals in spectra:
-        target = vals[0] + 1e-3 * (1 + 1j)
-        want = rows[owner[np.argmin(np.abs(every - target))]]
-        assert np.array_equal(nearest_component(csr_matrix(mat), target), want)
-
-
-def test_nearest_component_of_an_irreducible_matrix_is_every_row(monkeypatch):
-    def no_solve(*args):
-        raise AssertionError("one component needs no solve")
-
-    rng = np.random.default_rng(3)
-    mat = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
-    mat[np.triu_indices(40, 2)] = 0.0  # lower Hessenberg: one component
-    monkeypatch.setattr(eig, "eig_nearest", no_solve)
-    assert np.array_equal(nearest_component(csr_matrix(mat), 0.5), np.arange(40))
+def test_components_are_the_scattered_blocks(case):
+    """Dense or sparse, the components are the blocks' rows, ascending, in the
+    order of their first row."""
+    _, rows, mat = case
+    want = sorted(rows, key=lambda where: where[0])
+    for form in (mat, csr_matrix(mat)):
+        got = components(form)
+        assert len(got) == len(want)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 def _factorizations(monkeypatch):

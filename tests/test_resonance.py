@@ -7,13 +7,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from scipy.linalg import block_diag
 from hypothesis import strategies as st
 from scipy.sparse import linalg as sparse_linalg
 
 from anharm2d import cli, resonance
 from anharm2d.cases import case_preset
-from anharm2d.eig import ConvergenceFailure, apriori_bound, eig_complex, eig_nearest
-from anharm2d.oscbasis import BasisSpec, build_hamiltonian, rotated, theta_factors
+from anharm2d.eig import ConvergenceFailure, apriori_bound, components, eig_complex, eig_nearest
+from anharm2d.oscbasis import BasisSpec, OperatorMatrix, build_hamiltonian, rotated, theta_factors
 from anharm2d.resonance import (
     NoStationaryPoint,
     Resonance,
@@ -54,7 +55,8 @@ def _dense_resonance(poly, basis, thetas=DEFAULT_THETAS):
 
 def _sweep_spies(monkeypatch):
     """The k of every theta_trajectory call that find_lowest_resonance makes,
-    and the (n_max_x, n_max_y) of every basis it assembles theta_factors for."""
+    one per decoupled component and window scale, and the (n_max_x, n_max_y)
+    of every basis it assembles theta_factors for."""
     sizes, bases = [], []
     sweep, assemble = resonance.theta_trajectory, resonance.theta_factors
 
@@ -156,8 +158,10 @@ def test_sweeps_repeat_bit_for_bit():
 
 
 # The Table 1 couplings and three more at n = 12; at n = 16, lambda = 1/100
-# picks Re E ~ 10.4, outside the first window, so the window must grow; at
-# 4 x 4 the window is the whole spectrum. However often the window grows,
+# picks Re E ~ 10.4, outside the first windows, so the windows must grow; at
+# 4 x 4 the windows are the whole spectrum. The two nx + ny parity components
+# have equal rows at these n, so each window scale gives both the same k, and
+# the windows grow when more than one k is seen. However often they grow,
 # theta_factors runs once for the basis and once for the n+5 check.
 @pytest.mark.parametrize(
     "lam, n, grows",
@@ -171,37 +175,100 @@ def test_window_sweep_equals_the_dense_sweep(monkeypatch, lam, n, grows):
     sizes, bases = _sweep_spies(monkeypatch)
     res = find_lowest_resonance(poly, basis)
     assert (res.energy, res.theta_star) == (want_energy, want_theta)
-    assert (len(sizes) > 1) == grows
+    assert (len(set(sizes)) > 1) == grows
     assert bases == [(n, n), (n + 5, n + 5)]
 
 
 FAR, NEAR = 2.1 - 0.01j, 3.0 - 0.01j  # stable decaying levels; FAR has the lesser Re E
+# Two components of 24 and 12 rows, which start from windows of 8 and 4 and
+# are whole at 32 and 16.
+TWO_BLOCKS = (block_diag(np.ones((24, 24)), np.ones((12, 12))), [])
 
 
 @pytest.mark.parametrize(
     "stable_rows, want_sizes, want_energy",
     [
-        (lambda k: [FAR], [12, 24, 48], FAR),  # always the farthest: grows to all 36
-        (lambda k: [FAR] if k == 12 else [FAR, NEAR], [12, 24], FAR),
-        (lambda k: [], [12, 24, 48], None),  # no pick even in the whole spectrum
+        (lambda rows, k: [FAR] if rows == 24 else [], [8, 4, 16, 8, 32, 16], FAR),  # always the farthest
+        (lambda rows, k: [] if rows == 12 else [FAR] if k == 8 else [FAR, NEAR], [8, 4, 16, 8], FAR),
+        (lambda rows, k: [], [8, 4, 16, 8, 32, 16], None),  # no pick even in the whole spectrum
+        # the farthest of its own component, though the other holds a farther level
+        (lambda rows, k: [FAR] if rows == 12 else [NEAR], [8, 4, 16, 8, 32, 16], FAR),
     ],
 )
 def test_window_rule(monkeypatch, stable_rows, want_sizes, want_energy):
-    """k doubles while there is no pick or the pick is the window's farthest
-    eigenvalue from the shift at theta*, and stops at the whole spectrum."""
+    """Every component's k doubles while there is no pick or the pick is the
+    farthest eigenvalue from the shift of its own component's window at
+    theta*, and stops once every component is solved whole."""
     unstable = np.array([7.0, 2.0, -3.0])  # score 50; at theta* it sits on the shift
     sizes = []
 
     def sweep(factors, thetas, k):
         sizes.append(k)
-        rows = [np.full(3, e) for e in stable_rows(k)]
+        rows = [np.full(3, e) for e in stable_rows(factors[0].shape[0], k)]
         rows += [unstable] * (min(k, factors[0].shape[0]) - len(rows))
         return resonance.ThetaScan(thetas, np.array(rows, dtype=complex), np.zeros((len(rows), 3), bool))
 
     monkeypatch.setattr(resonance, "theta_trajectory", sweep)
-    best = resonance._settled_pick((np.eye(36), []), np.array([0.1, 0.2, 0.3]))
+    assert [len(rows) for rows in resonance._factor_components(TWO_BLOCKS)] == [24, 12]
+    found = resonance._settled_pick(TWO_BLOCKS, np.array([0.1, 0.2, 0.3]))
     assert sizes == want_sizes
-    assert (best and best[2]) == want_energy
+    assert (found and found[1][2]) == want_energy
+
+
+@pytest.mark.parametrize("lam, n, want_rows", [("1/10", 30, [450, 450]), ("0", 18, [81] * 4)])
+def test_factor_components_decouple_every_sweep_angle(lam, n, want_rows):
+    """The components of the factors' joint pattern are those of the rotated
+    matrix at every sweep angle: the two nx + ny parity blocks at lambda =
+    1/10, the four (nx, ny) parity sectors of the oscillator at lambda = 0. A
+    component's rotated factors are the rotated matrix's block bit for bit,
+    the matrix the dense solve at theta* is handed."""
+    factors = theta_factors(case_preset(3, lam).potential, BasisSpec(n, n))
+    blocks = resonance._factor_components(factors)
+    assert [len(rows) for rows in blocks] == want_rows
+    for theta in DEFAULT_THETAS:
+        ham = rotated(factors, theta)
+        got = components(ham)
+        assert len(got) == len(blocks)
+        assert all(np.array_equal(a, b) for a, b in zip(got, blocks))
+        for rows in blocks:
+            part = rotated(resonance._restrict(factors, rows), theta).toarray(order="C")
+            assert part.tobytes() == ham[rows][:, rows].toarray(order="C").tobytes()
+
+
+def _whole_matrix_settled_pick(factors, thetas):
+    """Oracle: the window rule on the whole matrix, k doubling from _WINDOW."""
+    dim = factors[0].shape[0]
+    noise = apriori_bound(dim)
+    k = resonance._WINDOW
+    while True:
+        scan = theta_trajectory(factors, thetas, k)
+        best = resonance._pick(scan, noise)
+        if scan.trajectories.shape[0] == dim:
+            return best
+        if best is not None and np.argmax(np.abs(scan.trajectories[:, best[1]] - resonance._SIGMA)) != best[0]:
+            return best
+        k *= 2
+
+
+@pytest.mark.parametrize("lam", ["1/10", "12/100", "13/100", "14/100"])
+def test_component_windows_equal_the_whole_matrix_windows(lam):
+    """At the Table 1 couplings and the benchmark basis, the per-component
+    windows pick the trajectory and theta* of one window on the whole matrix,
+    and the reported energy is, bit for bit, the eigenvalue nearest that pick
+    in the dense solve of the whole rotated matrix at theta*, which solves each
+    component on its own."""
+    poly, basis = case_preset(3, lam).potential, BasisSpec(30, 30)
+    factors = theta_factors(poly, basis)
+    _, k, window_energy, stability = _whole_matrix_settled_pick(factors, DEFAULT_THETAS)
+    theta_star = float(DEFAULT_THETAS[k])
+    every = eig_complex(OperatorMatrix(rotated(factors, theta_star).toarray(order="C"))).eigenvalues
+    energy = complex(every[np.argmin(np.abs(every - window_energy))])
+    converged = (
+        stability < resonance._STABILITY_TOL
+        and resonance._drift(poly, basis, theta_star, energy) < resonance._DRIFT_TOL
+    )
+    res = find_lowest_resonance(poly, basis)
+    assert (res.energy, res.theta_star, res.converged) == (energy, theta_star, converged)
 
 
 def _dense_solve_spy(monkeypatch):
@@ -238,14 +305,13 @@ def test_theta_star_solve_matches_the_full_matrix(monkeypatch, lam):
 
 def test_dense_block_refuses_a_spurious_window_pick(monkeypatch):
     """At lambda = 0 case 3 is the oscillator, which the command line refuses
-    before any sweep. Its window at n = 18 holds a theta-stable Ritz value
-    beside the threefold level 6 that passes the decay test: 6.0000005 -
-    1.5e-7j at 1 BLAS thread, 6.0000011 - 5.1e-8j at 2 to 4. The dense solve
-    at theta* of the component that holds it, 81 rows (at lambda = 0 each of
-    the four (nx, ny) parity sectors is a component), puts the level on the
-    real axis to rounding, |Im E| < 1e-14, and refuses the pick. n = 18 is the
-    smallest basis that makes such a pick at each of 1 to 4 BLAS threads (at
-    1 thread n = 14 does too). The test takes about 0.1-0.2 s."""
+    before any sweep. At lambda = 0 each of the four (nx, ny) parity sectors
+    is a component, 81 rows at n = 18, and one of their windows holds a
+    theta-stable Ritz value beside the threefold level 6 that passes the
+    decay test: 5.9999998 - 2.5e-7j, the same at 1 to 4 BLAS threads. The
+    dense solve at theta* of that component puts the level on the real axis
+    to rounding, |Im E| < 1e-14, and refuses the pick. n = 10, 14, 16 and 20
+    make such a pick too, n = 8 and 12 do not. The test takes about 0.3 s."""
     dense_rows = _dense_solve_spy(monkeypatch)
     with pytest.raises(NoStationaryPoint, match="does not confirm the window pick 6-"):
         find_lowest_resonance(case_preset(3, 0).potential, BasisSpec(18, 18))
