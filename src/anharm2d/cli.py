@@ -333,12 +333,14 @@ def _case_separable_report(preset, digits: int, d_max: int) -> dict:
     with mp.workdps(digits):
         grounds = {}  # (RPM, variational) ground energies, once per distinct coupling
         for g in dict.fromkeys(ab):
-            # one variational solve: it seeds the RPM and is the printed variational
-            # energy; the harmonic factor's ground energy is exactly 1, with no RPM
+            # the harmonic factor's ground energy is exactly 1, with no solve; any
+            # other factor has one variational solve, which seeds the RPM and is
+            # the printed variational energy
+            if g == 0:
+                grounds[g] = (mp.mpf(1), 1.0)
+                continue
             level = float(_levels_1d(g, 60)[0])
-            rpm = mp.mpf(1)
-            if g != 0:
-                rpm = rpm_eigenvalue([0, 1, g], s=0, d=0, D_max=d_max, seed=level, precision_digits=digits).e_value
+            rpm = rpm_eigenvalue([0, 1, g], s=0, d=0, D_max=d_max, seed=level, precision_digits=digits).e_value
             grounds[g] = (rpm, level)
         total = mp.fsum(grounds[g][0] for g in ab)
         variational = sum(grounds[g][1] for g in ab)
@@ -408,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rpm = common(sub.add_parser("rpm", help="high-precision 1D quartic eigenvalue"))
     p_rpm.add_argument("--g", required=True, help="coefficient of x^4 in p^2 + x^2 + g x^4")
     p_rpm.add_argument("--state", choices=("even", "odd"), default="even")
-    p_rpm.add_argument("--seed", type=float, default=None, help="secant root tracker start (default: variational)")
+    p_rpm.add_argument("--seed", type=float, default=None, help="start of the root trail at D = 2 (default: variational)")
     p_rpm.add_argument("--displacement", type=int, default=0)
 
     for p in (p_case, p_tr, p_sym, p_sp, p_res):

@@ -138,10 +138,14 @@ def _pick(scan: ThetaScan, noise: float):
     return best
 
 
-def _drift(poly: PolynomialPotential, basis: BasisSpec, theta: float, energy: complex) -> float:
-    """|E' - energy| for the eigenvalue E' nearest energy at theta, with 5 more states per mode."""
+def _drift(poly: PolynomialPotential, basis: BasisSpec, theta: float, energy: complex, state: int) -> float:
+    """|E' - energy| for the eigenvalue E' nearest energy at theta, with 5 more
+    states per mode, on the decoupled component that holds `state`, a row of basis."""
     bigger = BasisSpec(basis.n_max_x + 5, basis.n_max_y + 5, basis.omega)
-    nearest = eig_nearest(rotated(theta_factors(poly, bigger), theta), 1, energy)
+    nx, ny = divmod(state, basis.n_max_y)
+    factors = theta_factors(poly, bigger)
+    rows = next(rows for rows in _factor_components(factors) if nx * bigger.n_max_y + ny in rows)
+    nearest = eig_nearest(rotated(_restrict(factors, rows), theta), 1, energy)
     return float(np.min(np.abs(nearest - energy)))
 
 
@@ -158,19 +162,20 @@ def _restrict(factors, rows):
 
 
 def _settled_pick(factors, thetas):
-    """(component factors, _pick) of the windows that settle the pick, or None (see find_lowest_resonance)."""
+    """(component rows, component factors, _pick) of the windows that settle
+    the pick, or None (see find_lowest_resonance)."""
     dim = factors[0].shape[0]
     noise = apriori_bound(dim)
-    parts = [_restrict(factors, rows) for rows in _factor_components(factors)]
-    sizes = [math.ceil(_WINDOW * part[0].shape[0] / dim) for part in parts]
+    parts = [(rows, _restrict(factors, rows)) for rows in _factor_components(factors)]
+    sizes = [math.ceil(_WINDOW * rows.size / dim) for rows, _ in parts]
     while True:
         found, whole = None, True
-        for part, k in zip(parts, sizes):
+        for (rows, part), k in zip(parts, sizes):
             scan = theta_trajectory(part, thetas, k)
-            whole = whole and scan.trajectories.shape[0] == part[0].shape[0]
+            whole = whole and scan.trajectories.shape[0] == rows.size
             best = _pick(scan, noise)
-            if best is not None and (found is None or best[2].real < found[1][2].real):
-                found = (part, best)
+            if best is not None and (found is None or best[2].real < found[2][2].real):
+                found = (rows, part, best)
                 settled = np.argmax(np.abs(scan.trajectories[:, best[1]] - _SIGMA)) != best[0]
         if whole or (found is not None and settled):
             return found
@@ -208,7 +213,9 @@ def find_lowest_resonance(
     NoStationaryPoint is raised (a spurious Ritz value near a degenerate
     bound level, as at lambda = 0, fails here). Convergence is always
     checked: the resonance is converged when the n+5 basis at theta* has an
-    eigenvalue within `_DRIFT_TOL` = 1e-4 of it.
+    eigenvalue within `_DRIFT_TOL` = 1e-4 of it, in the decoupled component
+    that holds the pick's states (for case 3, 613 of the 1225 rows at nmax
+    30).
     """
     lo, hi = theta_window
     if not (0.0 < lo < hi < math.pi / 4):
@@ -223,7 +230,7 @@ def find_lowest_resonance(
             "no theta-stationary decaying trajectory in the window; "
             "adjust lambda or the window"
         )
-    part, (_, k, window_energy, stability) = found
+    rows, part, (_, k, window_energy, stability) = found
     theta_star = float(thetas[k])
 
     dense = eig_complex(OperatorMatrix(rotated(part, theta_star).toarray(order="C"))).eigenvalues
@@ -233,6 +240,6 @@ def find_lowest_resonance(
             f"the dense solve at theta* does not confirm the window pick {window_energy:.6g}; "
             "adjust lambda or the window"
         )
-    converged = stability < _STABILITY_TOL and _drift(poly, basis, theta_star, energy) < _DRIFT_TOL
+    converged = stability < _STABILITY_TOL and _drift(poly, basis, theta_star, energy, rows[0]) < _DRIFT_TOL
 
     return Resonance(energy=energy, theta_star=theta_star, stability=stability, converged=converged)

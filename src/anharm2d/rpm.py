@@ -8,9 +8,10 @@ Riccati equation gives the closed recursion
     (2m + 2s + 1) f_m = sum_{j<m} f_j f_{m-1-j} - v_m + E [m = 0].
 
 Eigenvalues are the E-roots of the Hankel determinants
-H_D^d(E) = det[f_{i+j+d+1}(E)], which stabilize rapidly as D grows; each root
-is found by a secant iteration in arbitrary precision, started from the roots
-of the smaller dimensions.
+H_D^d(E) = det[f_{i+j+d+1}(E)], which stabilize rapidly as D grows. Each
+root is found by Muller's three-point iteration, started from the trail of
+the smaller dimensions' roots: the quadratic model of each step runs in
+floats, and the iterates in arbitrary precision.
 
 The root trail evaluates H_D with `scaled_hankel_det`, one fused kernel on
 Python integers: the recursion runs in fixed point on the exactly rescaled
@@ -30,6 +31,7 @@ moments all vanish.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -89,6 +91,7 @@ def riccati_coeffs(v, s: int, e_value, m_max: int) -> RiccatiSeries:
 
 
 GUARD_BITS = 64  # fixed-point bits of `scaled_hankel_det` beyond the working precision
+_LOG2_10 = math.log2(10)
 
 
 def _fixed(value, shift: int) -> int:
@@ -207,46 +210,101 @@ def scaled_hankel_det(v, s: int, energy, D: int, d: int, t: int):
     return mp.mp.make_mpf(from_man_exp(det, det_exp, prec, rnd))
 
 
-def _tiny(x):
-    """10^(10-dps) x max(1, |x|): the secant's stop threshold and least start offset."""
-    return mp.mpf(10) ** (10 - mp.mp.dps) * max(1, abs(x))
+def _log2(x) -> float:
+    """log2|x| of an mpf as a float, at any exponent; -inf for 0."""
+    _, man, exp, bc = x._mpf_
+    if not man:
+        return -math.inf
+    cut = max(bc - 53, 0)
+    return math.log2(man >> cut) + exp + cut
 
 
-def _secant_root(v, s: int, d: int, D: int, t: int, x0, x1):
-    """Secant iteration on H_D from the pair (x0, x1): one determinant a step.
+def _curvature_step(r: float, fa: float, fb: float):
+    """The quadratic's correction to the secant step, in the coordinate y of
+    x = c + y (b - c): the three points lie at y = r, 1 and 0, with the
+    determinants divided by H_D(c), fa, fb and 1, as values. It is the real
+    root nearest 0 of the quadratic through them, minus the root ys = 1 / (1 -
+    fb) of the line through the last two. None where the quadratic has no
+    real root, or where a float is 0, inf or NaN.
+
+    The correction is the root nearest -ys of the quadratic shifted to ys,
+    curve d^2 + beta d + gamma with gamma its value at ys, so it comes without
+    cancellation: once the iteration converges it is much smaller than ys,
+    and so is its rounding error.
+    """
+    if not all(math.isfinite(z) and z for z in (r, fa, fb, r - 1, fb - 1)):
+        return None
+    slope = fb - 1
+    curve = ((fa - 1) / r - slope) / (r - 1)
+    ys = -1 / slope
+    # the quadratic at ys + delta is curve delta^2 + beta delta + gamma
+    beta, gamma = slope + curve * (2 * ys - 1), curve * ys * (ys - 1)
+    disc = beta * beta - 4 * curve * gamma
+    if not disc >= 0:
+        return None
+    big = beta + math.copysign(math.sqrt(disc), beta)
+    if not (big and curve):
+        return 0.0  # a line, or a double root at ys
+    near, far = -2 * gamma / big, -big / (2 * curve)
+    delta = near if abs(ys + near) <= abs(ys + far) else far
+    return delta if math.isfinite(delta) else None
+
+
+def _three_point_root(v, s: int, d: int, D: int, t: int, x0, x1):
+    """Root of H_D from the pair (x0, x1), one determinant a step: a secant
+    step, then Muller's three-point steps (Muller, MTAC 10, 1956).
+
+    Each new iterate is the real root, nearest the newest iterate c, of the
+    quadratic through the last three points (a, H_D(a)), (b, H_D(b)), (c,
+    H_D(c)). H_D often has a close pair of roots near the eigenvalue, which
+    slows the secant to about 5 digits a step (e_{n+1} ~ 10^46 e_n e_{n-1} at
+    g = 1, D = 25); the quadratic absorbs that curvature. The step is the
+    secant's y = H(c) / (H(c) - H(b)) in units of b - c, at the working
+    precision, plus the quadratic's correction to it from
+    `_curvature_step`, which needs only relative accuracy and so runs in
+    floats: on (a - c) / (b - c) and on the determinants divided by H_D(c).
+    Where the quadratic has no real root, or a float of the model is 0, inf
+    or NaN, the step is the secant's.
 
     Determinant evaluation near a root is pure cancellation, so the last
-    digits are noise. At a simple root the secant converges superlinearly, so
-    iteration stops once a step times its contraction against the previous
-    step (about the size of the next step) is below 10^(10-dps) relative.
-    A step that keeps more than half the size of the one before is slow: a
-    close pair of roots seen from afar (iteration goes on and resolves it), a
-    multiple root or the noise. After three slow steps in a row, below
-    10^(-dps/2) relative (the accuracy a double root allows), a growing step is
-    noise and the iterate before it is returned; a shrinking one is linear
-    convergence, and the limit of the geometric series of steps is returned.
+    digits are noise. Iteration stops once a step times its contraction
+    against the previous step (about the size of the next step) is below
+    10^(10-dps) relative. A step that keeps more than half the size of the
+    one before is slow: a close pair of roots seen from afar (iteration goes
+    on and resolves it), a multiple root or the noise. After three slow steps
+    in a row, below 10^(-dps/2) relative (the accuracy a double root allows),
+    a growing step is noise and the iterate before it is returned; a
+    shrinking one is linear convergence, and the limit of the geometric
+    series of steps is returned. Both tests compare the float log2 of the
+    relative step sizes.
     """
     dps = mp.mp.dps
-    slow_floor = mp.mpf(10) ** (-(dps // 2))
-    stop = mp.mpf(10) ** (10 - dps)  # `_tiny` at |x| <= 1
-    f0, f1 = (scaled_hankel_det(v, s, x, D, d, t) for x in (x0, x1))
-    prev_step, slow = None, 0
+    stop, slow_floor = (10 - dps) * _LOG2_10, -(dps // 2) * _LOG2_10
+    a = fa = None
+    (b, fb), (c, fc) = ((x, scaled_hankel_det(v, s, x, D, d, t)) for x in (x0, x1))
+    slow = 0
     for _ in range(3 * dps):
-        if f1 == 0:
-            return x1
-        if f1 == f0:
-            raise NewtonDivergence(f"flat determinant at D={D}, E={mp.nstr(x1, 20)}")
-        step = f1 * (x1 - x0) / (f1 - f0)
-        x0, f0, x1 = x1, f1, x1 - step
-        size = abs(step)
-        ratio = step / prev_step if prev_step else 1
-        if size * min(abs(ratio), 1) < stop * max(1, abs(x1)):
-            return x1
-        slow = slow + 1 if prev_step and abs(ratio) > 0.5 else 0
-        if slow >= 3 and size < slow_floor * max(1, abs(x1)):
-            return x0 if abs(ratio) >= 1 else x1 - step * ratio / (1 - ratio)
-        prev_step = step
-        f1 = scaled_hankel_det(v, s, x1, D, d, t)
+        if fc == 0:
+            return c
+        if fc == fb:
+            raise NewtonDivergence(f"flat determinant at D={D}, E={mp.nstr(c, 20)}")
+        last = b - c
+        y = fc / (fc - fb)  # the secant step, in units of b - c
+        if a is not None:
+            delta = _curvature_step(float((a - c) / last), float(fa / fc), float(fb / fc))
+            if delta:
+                y += delta
+        step = y * last  # the move from c: -y times the previous move, from b to c
+        x = c + step
+        size = _log2(step) - max(_log2(x), 0.0)
+        contraction = _log2(y) if a is not None else 0.0  # log2 |step / previous step|
+        if size + min(contraction, 0.0) < stop:
+            return x
+        slow = slow + 1 if a is not None and contraction > -1 else 0
+        if slow >= 3 and size < slow_floor:
+            return c if contraction >= 0 else x - step * y / (1 + y)
+        a, fa, b, fb, c = b, fb, c, fc, x
+        fc = scaled_hankel_det(v, s, x, D, d, t)
     raise NewtonDivergence(f"no convergence within {3 * dps} iterations at D={D}")
 
 
@@ -271,9 +329,12 @@ def rpm_eigenvalue(
     seed=None,
     precision_digits: int = 80,
 ) -> RpmResult:
-    """Track the Hankel root from D = 2 up to D_max. The secant iteration for
-    dimension D starts from the pair r_{D-1}, r_{D-1} + rho * Delta, where
-    Delta = r_{D-1} - r_{D-2} and rho = Delta / (r_{D-2} - r_{D-3}).
+    """Track the Hankel root from D = 2 up to D_max. The root iteration for
+    dimension D (`_three_point_root`) starts from the first terms of the
+    trail's geometric extrapolation: the pair x, x + rho^2 Delta, where x =
+    r_{D-1} + rho Delta, Delta = r_{D-1} - r_{D-2} and rho = Delta / (r_{D-2}
+    - r_{D-3}). Before the trail has three roots the pair is r_{D-1} and a
+    point 10^(10-dps) relative above it.
 
     The seed must lie in the basin of the target eigenvalue (a variational
     estimate does); Hankel determinants have many roots. Returns the D_max
@@ -298,20 +359,22 @@ def rpm_eigenvalue(
     if d < 0:
         raise ValueError("displacement d must be >= 0")
     if precision_digits <= 10:
-        # the secant's stop threshold 10^(10-dps) would be >= 1 relative
+        # the root iteration's stop threshold 10^(10-dps) would be >= 1 relative
         raise ValueError("precision_digits must be > 10")
     with mp.workdps(precision_digits):
+        tiny = mp.mpf(10) ** (10 - precision_digits)  # the stop threshold, relative
         roots = [_to_mpf(seed)]
         scale = _scale_exponent(v, s, roots[0], 2 * D_max - 1 + d)
         for D in range(2, D_max + 1):
-            # Start from the previous root and its geometric extrapolation
-            # once the trail has three roots; from a nearby point before.
+            # Start from the trail's geometric extrapolation once it has three
+            # roots; from the previous root before.
             start, offset = roots[-1], 0
             if D > 4 and roots[-2] != roots[-3]:
                 delta = roots[-1] - roots[-2]
-                offset = delta * delta / (roots[-2] - roots[-3])  # rho * delta
-            offset = max(offset, _tiny(start), key=abs)
-            roots.append(_secant_root(v, s, d, D, scale, start, start + offset))
+                rho = delta / (roots[-2] - roots[-3])
+                start, offset = start + rho * delta, rho * rho * delta
+            offset = max(offset, tiny * max(1, abs(start)), key=abs)
+            roots.append(_three_point_root(v, s, d, D, scale, start, start + offset))
         roots = roots[1:]
         trail = list(zip(range(2, D_max + 1), roots))
         diffs = [abs(b - a) for a, b in zip(roots, roots[1:])]
@@ -324,7 +387,7 @@ def rpm_eigenvalue(
                 "root trail stopped contracting before D_max", NonMonotoneTrail
             )
         last = roots[-1]
-        prev = roots[-2] if roots[-2] != last else last + _tiny(last)
+        prev = roots[-2] if roots[-2] != last else last + tiny * max(1, abs(last))
         error = abs(last - prev)
         # H_D_max at the last two roots, at twice the digits. Where it keeps its
         # sign, a root of multiplicity m lies at distance error * t / |1 - t|

@@ -212,7 +212,7 @@ def test_window_rule(monkeypatch, stable_rows, want_sizes, want_energy):
     assert [len(rows) for rows in resonance._factor_components(TWO_BLOCKS)] == [24, 12]
     found = resonance._settled_pick(TWO_BLOCKS, np.array([0.1, 0.2, 0.3]))
     assert sizes == want_sizes
-    assert (found and found[1][2]) == want_energy
+    assert (found and found[2][2]) == want_energy
 
 
 @pytest.mark.parametrize("lam, n, want_rows", [("1/10", 30, [450, 450]), ("0", 18, [81] * 4)])
@@ -250,6 +250,13 @@ def _whole_matrix_settled_pick(factors, thetas):
         k *= 2
 
 
+def _whole_matrix_drift(poly, basis, theta, energy):
+    """Oracle: the n+5 check on the whole rotated matrix, both parity blocks."""
+    bigger = BasisSpec(basis.n_max_x + 5, basis.n_max_y + 5, basis.omega)
+    nearest = eig_nearest(rotated(theta_factors(poly, bigger), theta), 1, energy)
+    return float(np.min(np.abs(nearest - energy)))
+
+
 @pytest.mark.parametrize("lam", ["1/10", "12/100", "13/100", "14/100"])
 def test_component_windows_equal_the_whole_matrix_windows(lam):
     """At the Table 1 couplings and the benchmark basis, the per-component
@@ -265,7 +272,7 @@ def test_component_windows_equal_the_whole_matrix_windows(lam):
     energy = complex(every[np.argmin(np.abs(every - window_energy))])
     converged = (
         stability < resonance._STABILITY_TOL
-        and resonance._drift(poly, basis, theta_star, energy) < resonance._DRIFT_TOL
+        and _whole_matrix_drift(poly, basis, theta_star, energy) < resonance._DRIFT_TOL
     )
     res = find_lowest_resonance(poly, basis)
     assert (res.energy, res.theta_star, res.converged) == (energy, theta_star, converged)
@@ -331,11 +338,28 @@ def test_window_sweep_at_a_noise_flat_coupling():
 
 
 def test_shift_invert_drift_equals_the_dense_drift():
+    # the resonance lies in the nx + ny even block, which holds state 0
     poly, basis = case_preset(3, None).potential, BasisSpec(12, 12)
     res = find_lowest_resonance(poly, basis)
     bigger = BasisSpec(17, 17, theta=res.theta_star)
     dense = float(np.min(np.abs(eig_complex(build_hamiltonian(poly, bigger)).eigenvalues - res.energy)))
-    assert abs(resonance._drift(poly, basis, res.theta_star, res.energy) - dense) <= 1e-12
+    assert abs(resonance._drift(poly, basis, res.theta_star, res.energy, 0) - dense) <= 1e-12
+
+
+def test_drift_check_solves_the_picks_block(monkeypatch):
+    """The n+5 check at the benchmark basis is one k = 1 shift-invert solve on
+    the nx + ny parity block that holds the pick: 613 of the 1225 rows of
+    nmax 35, not the whole matrix."""
+    calls, solve = [], resonance.eig_nearest
+
+    def spy(mat, k, sigma):
+        calls.append((mat.shape[0], k))
+        return solve(mat, k, sigma)
+
+    monkeypatch.setattr(resonance, "eig_nearest", spy)
+    find_lowest_resonance(case_preset(3, None).potential, BasisSpec(30, 30))
+    assert calls[-1] == (613, 1)
+    assert all(rows == 450 for rows, _ in calls[:-1])
 
 
 def test_theta_validation():
