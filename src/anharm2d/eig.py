@@ -9,13 +9,12 @@ uses at every angle. The dense solvers certify their spectra with the
 a-priori backward-error bound of `apriori_bound`. A failure of either
 eigenvalue library raises ConvergenceFailure.
 
-`components` gives the connected components of a matrix's exact nonzero
-pattern. The coupling between components is exactly zero, so the spectrum
-is the union of theirs: the complex solver solves each on its own, and the
-resonance sweep runs its windows on each. A case-3 H(theta) couples only
-states of equal nx + ny parity, so its 900 rows at nmax 30 are two 450-row
-components. `eig_nearest` factors each shifted matrix with SuperLU's
-symmetric mode, since every rotated H(theta) is structurally symmetric.
+The solvers take a matrix whole and search it for no decoupled blocks: the
+resonance runs hand them one block at a time, each decided exactly from the
+potential's terms by oscbasis.theta_factors (two 450-row nx + ny parity
+blocks for case 3 at nmax 30). `eig_nearest` factors each shifted matrix
+with SuperLU's symmetric mode, since every rotated H(theta) is structurally
+symmetric.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ class ConvergenceFailure(RuntimeError):
 # machine epsilon times the dimension.
 _APRIORI_EPS_FACTOR = 64.0
 # eig_nearest solves the whole spectrum densely once k reaches this share of the
-# dimension. On case-3 parity components, as the resonance sweep hands them over,
+# dimension. On case-3 parity blocks, as the resonance sweep hands them over,
 # at lambda = 1/100 (1 BLAS thread, best of 5), LAPACK took 0.121 s for all 450
 # rows and 0.505 s for all 800, ARPACK 0.088 s for k = 58 of 450 and 0.469 s for
 # k = 104 of 800; they cross near shares of 0.147 and 0.134.
@@ -74,24 +73,9 @@ def eig_selfadjoint(mat: OperatorMatrix) -> SpectralResult:
     return _solve(np.linalg.eigvalsh, mat)
 
 
-def components(mat) -> list[np.ndarray]:
-    """Rows, ascending, of each connected component of the exact nonzero pattern of a dense or sparse matrix."""
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import connected_components
-
-    count, labels = connected_components(csr_matrix(mat != 0), directed=False)
-    return [np.flatnonzero(labels == c) for c in range(count)]
-
-
 def eig_complex(mat: OperatorMatrix) -> SpectralResult:
-    """All complex eigenvalues of a general dense matrix (unordered).
-
-    One LAPACK call per connected component of the nonzero pattern, on its
-    principal submatrix with indices ascending. scipy is imported here, not
-    when the module loads.
-    """
-    blocks = components(mat.entries)
-    return _solve(lambda a: np.concatenate([np.linalg.eigvals(a[np.ix_(b, b)]) for b in blocks]), mat)
+    """All complex eigenvalues of a general dense matrix (unordered), from one LAPACK call."""
+    return _solve(np.linalg.eigvals, mat)
 
 
 def eig_nearest(mat, k: int, sigma: complex) -> np.ndarray:
@@ -109,9 +93,10 @@ def eig_nearest(mat, k: int, sigma: complex) -> np.ndarray:
 
     The factorization uses SuperLU's symmetric mode: every product in a
     rotated H(theta) - sigma is a kron of 1D factors with symmetric
-    sparsity patterns, so the matrix is structurally symmetric, and a
-    minimum-degree ordering of A^T + A with diagonal pivots preferred (a
-    threshold of 0.1) fills in less than the default COLAMD column ordering.
+    sparsity patterns, on a block's states, so the matrix is structurally
+    symmetric, and a minimum-degree ordering of A^T + A with diagonal pivots
+    preferred (a threshold of 0.1) fills in less than the default COLAMD
+    column ordering.
     On the case-3 H(theta) - 2 at n = 30, lambda = 1/10, theta =
     0.065 pi (1 BLAS thread) it factors in 2.2 ms instead of 6.5, solves in
     0.081 ms instead of 0.108, with nnz(L + U) 61,533 instead of 82,799 and a

@@ -1,8 +1,8 @@
 """Hamiltonian matrices in products of 1D harmonic-oscillator states.
 
 build_hamiltonian, swap_blocks and build_hamiltonian_1d scatter the Hermitian
-matrices from the 1D factors' nonzeros; theta_factors and rotated form the
-complex-scaled ones.
+matrices densely and theta_factors the complex-scaled ones sparsely, block by
+block, all from the 1D factors' nonzeros (`_pairs`).
 
 Basis convention: eigenfunctions of h0 = p^2 + omega^2 x^2 (energies
 omega*(2n+1)), so at omega = 1 the unperturbed 2D levels are 2(nx+ny)+2.
@@ -14,32 +14,28 @@ matrix is real float64, bit for bit rotated's real part.
 
 Parity sectors: x^i y^j only couples states whose (nx mod 2, ny mod 2)
 differ by (i mod 2, j mod 2), and the kinetic term keeps both parities.
-`swap_blocks` joins two sectors when their parity difference is (0, 0) or
-that of a key of `poly.terms`, and each connected group of sectors is one
+`_sector_blocks` joins two sectors when their parity difference is (0, 0)
+or that of a key of `poly.terms`, and each connected group of sectors is one
 block: ee, eo, oe and oo apart when every term is even in x and in y (cases
 2 and 5), {ee, oo} and {eo, oe} when the other terms are odd in both (cases
 1, 3 and 4), one block when terms of two different odd parities are
-present (x and y, say). It reads only the exact term keys, so no tolerance
-is involved. A whole parity block is assembled from the same products, added
-in the same order, as `build_hamiltonian`, so it is bitwise equal to the
-matching submatrix, and the entries between blocks are exactly zero.
+present (x and y, say). It reads only the exact term keys, with no
+tolerance and no search of a matrix, and swap_blocks and theta_factors both
+take their blocks from it: complex scaling is a uniform dilation, so H(theta)
+has the blocks of H(0). A whole block is bitwise equal to the matching
+submatrix, and the entries between blocks are exactly zero.
 
 Swap blocks: when the basis is square and the swap (x, y) -> (y, x) leaves
 the potential exactly invariant (decided over Q(sqrt(2)) by
-symmetry.leaves_invariant, as for cases 1-5), the swap is a permutation
-|m,n> -> |n,m> of basis states that commutes with the matrix. `swap_blocks`
-splits a parity block that the swap maps to itself into a swap-even block
-on the orbit states (|m,n> + |n,m>)/sqrt(2), with |m,m> itself in it, and a
-swap-odd block on (|m,n> - |n,m>)/sqrt(2), without a dense parity block: one
-scatter gives the N representatives |m,n>, m <= n, rows 0..N-1 in the
-block's row order and each partner |n,m> row N + its representative's, and
-its four N x N quadrants, H at rows R or P and columns R' or P', are summed
-with the orbit weights. Each block is so, bit for bit, the weighted orbit
-sums of build_hamiltonian's entries. A block that the swap maps onto
-another one (eo and oe, the two partners of the 2D irrep E of C4v, in cases
-2 and 5) has that block's spectrum, so only the first of the two is built,
-with multiplicity 2. For any other potential or basis the swap does not
-apply, and every parity block is scattered whole, with multiplicity 1.
+symmetry.leaves_invariant, as for cases 1-5), the swap permutes the basis
+states, |m,n> -> |n,m>, and commutes with the matrix. `swap_blocks` splits a
+parity block that the swap maps to itself into its swap-even and swap-odd
+blocks (_swap_halves), bit for bit the weighted orbit sums of
+build_hamiltonian's entries, with no dense parity block. A block that the
+swap maps onto another one (eo and oe, the two partners of the 2D irrep E
+of C4v, in cases 2 and 5) has that block's spectrum, so only the first of
+the two is built, with multiplicity 2. Otherwise every parity block is
+scattered whole, with multiplicity 1.
 """
 
 from __future__ import annotations
@@ -157,8 +153,8 @@ def _products(poly: PolynomialPotential, basis: BasisSpec) -> list[tuple]:
     """(coeff, degree, a, b) per product coeff a (x) b of the Hamiltonian, in assembly order.
 
     K (x) I and I (x) K come first, at degree -2, then X^i (x) Y^j at degree
-    i + j per term, in poly.float_terms() order. _scatter adds them in this
-    order and theta_factors krons them, so the order is written here only.
+    i + j per term, in poly.float_terms() order. _scatter and theta_factors
+    take them in this order, so the order is written here only.
     """
     for (i, j) in poly.terms:
         if i > _PAD or j > _PAD:
@@ -170,62 +166,82 @@ def _products(poly: PolynomialPotential, basis: BasisSpec) -> list[tuple]:
     return kinetic + [(coeff, i + j, xpow[i], ypow[j]) for (i, j), coeff in poly.float_terms().items()]
 
 
-def _scatter(row: np.ndarray, dim: int, products) -> np.ndarray:
-    """sum coeff kron(a, b) over (coeff, degree, a, b) in `products`, on a dim-row block.
+def _pairs(row: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple:
+    """(rows, cols, values) of the nonzeros a[r, c] * b[s, t] of kron(a, b) inside a block:
+    `row` maps each state (nx, ny) to its row and column in the block, -1 outside it."""
+    (ra, ca), (rb, cb) = np.nonzero(a), np.nonzero(b)
+    rows, cols = row[np.ix_(ra, rb)], row[np.ix_(ca, cb)]
+    keep = (rows >= 0) & (cols >= 0)
+    return rows[keep], cols[keep], (a[ra, ca][:, None] * b[rb, cb][None, :])[keep]
 
-    `row` maps each state (nx, ny) to its row and column in the block, -1
-    outside it. Each product adds coeff * (a[r, c] * b[s, t]) over the pairs
-    of nonzeros of a and b inside the block to a matrix that starts at zero, so
-    each entry adds the dense sum's nonzero products in its order and has its
-    bits but for a zero's sign (the dense sum can leave -0 where no product is
-    nonzero and every coefficient is negative). The degree is not read.
+
+def _scatter(row: np.ndarray, dim: int, products) -> np.ndarray:
+    """sum coeff kron(a, b) over (coeff, degree, a, b) in `products`, dense, on a dim-row block.
+
+    Each product adds coeff times the values of _pairs(row, a, b) to a matrix
+    that starts at zero, so each entry adds the dense sum's nonzero products
+    in its order and has its bits but for a zero's sign (the dense sum can
+    leave -0 where no product is nonzero and every coefficient is negative).
+    The degree is not read.
     """
     out = np.zeros((dim, dim))
     for coeff, _, a, b in products:
-        (ra, ca), (rb, cb) = np.nonzero(a), np.nonzero(b)
-        rows, cols = row[np.ix_(ra, rb)], row[np.ix_(ca, cb)]
-        keep = (rows >= 0) & (cols >= 0)
-        out[rows[keep], cols[keep]] += coeff * (a[ra, ca][:, None] * b[rb, cb][None, :])[keep]
+        rows, cols, values = _pairs(row, a, b)
+        out[rows, cols] += coeff * values
     return out
 
 
-def _piece_map(pieces, shape: tuple[int, int]) -> tuple[np.ndarray, int]:
-    """(row map, rows) for _scatter on pieces (x states, y states): the pieces in order, each x-major."""
+def _block_map(sectors, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """(row map, states) of the block on `sectors`: rows 0, 1, ... for its states, x-major and ascending, else -1."""
+    sector = 2 * (np.arange(shape[0]) % 2)[:, None] + np.arange(shape[1]) % 2
+    inside = np.isin(sector, [2 * a + b for a, b in sectors])
     row = np.full(shape, -1, dtype=np.intp)
-    start = 0
-    for px, py in pieces:
-        row[np.ix_(px, py)] = np.arange(start, start + px.size * py.size).reshape(px.size, py.size)
-        start += px.size * py.size
-    return row, start
+    row[inside] = np.arange(np.count_nonzero(inside))
+    return row, np.flatnonzero(inside)
 
 
 def build_hamiltonian(poly: PolynomialPotential, basis: BasisSpec) -> OperatorMatrix:
-    """Matrix of e^{-2i theta}(px^2+py^2) + sum c_ij e^{i(i+j)theta} X^i Y^j, real at theta = 0."""
+    """Matrix of e^{-2i theta}(px^2+py^2) + sum c_ij e^{i(i+j)theta} X^i Y^j, real at theta = 0;
+    at theta != 0 it is each block of theta_factors, rotated, at its rows."""
+    nx, ny = basis.n_max_x, basis.n_max_y
     if basis.theta == 0.0:
-        nx, ny = basis.n_max_x, basis.n_max_y
         return OperatorMatrix(_scatter(np.arange(nx * ny).reshape(nx, ny), nx * ny, _products(poly, basis)))
-    return OperatorMatrix(rotated(theta_factors(poly, basis), basis.theta).toarray(order="C"))
+    out = np.zeros((nx * ny, nx * ny), dtype=complex)
+    for rows, part in theta_factors(poly, basis):
+        out[np.ix_(rows, rows)] = rotated(part, basis.theta).toarray()
+    return OperatorMatrix(out)
 
 
-def theta_factors(poly: PolynomialPotential, basis: BasisSpec) -> tuple:
-    """(K, [(coeff, i + j, X^i Y^j), ...]): kinetic matrix and per-term products, unscaled.
+def theta_factors(poly: PolynomialPotential, basis: BasisSpec) -> list[tuple]:
+    """(rows, (K, [(coeff, i + j, X^i Y^j), ...])) per block of _sector_blocks, in its order, unscaled.
 
-    K sums the two degree -2 products of _products, and the terms follow in
-    its order, as build_hamiltonian adds them; each matrix is CSC in its
-    x-major order. basis.theta is not read. scipy is imported here, not at load.
+    `rows` lists the block's states x-major and ascending (state (nx, ny) is
+    row nx * n_max_y + ny of the full basis). K sums the two degree -2
+    products of _products and the terms follow in its order, each the CSC of
+    its _pairs on those states, so rotated(part, theta) is the full rotated
+    matrix at rows and columns `rows`, bit for bit. basis.theta is not read;
+    scipy is imported here, not at load.
+
+    Row order moves the bits of SuperLU and ARPACK. At 1 BLAS thread,
+    sector-major rows moved case 3's Im E by up to 3e-10 relative at the four
+    Table 1 couplings (at lambda = 1/10 from -0.000459014263811 to ...951),
+    above the benchmark gate's 1e-10. swap_blocks keeps sector-major swap
+    halves (ascending ones moved the 12th printed digit of 8 of 92 Hermitian
+    commands); its whole blocks take ascending rows, which moved none.
     """
     from scipy import sparse
 
-    (_, _, kx, iy), (_, _, ix, ky), *terms = _products(poly, basis)
-    kin = sparse.kron(kx, iy) + sparse.kron(ix, ky)
-    return kin.tocsc(), [
-        (coeff, degree, sparse.kron(sparse.csr_matrix(a), sparse.csr_matrix(b), format="csc"))
-        for coeff, degree, a, b in terms
-    ]
+    shape, products, blocks = (basis.n_max_x, basis.n_max_y), _products(poly, basis), []
+    for sectors in _sector_blocks(poly.terms, shape):
+        row, rows = _block_map(sectors, shape)
+        pairs = (_pairs(row, a, b) for _, _, a, b in products)
+        kx_iy, ix_ky, *mats = [sparse.csc_matrix((v, (i, j)), shape=(rows.size, rows.size)) for i, j, v in pairs]
+        blocks.append((rows, (kx_iy + ix_ky, [(c, k, m) for (c, k, _, _), m in zip(products[2:], mats)])))
+    return blocks
 
 
 def rotated(factors, theta: float):
-    """e^{-2i theta} K + sum coeff e^{i(i+j)theta} X^i Y^j over theta_factors, term by term, as CSC."""
+    """e^{-2i theta} K + sum coeff e^{i(i+j)theta} X^i Y^j over a block of theta_factors, term by term, as CSC."""
     kin, terms = factors
     ham = np.exp(1j * -2 * theta) * kin
     for coeff, degree, mat in terms:
@@ -236,32 +252,38 @@ def rotated(factors, theta: float):
 _SECTORS = ((0, 0), (0, 1), (1, 0), (1, 1))  # (nx mod 2, ny mod 2)
 
 
-def _sector_blocks(keys) -> list[list[tuple[int, int]]]:
-    """The parity sectors grouped into the blocks that terms x^i y^j, (i, j) in keys, couple.
+def _sector_blocks(keys, shape: tuple[int, int]) -> list[list[tuple[int, int]]]:
+    """The sectors with states in a basis of `shape`, grouped into the blocks that x^i y^j, (i, j) in keys, couple.
 
-    Sectors s and t are joined when s - t (mod 2) is the parity of the
-    kinetic term, (0, 0), or of some key. A block is then s plus the group
-    those parities generate under addition mod 2; in Z2 x Z2 two different
-    nonzero parities generate all four.
+    Sectors s and t are joined when s - t (mod 2) is (0, 0), the kinetic
+    term's parity, or that of a key whose own sector has states: a term odd
+    in a mode of one state is zero (<0|x^odd|0> = 0). A block is then s plus
+    the group those parities generate under addition mod 2; in Z2 x Z2 two
+    different nonzero parities generate all four.
     """
-    shifts = {(0, 0)} | {(i % 2, j % 2) for i, j in keys}
+    live = [(a, b) for a, b in _SECTORS if a < shape[0] and b < shape[1]]
+    shifts = {(i % 2, j % 2) for i, j in keys} & set(live) | {(0, 0)}
     group = shifts if len(shifts) <= 2 else _SECTORS
     blocks = []
-    for a, b in _SECTORS:
-        block = sorted((a ^ c, b ^ d) for c, d in group)
+    for a, b in live:
+        block = sorted(s for s in ((a ^ c, b ^ d) for c, d in group) if s in live)
         if block not in blocks:
             blocks.append(block)
     return blocks
 
 
-def _swap_halves(products, pieces, n: int) -> list[OperatorMatrix]:
+def _swap_halves(products, sectors, n: int) -> list[OperatorMatrix]:
     """The swap-even and swap-odd blocks of a parity block that the swap maps to itself.
 
     Orbit states are w (|m,n> + |n,m>) with m <= n, w = 1/sqrt(2) for m < n and
     1/2 for m = n (so the state is |m,m>), and (|m,n> - |n,m>)/sqrt(2) with
-    m < n, both in the block's row order of the representative |m,n>. The
-    quadrants A, B, C, D are H at (R, R'), (R, P'), (P, R') and (P, P').
+    m < n, both in the row order of the representative |m,n>: the sectors in
+    order (ee, eo, oe, oo), each x-major. One scatter puts the N
+    representatives R at rows 0..N-1 and each partner P = |n,m> at row N +
+    its representative's; its quadrants A, B, C, D are H at (R, R'), (R, P'),
+    (P, R') and (P, P').
     """
+    pieces = [(np.arange(a, n, 2), np.arange(b, n, 2)) for a, b in sectors]
     mx = np.concatenate([np.repeat(px, py.size) for px, py in pieces])
     my = np.concatenate([np.tile(py, px.size) for px, py in pieces])
     mx, my = mx[mx <= my], my[mx <= my]
@@ -284,33 +306,24 @@ def swap_blocks(poly: PolynomialPotential, basis: BasisSpec) -> list[tuple[Opera
     """(block, multiplicity) pairs whose spectra, each repeated `multiplicity` times, make up
     the spectrum of build_hamiltonian(poly, basis), which must be Hermitian (basis.theta = 0).
 
-    When the basis is square and the swap (x, y) -> (y, x), the shared
-    S(2pi/8) = dihedral16()[10], leaves `poly` exactly invariant
-    (symmetry.leaves_invariant), a parity block that the swap maps to itself
-    gives its swap-even and swap-odd blocks from one quadrant scatter, each
-    bit for bit the weighted orbit sums of build_hamiltonian's entries, and of
-    two blocks that the swap maps onto each other (eo and oe, the 2D irrep E
-    of C4v) the first is kept whole with multiplicity 2. Otherwise every
-    parity block is kept whole, once: its rows are its sectors' states in
-    sector order (ee, eo, oe, oo), each sector x-major, and its matrix is the
-    full matrix at those rows and columns, bit for bit. Sectors and blocks
-    without states are skipped.
+    The swap blocks of the module docstring when the basis is square and the
+    swap (x, y) -> (y, x), the shared S(2pi/8) = dihedral16()[10], leaves
+    `poly` exactly invariant (symmetry.leaves_invariant). Otherwise every
+    block of _sector_blocks whole, once, on its states x-major and ascending,
+    as in theta_factors: bit for bit the full matrix at those rows and columns.
     """
     if basis.theta != 0.0:
         raise ValueError("swap blocks need basis.theta = 0")
     shape = nx, ny = basis.n_max_x, basis.n_max_y
     swap = nx == ny and leaves_invariant(poly, dihedral16()[10])
     blocks, seen, products = [], [], _products(poly, basis)
-    for sectors in _sector_blocks(poly.terms):
-        pieces = [(np.arange(a, nx, 2), np.arange(b, ny, 2)) for a, b in sectors]
-        pieces = [(px, py) for px, py in pieces if px.size and py.size]
-        if not pieces:
-            continue
+    for sectors in _sector_blocks(poly.terms, shape):
         swapped = sorted((b, a) for a, b in sectors)
         if swap and swapped == sectors:
-            blocks += [(mat, 1) for mat in _swap_halves(products, pieces, nx)]
+            blocks += [(mat, 1) for mat in _swap_halves(products, sectors, nx)]
         elif not (swap and swapped in seen):
-            blocks.append((OperatorMatrix(_scatter(*_piece_map(pieces, shape), products)), 2 if swap else 1))
+            row, rows = _block_map(sectors, shape)
+            blocks.append((OperatorMatrix(_scatter(row, rows.size, products)), 2 if swap else 1))
         seen.append(sectors)
     return blocks
 

@@ -2,15 +2,15 @@
 
 Each rotation angle theta gives a non-Hermitian matrix whose spectrum rotates
 with theta except near resonances, where one eigenvalue stalls. The sparse
-parts of the matrix are assembled once per basis (oscbasis.theta_factors) and
-rotated to each angle (oscbasis.rotated). The sweep runs on each decoupled
-component (for case 3, each nx + ny parity block), where only a window is
-solved: the k eigenvalues nearest the shift `_SIGMA`, by shift-invert Arnoldi
-(eig.eig_nearest). Window eigenvalues are linked across neighbouring angles by
-greedy nearest-neighbour matching, computed as rounds of mutual-nearest pairs
-(the same links as taking pairs in ascending distance, ties in row-major
-order), and the resonance is the theta-stationary point of the stalled
-trajectory.
+parts of the matrix are assembled once per basis and decoupled block
+(oscbasis.theta_factors, for case 3 each nx + ny parity block) and rotated
+to each angle (oscbasis.rotated). The sweep runs on each block, where only
+a window is solved: the k eigenvalues nearest the shift `_SIGMA`, by
+shift-invert Arnoldi (eig.eig_nearest). Window eigenvalues are linked across
+neighbouring angles by greedy nearest-neighbour matching, computed as rounds
+of mutual-nearest pairs (the same links as taking pairs in ascending
+distance, ties in row-major order), and the resonance is the
+theta-stationary point of the stalled trajectory.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .eig import apriori_bound, components, eig_complex, eig_nearest
+from .eig import apriori_bound, eig_complex, eig_nearest
 from .oscbasis import BasisSpec, OperatorMatrix, rotated, theta_factors
 from .poly2d import PolynomialPotential
 
@@ -30,7 +30,7 @@ _STABILITY_TOL = 5e-2
 # Largest |E(n+5) - E(n)| of a resonance certified as converged.
 _DRIFT_TOL = 1e-4
 # The sweep's first windows share the _WINDOW eigenvalues nearest _SIGMA, the
-# unperturbed ground level of p^2 + x^2 + y^2, among the components by rows.
+# unperturbed ground level of p^2 + x^2 + y^2, among the blocks by rows.
 _WINDOW = 12
 _SIGMA = 2.0
 
@@ -68,9 +68,9 @@ class Resonance:
 def theta_trajectory(factors, thetas, k: int = _WINDOW) -> ThetaScan:
     """The k eigenvalues nearest `_SIGMA` at each theta, linked into trajectories.
 
-    `factors` is the operator of oscbasis.theta_factors, rotated to each
-    angle. Each angle's window comes from eig.eig_nearest, which returns the
-    whole spectrum once k is a large share of the dimension.
+    `factors` is a block's operator from oscbasis.theta_factors, rotated to
+    each angle. Each angle's window comes from eig.eig_nearest, which returns
+    the whole spectrum once k is a large share of the dimension.
     """
     thetas = np.asarray(list(thetas), dtype=float)
     if thetas.size == 0 or np.any(np.diff(thetas) <= 0):
@@ -140,33 +140,19 @@ def _pick(scan: ThetaScan, noise: float):
 
 def _drift(poly: PolynomialPotential, basis: BasisSpec, theta: float, energy: complex, state: int) -> float:
     """|E' - energy| for the eigenvalue E' nearest energy at theta, with 5 more
-    states per mode, on the decoupled component that holds `state`, a row of basis."""
+    states per mode, on the block that holds `state`, a row of basis."""
     bigger = BasisSpec(basis.n_max_x + 5, basis.n_max_y + 5, basis.omega)
     nx, ny = divmod(state, basis.n_max_y)
-    factors = theta_factors(poly, bigger)
-    rows = next(rows for rows in _factor_components(factors) if nx * bigger.n_max_y + ny in rows)
-    nearest = eig_nearest(rotated(_restrict(factors, rows), theta), 1, energy)
+    part = next(part for rows, part in theta_factors(poly, bigger) if nx * bigger.n_max_y + ny in rows)
+    nearest = eig_nearest(rotated(part, theta), 1, energy)
     return float(np.min(np.abs(nearest - energy)))
 
 
-def _factor_components(factors) -> list[np.ndarray]:
-    """eig.components of the factors' joint nonzero pattern, which every rotated(factors, theta) shares."""
-    kin, terms = factors
-    return components(sum((abs(mat) for _, _, mat in terms), abs(kin)))
-
-
-def _restrict(factors, rows):
-    """The factors' principal submatrices on rows."""
-    kin, terms = factors
-    return kin[rows][:, rows], [(coeff, degree, mat[rows][:, rows]) for coeff, degree, mat in terms]
-
-
-def _settled_pick(factors, thetas):
-    """(component rows, component factors, _pick) of the windows that settle
-    the pick, or None (see find_lowest_resonance)."""
-    dim = factors[0].shape[0]
+def _settled_pick(parts, thetas):
+    """(block rows, block factors, _pick) of the windows that settle the pick,
+    or None (see find_lowest_resonance); `parts` is oscbasis.theta_factors."""
+    dim = sum(rows.size for rows, _ in parts)
     noise = apriori_bound(dim)
-    parts = [(rows, _restrict(factors, rows)) for rows in _factor_components(factors)]
     sizes = [math.ceil(_WINDOW * rows.size / dim) for rows, _ in parts]
     while True:
         found, whole = None, True
@@ -197,25 +183,24 @@ def find_lowest_resonance(
     relative to |E|: a bound state (the whole spectrum at lambda = 0) sits at
     Im E = 0 up to rounding and is never reported.
 
-    Window rule: the sweep runs on each decoupled component of the
-    theta_factors, the components of their joint nonzero pattern. A
-    component of rows_c of the dim rows starts from its share of the
-    `_WINDOW` eigenvalues nearest `_SIGMA` at each angle, k_c = ceil(_WINDOW
-    * rows_c / dim): 6 for each 450-row parity block of case 3 at nmax 30.
-    The pick is the least Re E over all components. Every k_c doubles while
-    there is no pick, or while the pick is the farthest eigenvalue from
-    `_SIGMA` of its own component's window at theta*, until every component
-    is solved whole. The reported energy is the eigenvalue nearest the pick
-    of the dense eig_complex solve of the pick's component factors rotated
-    to theta*, the value the full dense sweep reports: for case 3 one LAPACK
-    call, on the pick's nx + ny parity block. It must confirm the pick: it
-    lies within `_DRIFT_TOL` of it and decays by the same test, or
-    NoStationaryPoint is raised (a spurious Ritz value near a degenerate
-    bound level, as at lambda = 0, fails here). Convergence is always
-    checked: the resonance is converged when the n+5 basis at theta* has an
-    eigenvalue within `_DRIFT_TOL` = 1e-4 of it, in the decoupled component
-    that holds the pick's states (for case 3, 613 of the 1225 rows at nmax
-    30).
+    Window rule: the sweep runs on each block of theta_factors, decided
+    exactly from the potential's terms, not searched for in a matrix. A
+    block of rows_b of the dim rows starts from its share of the `_WINDOW`
+    eigenvalues nearest `_SIGMA` at each angle, k_b = ceil(_WINDOW * rows_b /
+    dim): 6 for each 450-row parity block of case 3 at nmax 30. The pick is
+    the least Re E over all blocks. Every k_b doubles while there is no
+    pick, or while the pick is the farthest eigenvalue from `_SIGMA` of its
+    own block's window at theta*, until every block is solved whole. The
+    reported energy is the eigenvalue nearest the pick of the dense
+    eig_complex solve of the pick's block rotated to theta*, the value the
+    full dense sweep reports: one LAPACK call, for case 3 on the pick's
+    nx + ny parity block. It must confirm the pick: it lies within
+    `_DRIFT_TOL` of it and decays by the same test, or NoStationaryPoint is
+    raised (a spurious Ritz value near a degenerate bound level, as at
+    lambda = 0, fails here). Convergence is always checked: the resonance is
+    converged when the n+5 basis at theta* has an eigenvalue within
+    `_DRIFT_TOL` = 1e-4 of it, in the block that holds the pick's states
+    (for case 3, 613 of the 1225 rows at nmax 30).
     """
     lo, hi = theta_window
     if not (0.0 < lo < hi < math.pi / 4):
@@ -223,8 +208,7 @@ def find_lowest_resonance(
     if n_points < 3:
         raise ValueError("need at least 3 sweep points for a centred difference")
     thetas = np.linspace(lo, hi, n_points)
-    factors = theta_factors(poly, basis)
-    found = _settled_pick(factors, thetas)
+    found = _settled_pick(theta_factors(poly, basis), thetas)
     if found is None:
         raise NoStationaryPoint(
             "no theta-stationary decaying trajectory in the window; "

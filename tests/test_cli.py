@@ -468,6 +468,16 @@ def test_cli_import_does_not_load_concurrent_futures():
     proc = run_python("-c", code)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "[]"
+    # complex scaling takes its blocks from the term keys, so it needs no graph search
+    code = (
+        "import contextlib, io, sys, anharm2d.cli as cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['case', '3', '--nmax', '6']) == 0\n"
+        "print('scipy.sparse' in sys.modules, 'scipy.sparse.csgraph' in sys.modules)"
+    )
+    proc = run_python("-c", code)
+    assert proc.returncode == 0
+    assert proc.stdout.split() == ["True", "False"]
 
 
 # One code path per printed result: `case K` prints the fields of the topic

@@ -2,10 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from scipy.linalg import eig as scipy_eig
-from scipy.sparse import csr_matrix
 from scipy.sparse import linalg as sparse_linalg
 
 from anharm2d import eig
@@ -14,7 +10,6 @@ from anharm2d.eig import (
     ConvergenceFailure,
     NotHermitian,
     apriori_bound,
-    components,
     eig_complex,
     eig_nearest,
     eig_selfadjoint,
@@ -27,9 +22,9 @@ from anharm2d.oscbasis import (
     optimal_omega,
     rotated,
     swap_blocks,
-    theta_factors,
 )
 from anharm2d.poly2d import make_quartic
+from oracles import kron_factors
 
 
 def as_operator(a):
@@ -93,6 +88,8 @@ def test_rotated_build_and_complex_solve_as_the_blas_probe_calls_them():
     assert mat.entries.dtype == np.complex128
     values = eig_complex(mat).eigenvalues
     assert values.size == 36 and np.iscomplexobj(values)
+    # one LAPACK call on the whole matrix, though it holds two decoupled parity blocks
+    assert np.array_equal(values, np.linalg.eigvals(mat.entries))
 
 
 def test_circulant_oracle():
@@ -159,44 +156,6 @@ def test_residual_contract_with_vectors():
         assert resid <= result.residual_bound * np.linalg.norm(a, ord=np.inf) + 1e-15
 
 
-@st.composite
-def _scattered_blocks(draw):
-    """Random complex blocks of 1-8 rows, the rows each takes, and their direct
-    sum, scattered by a permutation that keeps each block's rows in order, so
-    each block is its component's principal submatrix with indices ascending;
-    the coupling between blocks is exactly zero and every entry inside a
-    block is nonzero."""
-    sizes = draw(st.lists(st.integers(1, 8), min_size=1, max_size=4))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    blocks = [rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)) for m in sizes]
-    labels = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
-    rows = [np.flatnonzero(labels == b) for b in range(len(sizes))]
-    mat = np.zeros((labels.size, labels.size), dtype=complex)
-    for block, where in zip(blocks, rows):
-        mat[np.ix_(where, where)] = block
-    return blocks, rows, mat
-
-
-@settings(max_examples=200, deadline=None)
-@given(_scattered_blocks())
-def test_decoupled_blocks_are_solved_one_by_one(case):
-    blocks, _, mat = case
-    got = np.sort_complex(eig_complex(as_operator(mat)).eigenvalues)
-    per_block = np.sort_complex(np.concatenate([np.linalg.eigvals(b) for b in blocks]))
-    assert np.array_equal(got, per_block)
-    # Both solves are backward stable within apriori_bound(n) * ||A||, so to
-    # first order an eigenvalue of condition number kappa = 1 / |y^H x| (unit
-    # left and right eigenvectors) moves by at most kappa times that in each.
-    kappa = 1.0
-    for block in blocks:
-        _, left, right = scipy_eig(block, left=True, right=True)
-        kappa = max(kappa, (1 / np.abs(np.sum(left.conj() * right, axis=0))).max())
-    whole = np.linalg.eigvals(mat)
-    gap = np.abs(got[:, None] - whole[None, :])
-    allowance = 2 * kappa * apriori_bound(mat.shape[0]) * np.linalg.norm(mat, ord=np.inf)
-    assert max(gap.min(axis=0).max(), gap.min(axis=1).max()) <= allowance
-
-
 def test_irreducible_matrix_takes_one_lapack_call():
     rng = np.random.default_rng(3)
     mat = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
@@ -210,19 +169,6 @@ def test_nan_entry_raises_convergence_failure(blocks):
     mat[1, 2] = np.nan
     with pytest.raises(ConvergenceFailure):
         eig_complex(as_operator(mat))
-
-
-@settings(max_examples=100, deadline=None)
-@given(_scattered_blocks())
-def test_components_are_the_scattered_blocks(case):
-    """Dense or sparse, the components are the blocks' rows, ascending, in the
-    order of their first row."""
-    _, rows, mat = case
-    want = sorted(rows, key=lambda where: where[0])
-    for form in (mat, csr_matrix(mat)):
-        got = components(form)
-        assert len(got) == len(want)
-        assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 def _factorizations(monkeypatch):
@@ -247,7 +193,7 @@ def test_shift_invert_windows_at_the_sweep_angles(monkeypatch, lam):
     dense solve's backward-error allowance (7e-13 measured, 1e-5 of it). The
     13th-nearest eigenvalue is at least 0.0097 farther, so both sides choose
     the same 12."""
-    factors = theta_factors(case_preset(3, lam).potential, BasisSpec(30, 30))
+    factors = kron_factors(case_preset(3, lam).potential, BasisSpec(30, 30))
     made = _factorizations(monkeypatch)
     rhs = np.random.default_rng(0).standard_normal(900) + 0j
     for theta in np.linspace(0.03 * math.pi, 0.10 * math.pi, 15):
@@ -267,7 +213,7 @@ def test_exactly_singular_shift_takes_the_dense_fallback(monkeypatch):
     """Case 3 at lambda = 0, theta = 0 is the oscillator, whose level 2 makes
     H - 2 exactly singular: SuperLU refuses the factorization and the window
     is the 12 nearest of the dense spectrum."""
-    ham = rotated(theta_factors(case_preset(3, 0).potential, BasisSpec(30, 30)), 0.0)
+    ham = rotated(kron_factors(case_preset(3, 0).potential, BasisSpec(30, 30)), 0.0)
     made = _factorizations(monkeypatch)
     dense_rows, solve = [], eig.eig_complex
 

@@ -21,11 +21,14 @@ from anharm2d.oscbasis import (
     kinetic_matrix_1d,
     optimal_omega,
     position_matrix_1d,
+    rotated,
     swap_blocks,
+    theta_factors,
 )
 from anharm2d.poly2d import PolynomialPotential, apply_linear_map, make_quartic
 from anharm2d.exactnum import SqrtTwoRational
 from anharm2d.symmetry import leaves_invariant
+from oracles import components, kron_factors
 
 
 def hermite_quad_element(m, n, k, omega, points=120):
@@ -158,35 +161,40 @@ def test_hermitian_builds_are_real_float64():
     assert np.array_equal(ham1.entries, _complex_formula(k1, terms1, 0.0).real)
 
 
+def _explicit_kron_sum(poly, nx, ny, omega, theta):
+    """Oracle: _complex_formula on numpy's dense kron products of the 1D factors."""
+    xpow, ypow = _position_powers(nx, omega, 4), _position_powers(ny, omega, 4)
+    kin = np.kron(kinetic_matrix_1d(nx, omega), np.eye(ny)) + np.kron(np.eye(nx), kinetic_matrix_1d(ny, omega))
+    terms = [(c, i + j, np.kron(xpow[i], ypow[j])) for (i, j), c in poly.float_terms().items()]
+    return _complex_formula(kin, terms, theta)
+
+
 @pytest.mark.parametrize("theta", [0.0, 0.1])
 @pytest.mark.parametrize("case", range(1, 6))
 def test_build_is_bitwise_the_explicit_sum(case, theta):
-    # n = 35 gives 1225 rows, many row blocks of the in-place assembly
-    n = 35
+    # 35 x 35 gives 1225 rows, many row blocks of the in-place assembly; at
+    # theta != 0 the blocks are written back by their rows, on a basis that
+    # is not square too
     poly = case_preset(case, None).potential
-    xpow = _position_powers(n, 1.0, 4)
-    k1 = kinetic_matrix_1d(n, 1.0)
-    kin = np.kron(k1, np.eye(n)) + np.kron(np.eye(n), k1)
-    terms = [(c, i + j, np.kron(xpow[i], xpow[j])) for (i, j), c in poly.float_terms().items()]
-    want = _complex_formula(kin, terms, theta)
-    if theta == 0.0:
-        want = np.ascontiguousarray(want.real)
-    got = build_hamiltonian(poly, BasisSpec(n, n, theta=theta)).entries
-    assert got.dtype == want.dtype
-    assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
+    for shape in ((35, 35), (35, 34)):
+        want = _explicit_kron_sum(poly, *shape, 1.0, theta)
+        if theta == 0.0:
+            want = np.ascontiguousarray(want.real)
+        got = build_hamiltonian(poly, BasisSpec(*shape, theta=theta)).entries
+        assert got.dtype == want.dtype
+        assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
 
 
 def _expected_blocks(poly, nx, ny):
     """Oracle: the product-basis rows of each parity block, in documented order.
 
-    Sectors s and t are adjacent when s - t (mod 2) is the parity of the
-    kinetic term or of a term of the potential; blocks are the connected
-    components, ordered by their first sector. A block's rows run through its
-    sectors in order (ee, eo, oe, oo), each sector x-major; empty blocks are
-    dropped.
+    Sectors with states, s and t, are adjacent when s - t (mod 2) is the
+    parity of the kinetic term or of a term of the potential; blocks are the
+    connected components, ordered by their first sector. A block's rows are
+    its states, x-major and ascending.
     """
     shifts = {(0, 0)} | {(i % 2, j % 2) for i, j in poly.terms}
-    sectors = [(a, b) for a in (0, 1) for b in (0, 1)]
+    sectors = [(a, b) for a in (0, 1) for b in (0, 1) if a < nx and b < ny]
     component = {s: {s} for s in sectors}
     for s in sectors:
         for t in sectors:
@@ -194,18 +202,11 @@ def _expected_blocks(poly, nx, ny):
                 merged = component[s] | component[t]
                 for u in merged:
                     component[u] = merged
-    blocks = []
-    for s in sectors:
-        if min(component[s]) == s:
-            rows = [
-                kx * ny + ky
-                for a, b in sorted(component[s])
-                for kx in range(a, nx, 2)
-                for ky in range(b, ny, 2)
-            ]
-            if rows:
-                blocks.append(np.array(rows))
-    return blocks
+    return [
+        np.array([kx * ny + ky for kx in range(nx) for ky in range(ny) if (kx % 2, ky % 2) in component[s]])
+        for s in sectors
+        if min(component[s]) == s
+    ]
 
 
 _MONOMIALS = [(i, j) for i in range(5) for j in range(5 - i)]
@@ -270,6 +271,34 @@ def test_parity_blocks_are_the_dense_kron_sum(terms, nx, ny, omega):
         assert np.array_equal(mat.entries, want[np.ix_(rows, rows)])
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    terms=st.dictionaries(st.sampled_from(_MONOMIALS), _COEFFS, max_size=8),
+    nx=st.integers(1, 8),
+    ny=st.integers(1, 8),
+    omega=st.sampled_from([1.0, 1.7]),
+)
+@example(terms={(1, 0): Fraction(1), (1, 1): Fraction(1)}, nx=1, ny=5, omega=1.0)
+@example(terms={(0, 3): Fraction(-2), (1, 1): Fraction(1, 3)}, nx=6, ny=1, omega=1.7)
+def test_theta_factor_blocks_are_the_components(terms, nx, ny, omega):
+    """The blocks of theta_factors partition the basis, each is one component
+    of the whole basis's joint nonzero pattern, and written back at their rows
+    their rotated matrices are the explicit kron sum bit for bit. At nx = 1
+    the terms x and x y vanish, so they join no sectors."""
+    poly = PolynomialPotential({(2, 0): 1, (0, 2): 1, **terms})
+    basis = BasisSpec(nx, ny, omega=omega)
+    blocks = theta_factors(poly, basis)
+    assert np.array_equal(np.sort(np.concatenate([rows for rows, _ in blocks])), np.arange(nx * ny))
+    kin, products = kron_factors(poly, basis)
+    joint = sum((abs(mat) for _, _, mat in products), abs(kin))
+    assert sorted(rows.tolist() for rows, _ in blocks) == sorted(rows.tolist() for rows in components(joint))
+    want = _explicit_kron_sum(poly, nx, ny, omega, 0.1)
+    got = np.zeros_like(want)
+    for rows, part in blocks:
+        got[np.ix_(rows, rows)] = rotated(part, 0.1).toarray()
+    assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
+
+
 def test_parity_blocks_reject_a_rotated_basis():
     # on the whole-block path (a basis that is not square) and on the swap path
     with pytest.raises(ValueError):
@@ -302,7 +331,8 @@ def _orbit_blocks(full, poly, n):
     """Oracle: swap_blocks' (block, multiplicity) pairs, from the full matrix's entries.
 
     In a parity block that the swap maps to itself, the representatives R are
-    its rows |m,n> with m <= n in block order, and P their partners |n,m>. The
+    its rows |m,n> with m <= n, in sector order (ee, eo, oe, oo) and each
+    sector x-major, and P their partners |n,m>. The
     swap-even block is ((H[R,R'] + H[P,R']) + (H[R,P'] + H[P,P'])) times the
     weights 1/2, 1/(2 sqrt 2) or 1/4, by the number of diagonal orbits among
     (row, column); the swap-odd block is ((H[R,R'] - H[P,R']) - (H[R,P'] -
@@ -311,6 +341,7 @@ def _orbit_blocks(full, poly, n):
     """
     out, seen = [], []
     for rows in _expected_blocks(poly, n, n):
+        rows = rows[np.argsort(2 * (rows // n % 2) + rows % n % 2, kind="stable")]
         mx, my = np.divmod(rows, n)
         swapped = sorted(my * n + mx)
         if swapped == sorted(rows):

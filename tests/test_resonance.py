@@ -7,14 +7,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from scipy.linalg import block_diag
 from hypothesis import strategies as st
 from scipy.sparse import linalg as sparse_linalg
 
 from anharm2d import cli, resonance
 from anharm2d.cases import case_preset
-from anharm2d.eig import ConvergenceFailure, apriori_bound, components, eig_complex, eig_nearest
-from anharm2d.oscbasis import BasisSpec, OperatorMatrix, build_hamiltonian, rotated, theta_factors
+from anharm2d.eig import ConvergenceFailure, apriori_bound, eig_complex, eig_nearest
+from anharm2d.oscbasis import BasisSpec, build_hamiltonian, rotated, theta_factors
 from anharm2d.resonance import (
     NoStationaryPoint,
     Resonance,
@@ -22,14 +21,16 @@ from anharm2d.resonance import (
     find_lowest_resonance,
     theta_trajectory,
 )
+from oracles import blockwise_eigvals, components, kron_factors
 
 DEFAULT_THETAS = np.linspace(0.03 * math.pi, 0.10 * math.pi, 15)
 
 
 def _dense_spectra(poly, basis, thetas):
-    """Oracle: every eigenvalue of build_hamiltonian at each theta, sorted."""
-    rotated = (BasisSpec(basis.n_max_x, basis.n_max_y, basis.omega, float(t)) for t in thetas)
-    return [np.sort_complex(eig_complex(build_hamiltonian(poly, b)).eigenvalues) for b in rotated]
+    """Oracle: every eigenvalue of the whole rotated matrix at each theta, sorted, one
+    LAPACK call per component of its nonzero pattern."""
+    factors = kron_factors(poly, basis)
+    return [np.sort_complex(blockwise_eigvals(rotated(factors, t).toarray(order="C"))) for t in thetas]
 
 
 def _dense_resonance(poly, basis, thetas=DEFAULT_THETAS):
@@ -75,13 +76,13 @@ def _sweep_spies(monkeypatch):
 
 def test_unperturbed_spectrum_at_zero_angle():
     # at 4 x 4 the window is the whole spectrum
-    scan = theta_trajectory(theta_factors(case_preset(3, 0).potential, BasisSpec(4, 4)), [0.0])
+    scan = theta_trajectory(kron_factors(case_preset(3, 0).potential, BasisSpec(4, 4)), [0.0])
     got = np.sort(scan.trajectories[:, 0].real)
     expected = np.sort([2.0 * (nx + ny) + 2.0 for nx in range(4) for ny in range(4)])
     assert np.abs(got - expected).max() < 1e-12
     assert np.abs(scan.trajectories[:, 0].imag).max() < 1e-12
     # at 12 x 12 it is the 12 levels nearest 2: 2, 4 (twice), 6 (3 times), 8 (4 times), 10 (twice)
-    scan = theta_trajectory(theta_factors(case_preset(3, 0).potential, BasisSpec(12, 12)), [0.0])
+    scan = theta_trajectory(kron_factors(case_preset(3, 0).potential, BasisSpec(12, 12)), [0.0])
     got = np.sort(scan.trajectories[:, 0].real)
     assert np.abs(got - [2, 4, 4, 6, 6, 6, 8, 8, 8, 8, 10, 10]).max() < 1e-12
     assert np.abs(scan.trajectories[:, 0].imag).max() < 1e-12
@@ -90,7 +91,7 @@ def test_unperturbed_spectrum_at_zero_angle():
 def test_bound_state_trajectory_is_theta_flat():
     """Case 2 is bounded: its lowest trajectory must not rotate."""
     scan = theta_trajectory(
-        theta_factors(case_preset(2, 1).potential, BasisSpec(16, 16, omega=2.0)),
+        kron_factors(case_preset(2, 1).potential, BasisSpec(16, 16, omega=2.0)),
         np.linspace(0.01, 0.05, 5) * math.pi,
     )
     assert scan.trajectories.shape == (resonance._WINDOW, 5)
@@ -106,7 +107,7 @@ def test_rotated_spectrum_matches_hermitian_at_small_angle():
     # truncation error, 3.7e-6 at n = 16 and 3.4e-9 at n = 24 for this case.
     poly = case_preset(2, 1).potential
     herm = eig_selfadjoint(build_hamiltonian(poly, BasisSpec(24, 24, omega=2.0))).eigenvalues
-    scan = theta_trajectory(theta_factors(poly, BasisSpec(24, 24, omega=2.0)), [0.005 * math.pi])
+    scan = theta_trajectory(kron_factors(poly, BasisSpec(24, 24, omega=2.0)), [0.005 * math.pi])
     rotated = scan.trajectories[:, 0]
     for e in herm[:8]:
         assert np.min(np.abs(rotated - e)) < 1e-6
@@ -117,7 +118,7 @@ def test_trajectory_linking_shapes_and_flags():
     thetas = np.linspace(0.03, 0.08, 4) * math.pi
     # 6 x 6 solves the whole spectrum, 12 x 12 the window of 12
     for n, rows in ((6, 36), (12, 12)):
-        factors = theta_factors(poly, BasisSpec(n, n))
+        factors = kron_factors(poly, BasisSpec(n, n))
         scan = theta_trajectory(factors, thetas)
         assert scan.trajectories.shape == (rows, 4)
         assert scan.ambiguous.shape == (rows, 4)
@@ -130,16 +131,19 @@ def test_trajectory_linking_shapes_and_flags():
 
 
 def test_factored_operator_is_build_hamiltonian():
-    """At theta = 0 the rotated sparse sum is the dense Hermitian build bit for
-    bit, with every imaginary part +0. At theta != 0 build_hamiltonian is that
-    sum densified; test_build_is_bitwise_the_explicit_sum checks it against
-    numpy's products."""
+    """At theta = 0 the rotated sparse blocks, written back at their rows, are
+    the dense Hermitian build bit for bit, with every imaginary part +0. At
+    theta != 0 build_hamiltonian is that write-back;
+    test_build_is_bitwise_the_explicit_sum checks it against numpy's
+    products."""
     for case in range(1, 6):
         for lam in (None, "1/2", "-3/7"):
             poly = case_preset(case, lam).potential
             for basis in (BasisSpec(20, 20), BasisSpec(7, 11, omega=1.7), BasisSpec(35, 35)):
                 dense = build_hamiltonian(poly, basis).entries
-                sparse = rotated(theta_factors(poly, basis), 0.0).toarray(order="C")
+                sparse = np.zeros(dense.shape, dtype=complex)
+                for rows, part in theta_factors(poly, basis):
+                    sparse[np.ix_(rows, rows)] = rotated(part, 0.0).toarray()
                 assert dense.dtype == np.float64
                 assert np.ascontiguousarray(sparse.real).tobytes() == dense.tobytes()
                 assert not np.any(sparse.imag) and not np.signbit(sparse.imag).any()
@@ -148,10 +152,10 @@ def test_factored_operator_is_build_hamiltonian():
 def test_sweeps_repeat_bit_for_bit():
     poly = case_preset(3, None).potential
     thetas = np.linspace(0.03, 0.10, 5) * math.pi
-    first = theta_trajectory(theta_factors(poly, BasisSpec(12, 12)), thetas)
+    first = theta_trajectory(kron_factors(poly, BasisSpec(12, 12)), thetas)
     # an unrelated solve in between moves ARPACK's internal random stream
-    eig_nearest(rotated(theta_factors(poly, BasisSpec(9, 9)), 0.1), 3, 1.0)
-    second = theta_trajectory(theta_factors(poly, BasisSpec(12, 12)), thetas)
+    eig_nearest(rotated(kron_factors(poly, BasisSpec(9, 9)), 0.1), 3, 1.0)
+    second = theta_trajectory(kron_factors(poly, BasisSpec(12, 12)), thetas)
     assert first.trajectories.shape == (resonance._WINDOW, 5)
     for a, b in ((first.trajectories, second.trajectories), (first.ambiguous, second.ambiguous)):
         assert a.tobytes() == b.tobytes()
@@ -180,9 +184,9 @@ def test_window_sweep_equals_the_dense_sweep(monkeypatch, lam, n, grows):
 
 
 FAR, NEAR = 2.1 - 0.01j, 3.0 - 0.01j  # stable decaying levels; FAR has the lesser Re E
-# Two components of 24 and 12 rows, which start from windows of 8 and 4 and
-# are whole at 32 and 16.
-TWO_BLOCKS = (block_diag(np.ones((24, 24)), np.ones((12, 12))), [])
+# Two blocks of 24 and 12 rows, which start from windows of 8 and 4 and are
+# whole at 32 and 16.
+TWO_BLOCKS = [(np.arange(24), (np.ones((24, 24)), [])), (np.arange(24, 36), (np.ones((12, 12)), []))]
 
 
 @pytest.mark.parametrize(
@@ -196,9 +200,9 @@ TWO_BLOCKS = (block_diag(np.ones((24, 24)), np.ones((12, 12))), [])
     ],
 )
 def test_window_rule(monkeypatch, stable_rows, want_sizes, want_energy):
-    """Every component's k doubles while there is no pick or the pick is the
-    farthest eigenvalue from the shift of its own component's window at
-    theta*, and stops once every component is solved whole."""
+    """Every block's k doubles while there is no pick or the pick is the
+    farthest eigenvalue from the shift of its own block's window at theta*,
+    and stops once every block is solved whole."""
     unstable = np.array([7.0, 2.0, -3.0])  # score 50; at theta* it sits on the shift
     sizes = []
 
@@ -209,7 +213,6 @@ def test_window_rule(monkeypatch, stable_rows, want_sizes, want_energy):
         return resonance.ThetaScan(thetas, np.array(rows, dtype=complex), np.zeros((len(rows), 3), bool))
 
     monkeypatch.setattr(resonance, "theta_trajectory", sweep)
-    assert [len(rows) for rows in resonance._factor_components(TWO_BLOCKS)] == [24, 12]
     found = resonance._settled_pick(TWO_BLOCKS, np.array([0.1, 0.2, 0.3]))
     assert sizes == want_sizes
     assert (found and found[2][2]) == want_energy
@@ -217,22 +220,22 @@ def test_window_rule(monkeypatch, stable_rows, want_sizes, want_energy):
 
 @pytest.mark.parametrize("lam, n, want_rows", [("1/10", 30, [450, 450]), ("0", 18, [81] * 4)])
 def test_factor_components_decouple_every_sweep_angle(lam, n, want_rows):
-    """The components of the factors' joint pattern are those of the rotated
-    matrix at every sweep angle: the two nx + ny parity blocks at lambda =
-    1/10, the four (nx, ny) parity sectors of the oscillator at lambda = 0. A
-    component's rotated factors are the rotated matrix's block bit for bit,
+    """The blocks of theta_factors, decided from the term keys, are exactly
+    the components of the whole rotated matrix's nonzero pattern at every
+    sweep angle: the two nx + ny parity blocks at lambda = 1/10, the four
+    (nx, ny) parity sectors of the oscillator at lambda = 0. A block's
+    rotated factors are the whole rotated matrix's submatrix bit for bit,
     the matrix the dense solve at theta* is handed."""
-    factors = theta_factors(case_preset(3, lam).potential, BasisSpec(n, n))
-    blocks = resonance._factor_components(factors)
-    assert [len(rows) for rows in blocks] == want_rows
+    poly, basis = case_preset(3, lam).potential, BasisSpec(n, n)
+    whole, blocks = kron_factors(poly, basis), theta_factors(poly, basis)
+    assert [rows.size for rows, _ in blocks] == want_rows
     for theta in DEFAULT_THETAS:
-        ham = rotated(factors, theta)
+        ham = rotated(whole, theta)
         got = components(ham)
         assert len(got) == len(blocks)
-        assert all(np.array_equal(a, b) for a, b in zip(got, blocks))
-        for rows in blocks:
-            part = rotated(resonance._restrict(factors, rows), theta).toarray(order="C")
-            assert part.tobytes() == ham[rows][:, rows].toarray(order="C").tobytes()
+        assert all(np.array_equal(a, rows) for a, (rows, _) in zip(got, blocks))
+        for rows, part in blocks:
+            assert rotated(part, theta).toarray(order="C").tobytes() == ham[rows][:, rows].toarray(order="C").tobytes()
 
 
 def _whole_matrix_settled_pick(factors, thetas):
@@ -253,22 +256,22 @@ def _whole_matrix_settled_pick(factors, thetas):
 def _whole_matrix_drift(poly, basis, theta, energy):
     """Oracle: the n+5 check on the whole rotated matrix, both parity blocks."""
     bigger = BasisSpec(basis.n_max_x + 5, basis.n_max_y + 5, basis.omega)
-    nearest = eig_nearest(rotated(theta_factors(poly, bigger), theta), 1, energy)
+    nearest = eig_nearest(rotated(kron_factors(poly, bigger), theta), 1, energy)
     return float(np.min(np.abs(nearest - energy)))
 
 
 @pytest.mark.parametrize("lam", ["1/10", "12/100", "13/100", "14/100"])
 def test_component_windows_equal_the_whole_matrix_windows(lam):
-    """At the Table 1 couplings and the benchmark basis, the per-component
-    windows pick the trajectory and theta* of one window on the whole matrix,
-    and the reported energy is, bit for bit, the eigenvalue nearest that pick
-    in the dense solve of the whole rotated matrix at theta*, which solves each
-    component on its own."""
+    """At the Table 1 couplings and the benchmark basis, the per-block windows
+    pick the trajectory and theta* of one window on the whole matrix, and the
+    reported energy is, bit for bit, the eigenvalue nearest that pick in the
+    dense solve of the whole rotated matrix at theta*, one LAPACK call per
+    component of its nonzero pattern."""
     poly, basis = case_preset(3, lam).potential, BasisSpec(30, 30)
-    factors = theta_factors(poly, basis)
+    factors = kron_factors(poly, basis)
     _, k, window_energy, stability = _whole_matrix_settled_pick(factors, DEFAULT_THETAS)
     theta_star = float(DEFAULT_THETAS[k])
-    every = eig_complex(OperatorMatrix(rotated(factors, theta_star).toarray(order="C"))).eigenvalues
+    every = blockwise_eigvals(rotated(factors, theta_star).toarray(order="C"))
     energy = complex(every[np.argmin(np.abs(every - window_energy))])
     converged = (
         stability < resonance._STABILITY_TOL
@@ -304,7 +307,7 @@ def test_theta_star_solve_matches_the_full_matrix(monkeypatch, lam):
     dense_rows = _dense_solve_spy(monkeypatch)
     res = find_lowest_resonance(poly, basis)
     assert dense_rows == [450]
-    ham = rotated(theta_factors(poly, basis), res.theta_star).toarray()
+    ham = rotated(kron_factors(poly, basis), res.theta_star).toarray()
     allowance = 3 * apriori_bound(basis.dim) * np.linalg.norm(ham, ord=np.inf)
     assert np.min(np.abs(np.linalg.eigvals(ham) - res.energy)) <= allowance
     assert res.theta_star == DEFAULT_THETAS[10]
@@ -362,9 +365,31 @@ def test_drift_check_solves_the_picks_block(monkeypatch):
     assert all(rows == 450 for rows, _ in calls[:-1])
 
 
+@pytest.mark.parametrize("state", [(0, 0), (1, 0), (0, 1), (11, 10)])
+def test_drift_on_a_basis_that_is_not_square(state):
+    """In the 12 x 11 basis, where lambda = 1/10 gives a converged resonance,
+    the n+5 check of each block is the nearest eigenvalue of the dense solve
+    of the whole 17 x 16 rotated matrix's component that holds the same
+    (nx, ny) state. (1, 0) is row 11 of the basis and row 16 of the n+5 one:
+    had the row been read in a square basis it would be (1, 1), in the other
+    block."""
+    poly, basis = case_preset(3, "1/10").potential, BasisSpec(12, 11)
+    res = find_lowest_resonance(poly, basis)
+    assert res.converged
+    bigger = BasisSpec(17, 16)
+    ham = rotated(kron_factors(poly, bigger), res.theta_star).toarray(order="C")
+    target = state[0] * bigger.n_max_y + state[1]
+    rows = next(rows for rows in components(ham) if target in rows)
+    dense = np.min(np.abs(np.linalg.eigvals(ham[np.ix_(rows, rows)]) - res.energy))
+    got = resonance._drift(poly, basis, res.theta_star, res.energy, state[0] * basis.n_max_y + state[1])
+    assert abs(got - dense) <= 1e-12
+    if sum(state) % 2 == 0:  # the resonance's block: its drift is that of the whole matrix
+        assert abs(got - np.min(np.abs(np.linalg.eigvals(ham) - res.energy))) <= 1e-12
+
+
 def test_theta_validation():
     poly = case_preset(3, "0.1").potential
-    factors = theta_factors(poly, BasisSpec(4, 4))
+    factors = kron_factors(poly, BasisSpec(4, 4))
     with pytest.raises(ValueError):
         theta_trajectory(factors, [])
     with pytest.raises(ValueError):
