@@ -340,7 +340,11 @@ def _case_separable_report(preset, digits: int, d_max: int) -> dict:
                 grounds[g] = (mp.mpf(1), 1.0)
                 continue
             level = float(_levels_1d(g, 60)[0])
-            rpm = rpm_eigenvalue([0, 1, g], s=0, d=0, D_max=d_max, seed=level, precision_digits=digits).e_value
+            # only the D_max root is printed, so the trail below it runs at the
+            # precision its own agreement needs (see rpm_eigenvalue)
+            rpm = rpm_eigenvalue(
+                [0, 1, g], s=0, d=0, D_max=d_max, seed=level, precision_digits=digits, ramp=True
+            ).e_value
             grounds[g] = (rpm, level)
         total = mp.fsum(grounds[g][0] for g in ab)
         variational = sum(grounds[g][1] for g in ab)

@@ -1,4 +1,5 @@
 import json
+import warnings
 from fractions import Fraction
 
 import mpmath as mp
@@ -10,7 +11,9 @@ from anharm2d import cli, rpm
 from anharm2d.eig import eig_selfadjoint
 from anharm2d.oscbasis import build_hamiltonian_1d, optimal_omega
 from anharm2d.rpm import (
+    COMPLEX_PAIR_STEPS,
     NewtonDivergence,
+    NonMonotoneTrail,
     RiccatiSeries,
     _mp_det,
     _scale_exponent,
@@ -476,15 +479,96 @@ def test_complex_pair_takes_the_secant_fallback(monkeypatch):
     """(E - 1)^2 + 10^-40 has no real root. The quadratic through three of its
     points is the function itself, so the model's discriminant is negative,
     or zero to float rounding while the points lie far from the pair; at the
-    negative ones the step falls back to the secant's. Like the secant
-    tracker, the iteration then does not settle, and says so with
-    NewtonDivergence: no complex number reaches the iterates and no float
-    error escapes."""
+    negative ones the step falls back to the secant's. The iteration does
+    not settle, and after COMPLEX_PAIR_STEPS such models in a row it says so
+    with NewtonDivergence: 21 determinants measured, where it spent 242 (3
+    dps iterations) before that stop. No complex number reaches the iterates
+    and no float error escapes."""
     models, curvature = [], rpm._curvature_step
     monkeypatch.setattr(rpm, "_curvature_step", lambda *args: models.append(curvature(*args)) or models[-1])
     with mp.workdps(80):
         points = _determinant(monkeypatch, lambda x: (x - 1) ** 2 + mp.mpf(10) ** -40)
-        with pytest.raises(NewtonDivergence):
+        with pytest.raises(NewtonDivergence, match="complex pair"):
             rpm._three_point_root([0, 1], 0, 0, 3, 0, mp.mpf("1.3"), mp.mpf("1.31"))
     assert None in models
     assert all(type(x) is mp.mpf for x in points)
+    assert models[-COMPLEX_PAIR_STEPS:] == [None] * COMPLEX_PAIR_STEPS
+    assert len(points) <= 30
+
+
+def test_curvature_step_tells_no_real_root_from_a_float_failure():
+    """None only where the model has no real root; 0, the secant's step,
+    where a float of the model is 0, inf or NaN. The three points sit at y =
+    2, 1, 0 with values fa, fb, 1."""
+    assert rpm._curvature_step(2.0, 5.0, 2.0) is None  # y^2 + 1
+    # -(y - 3)(y + 5) / 15: root 3, against the secant's 1 / (1 - fb) = 5
+    assert rpm._curvature_step(2.0, 7 / 15, 0.8) == pytest.approx(-2.0)
+    for args in ((0.0, 5.0, 2.0), (2.0, float("inf"), 2.0), (2.0, float("nan"), 2.0), (2.0, 5.0, 1.0)):
+        assert rpm._curvature_step(*args) == 0.0
+
+
+@pytest.mark.parametrize("D_max", [25, 35])
+@pytest.mark.parametrize("g", [Fraction(1, 10), 1, 4, 2 * 10**6])
+@pytest.mark.parametrize("s", [0, 1])
+def test_ramped_trail_ends_on_the_full_precision_root(g, s, D_max):
+    """With the ramp, D = 5 ... D_max - 2 run at the digits on which the
+    trail agrees plus RAMP_MARGIN, and the last two at the full 80 digits:
+    the D_max root and `stabilized_digits` are the full-precision run's, bit
+    for bit. Each ramped root is far closer to its full-precision twin than
+    the twin is to the D_max root: 11 digits closer at least, measured."""
+    seed = float(cli._levels_1d(Fraction(g), 60)[s])
+    full = rpm_eigenvalue([0, 1, g], s=s, D_max=D_max, seed=seed)
+    ramped = rpm_eigenvalue([0, 1, g], s=s, D_max=D_max, seed=seed, ramp=True)
+    assert ramped.e_value._mpf_ == full.e_value._mpf_
+    assert ramped.stabilized_digits == full.stabilized_digits
+    assert [D for D, _ in ramped.trail] == [D for D, _ in full.trail]
+    with mp.workdps(200):
+        for (_, a), (_, b) in zip(ramped.trail[:-1], full.trail[:-1]):
+            assert abs(a - b) <= mp.mpf(10) ** -8 * abs(b - full.e_value)
+
+
+@pytest.mark.parametrize("case", ["1", "2"])
+def test_case_determinant_budget(monkeypatch, capsys, case):
+    """`case 1` and `case 2` at their defaults (one quartic factor, g = 4 and
+    g = 2*10^6, D_max 25 at 80 digits) evaluate at most 110 Hankel
+    determinants, the two of the certificate included: 94 measured each with
+    the ramp, 135 and 139 without it. The count is the same on every host."""
+    calls, kernel = [], rpm.scaled_hankel_det
+    monkeypatch.setattr(rpm, "scaled_hankel_det", lambda *args: calls.append(mp.mp.dps) or kernel(*args))
+    assert cli.main(["case", case]) == 0
+    capsys.readouterr()
+    assert len(calls) <= 110
+    assert min(calls) < 80  # the ramp ran
+
+
+def _fake_trail(monkeypatch, root):
+    """Replace the root of H_D by root(D), at the working precision; the
+    precision of each dimension is collected."""
+    precisions = []
+
+    def fake(v, s, d, D, t, x0, x1):
+        precisions.append(mp.mp.dps)
+        return root(D)
+
+    monkeypatch.setattr(rpm, "_three_point_root", fake)
+    return precisions
+
+
+@pytest.mark.parametrize("ramp", [False, True])
+def test_non_monotone_trail_warns_on_a_coarse_stall_only(monkeypatch, ramp):
+    """A trail whose steps grow again at 10^-12, far above the coarse
+    threshold 10^-(80 // 3), warns NonMonotoneTrail; a trail that contracts
+    by 10 a dimension does not. With the ramp, both pass through its lower
+    precisions and keep their verdicts."""
+    stall = _fake_trail(
+        monkeypatch, lambda D: 1 + mp.mpf(10) ** -D if D <= 15 else 1 + (-1) ** D * (D - 14) * mp.mpf(10) ** -12
+    )
+    with pytest.warns(NonMonotoneTrail):
+        rpm_eigenvalue([0, 1, 1], s=0, D_max=25, seed=1.39, ramp=ramp)
+    contract = _fake_trail(monkeypatch, lambda D: 1 + mp.mpf(10) ** -D)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", NonMonotoneTrail)
+        rpm_eigenvalue([0, 1, 1], s=0, D_max=25, seed=1.39, ramp=ramp)
+    for precisions in (stall, contract):
+        assert len(precisions) == 24
+        assert (min(precisions) < 80) == ramp
