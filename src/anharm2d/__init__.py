@@ -3,6 +3,11 @@
 Exact coordinate transforms and symmetry detection over Q(sqrt(2)),
 harmonic-oscillator-basis spectra, complex-rotation resonances, and
 Hankel-determinant high-precision 1D eigenvalues.
+
+The RPM exports `RiccatiSeries`, `riccati_coeffs` and `rpm_eigenvalue`
+resolve on first access (PEP 562 `__getattr__`), so `import anharm2d`
+loads neither `anharm2d.rpm` nor mpmath (about 20-35 ms): only the
+Riccati-Pade computations use arbitrary precision.
 """
 
 from .cases import CasePreset, case_preset, exact_lambda
@@ -28,7 +33,6 @@ from .poly2d import (
     quartic_form_min,
 )
 from .resonance import Resonance, ThetaScan, find_lowest_resonance, theta_trajectory
-from .rpm import RiccatiSeries, riccati_coeffs, rpm_eigenvalue
 from .symmetry import (
     SymmetryGroup,
     detect_group,
@@ -77,3 +81,17 @@ __all__ = [
     "separating_rotation",
     "theta_trajectory",
 ]
+
+_RPM_EXPORTS = frozenset({"RiccatiSeries", "riccati_coeffs", "rpm_eigenvalue"})
+
+
+def __getattr__(name):
+    if name in _RPM_EXPORTS:
+        from . import rpm
+
+        return getattr(rpm, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | _RPM_EXPORTS)

@@ -31,6 +31,14 @@ goes to stderr as a one-line JSON object), e.g. NoStationaryPoint when the
 case-3 sweep finds no decaying trajectory, or, before any sweep, when case 3
 is not unbounded from below: at lambda = 0 it is the harmonic oscillator,
 whose spectrum is discrete.
+
+mpmath and anharm2d.rpm are imported only where they run: in case 1|2 and
+rpm, which compute the Riccati-Pade factors in arbitrary precision, and in
+the error for a coupling outside the float range, which prints it with
+mp.nstr. Every other command computes in floats, so `import anharm2d.cli`
+does not pay for them (about 20-35 ms of its 0.10-0.15 s on 2 cores). Each
+import runs at call time, so the benchmark's tracer (perfbench/spans.py),
+which wraps rpm.rpm_eigenvalue in place, sees every call.
 """
 
 from __future__ import annotations
@@ -45,7 +53,6 @@ import math
 import sys
 from fractions import Fraction
 
-import mpmath as mp
 import numpy as np
 
 from .cases import case_preset, exact_lambda
@@ -54,7 +61,6 @@ from .maps import flip_x
 from .oscbasis import BasisSpec, build_hamiltonian_1d, optimal_omega, swap_blocks
 from .poly2d import Boundedness, apply_linear_map, is_bounded_below, quartic_form_min
 from .resonance import NoStationaryPoint, find_lowest_resonance
-from .rpm import rpm_eigenvalue
 from .symmetry import detect_group, separating_rotation
 
 TABLE1_LAMBDAS = (Fraction(10, 100), Fraction(12, 100), Fraction(13, 100), Fraction(14, 100))
@@ -146,6 +152,8 @@ def _require_float_range(lam: Fraction, values) -> None:
         for value in values:
             float(value)
     except OverflowError:
+        import mpmath as mp
+
         shown = mp.nstr(mp.mpf(lam.numerator) / lam.denominator, 6)
         raise ValueError(f"coupling {shown} puts a coefficient outside the float range") from None
 
@@ -308,6 +316,10 @@ def _cmd_resonance(args) -> dict | str:
 
 
 def _cmd_rpm(args) -> dict:
+    import mpmath as mp
+
+    from .rpm import rpm_eigenvalue
+
     digits = args.digits
     g = exact_lambda(args.g)
     s = 0 if args.state == "even" else 1
@@ -328,6 +340,10 @@ def _cmd_rpm(args) -> dict:
 
 
 def _case_separable_report(preset, digits: int, d_max: int) -> dict:
+    import mpmath as mp
+
+    from .rpm import rpm_eigenvalue
+
     found = separating_rotation(preset.potential)
     ab = _separated_quartic_coeffs(found[2])
     with mp.workdps(digits):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anharm2d import cli
+from anharm2d import cli, rpm
 from anharm2d.cases import case_preset
 from anharm2d.maps import flip_x
 from anharm2d.poly2d import apply_linear_map
@@ -478,6 +478,101 @@ def test_cli_import_does_not_load_concurrent_futures():
     proc = run_python("-c", code)
     assert proc.returncode == 0
     assert proc.stdout.split() == ["True", "False"]
+
+
+# mpmath and anharm2d.rpm load only in the commands that compute in arbitrary
+# precision (case 1|2 and rpm), and scipy only in complex scaling.
+_LAZY = ("mpmath", "anharm2d.rpm", "scipy")
+_LOADED = f"sorted(set({_LAZY!r}) & set(sys.modules))"  # in a child: the modules of _LAZY it holds
+
+
+def test_package_import_loads_no_lazy_module():
+    code = (
+        "import json, sys\n"
+        "import anharm2d\n"
+        f"package = {_LOADED}\n"
+        "import anharm2d.cli\n"
+        f"print(json.dumps([package, {_LOADED}]))"
+    )
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[], []]
+
+
+def _child_main(*argvs):
+    """(stdout, exit codes, modules of _LAZY loaded) of a child interpreter
+    that imports anharm2d.cli and runs cli.main on each argv in turn."""
+    code = (
+        "import json, sys\n"
+        "import anharm2d.cli as cli\n"
+        f"codes = [cli.main(argv) for argv in {list(argvs)!r}]\n"
+        f"print(json.dumps([codes, {_LOADED}]), file=sys.stderr)"
+    )
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    codes, loaded = json.loads(proc.stderr.splitlines()[-1])
+    return proc.stdout, codes, loaded
+
+
+def test_float_commands_leave_mpmath_unloaded():
+    argvs = (
+        ["transform", "--case", "1"],
+        ["symmetry", "--case", "3"],
+        ["spectrum", "--case", "5", "--nmax", "8"],
+        ["case", "5", "--nmax", "8"],
+        ["case", "3", "--nmax", "10", "--theta-steps", "5"],
+    )
+    _, codes, loaded = _child_main(*argvs)
+    assert codes == [0] * len(argvs)
+    assert loaded == ["scipy"]  # case 3's complex scaling
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["case", "1", "--dmax", "8", "--digits", "20"], ["rpm", "--g", "1", "--dmax", "8", "--digits", "20"]],
+    ids=" ".join,
+)
+def test_rpm_commands_load_mpmath_and_print_the_in_process_bytes(capsys, argv):
+    out, codes, loaded = _child_main(argv)
+    assert codes == [0]
+    assert loaded == ["anharm2d.rpm", "mpmath"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == out
+
+
+def test_rpm_exports_resolve_on_first_access():
+    rpm_names = ["RiccatiSeries", "riccati_coeffs", "rpm_eigenvalue"]
+    code = (
+        "import json, sys\n"
+        "import anharm2d\n"
+        f"listed = sorted(set({rpm_names!r}) & set(dir(anharm2d)))\n"
+        f"before = {_LOADED}\n"
+        "missing = [name for name in anharm2d.__all__ if getattr(anharm2d, name, None) is None]\n"
+        "try:\n"
+        "    anharm2d.no_such_name\n"
+        "    raised = False\n"
+        "except AttributeError:\n"
+        "    raised = True\n"
+        "from anharm2d import rpm, rpm_eigenvalue\n"
+        "print(json.dumps([listed, before, missing, raised, rpm_eigenvalue is rpm.rpm_eigenvalue]))"
+    )
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [rpm_names, [], [], True, True]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["rpm", "--g", "1", "--dmax", "8", "--digits", "20"], ["case", "1", "--dmax", "8", "--digits", "20"]],
+    ids=" ".join,
+)
+def test_rpm_commands_look_up_the_kernel_when_they_run(capsys, monkeypatch, argv):
+    """The benchmark's tracer wraps rpm.rpm_eigenvalue in place; the commands must call what it installs."""
+    calls, kernel = [], rpm.rpm_eigenvalue
+    monkeypatch.setattr(rpm, "rpm_eigenvalue", lambda *a, **k: calls.append(a[0]) or kernel(*a, **k))
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
 
 
 # One code path per printed result: `case K` prints the fields of the topic
