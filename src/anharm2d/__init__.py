@@ -4,25 +4,21 @@ Exact coordinate transforms and symmetry detection over Q(sqrt(2)),
 harmonic-oscillator-basis spectra, complex-rotation resonances, and
 Hankel-determinant high-precision 1D eigenvalues.
 
-The RPM exports `RiccatiSeries`, `riccati_coeffs` and `rpm_eigenvalue`
-resolve on first access (PEP 562 `__getattr__`), so `import anharm2d`
-loads neither `anharm2d.rpm` nor mpmath (about 20-35 ms): only the
-Riccati-Pade computations use arbitrary precision.
+`import anharm2d` loads only the exact layer: cases, exactnum, maps, poly2d
+and symmetry, which compute over Q(sqrt(2)). The numeric exports (those of
+eig, oscbasis, resonance and rpm) resolve on first access (PEP 562
+`__getattr__`), so numpy loads only with a computation that builds a matrix
+or needs np.roots, scipy only with complex scaling (resonance) and mpmath
+only with the Riccati-Pade computations (rpm), which use arbitrary
+precision. numpy alone is about 65 ms of a fresh interpreter's import on
+2 cores, and mpmath 20-35 ms.
 """
 
+import importlib
+
 from .cases import CasePreset, case_preset, exact_lambda
-from .eig import SpectralResult, eig_complex, eig_selfadjoint
 from .exactnum import SqrtTwoRational
 from .maps import OrthogonalMap2, dihedral16, flip_x, reflection, rotation
-from .oscbasis import (
-    BasisSpec,
-    OperatorMatrix,
-    build_hamiltonian,
-    build_hamiltonian_1d,
-    kinetic_matrix_1d,
-    optimal_omega,
-    position_matrix_1d,
-)
 from .poly2d import (
     Boundedness,
     PolynomialPotential,
@@ -32,7 +28,6 @@ from .poly2d import (
     make_quartic,
     quartic_form_min,
 )
-from .resonance import Resonance, ThetaScan, find_lowest_resonance, theta_trajectory
 from .symmetry import (
     SymmetryGroup,
     detect_group,
@@ -82,16 +77,32 @@ __all__ = [
     "theta_trajectory",
 ]
 
-_RPM_EXPORTS = frozenset({"RiccatiSeries", "riccati_coeffs", "rpm_eigenvalue"})
+# name -> defining submodule of each export that resolves on first access
+_DEFERRED = {
+    name: module
+    for module, names in {
+        "eig": ("SpectralResult", "eig_complex", "eig_selfadjoint"),
+        "oscbasis": (
+            "BasisSpec",
+            "OperatorMatrix",
+            "build_hamiltonian",
+            "build_hamiltonian_1d",
+            "kinetic_matrix_1d",
+            "optimal_omega",
+            "position_matrix_1d",
+        ),
+        "resonance": ("Resonance", "ThetaScan", "find_lowest_resonance", "theta_trajectory"),
+        "rpm": ("RiccatiSeries", "riccati_coeffs", "rpm_eigenvalue"),
+    }.items()
+    for name in names
+}
 
 
 def __getattr__(name):
-    if name in _RPM_EXPORTS:
-        from . import rpm
-
-        return getattr(rpm, name)
+    if name in _DEFERRED:
+        return getattr(importlib.import_module(f".{_DEFERRED[name]}", __name__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__():
-    return sorted(set(globals()) | _RPM_EXPORTS)
+    return sorted(set(globals()) | set(_DEFERRED))

@@ -32,13 +32,21 @@ case-3 sweep finds no decaying trajectory, or, before any sweep, when case 3
 is not unbounded from below: at lambda = 0 it is the harmonic oscillator,
 whose spectrum is discrete.
 
-mpmath and anharm2d.rpm are imported only where they run: in case 1|2 and
-rpm, which compute the Riccati-Pade factors in arbitrary precision, and in
-the error for a coupling outside the float range, which prints it with
-mp.nstr. Every other command computes in floats, so `import anharm2d.cli`
-does not pay for them (about 20-35 ms of its 0.10-0.15 s on 2 cores). Each
-import runs at call time, so the benchmark's tracer (perfbench/spans.py),
-which wraps rpm.rpm_eigenvalue in place, sees every call.
+Every numeric dependency is imported only where it runs, so `import
+anharm2d.cli` loads only the exact layer (cases, exactnum, maps, poly2d and
+symmetry): about 0.06 s on 2 cores, of which numpy alone was about 65 ms.
+transform never loads numpy, nor does symmetry of case 1, 4 or 5 at a
+coupling >= 0, whose quartic form vanishes on one exact ray (MARGINAL): they
+compute over Q(sqrt(2)). symmetry of another form loads it for np.roots (see
+quartic_form_min).
+numpy, anharm2d.oscbasis and anharm2d.eig load in the handlers that build a
+matrix (_levels_1d, _lowest_levels and --omega optimal), anharm2d.resonance
+in _lowest_resonance, and scipy only in complex scaling (case 3, resonance).
+mpmath and anharm2d.rpm load in case 1|2 and rpm, which compute the
+Riccati-Pade factors in arbitrary precision, and in the error for a coupling
+outside the float range, which prints it with mp.nstr. Each import runs at
+call time, so the benchmark's tracer (perfbench/spans.py), which wraps the
+defining modules' functions in place, sees every call.
 """
 
 from __future__ import annotations
@@ -53,14 +61,9 @@ import math
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from .cases import case_preset, exact_lambda
-from .eig import eig_selfadjoint
 from .maps import flip_x
-from .oscbasis import BasisSpec, build_hamiltonian_1d, optimal_omega, swap_blocks
 from .poly2d import Boundedness, apply_linear_map, is_bounded_below, quartic_form_min
-from .resonance import NoStationaryPoint, find_lowest_resonance
 from .symmetry import detect_group, separating_rotation
 
 TABLE1_LAMBDAS = (Fraction(10, 100), Fraction(12, 100), Fraction(13, 100), Fraction(14, 100))
@@ -176,8 +179,11 @@ def _require_bounded(preset, verdict: Boundedness) -> None:
         )
 
 
-def _levels_1d(g: Fraction, n_max: int) -> np.ndarray:
-    """Variational levels of p^2 + x^2 + g x^4 in the basis at optimal_omega(g)."""
+def _levels_1d(g: Fraction, n_max: int):
+    """Variational levels of p^2 + x^2 + g x^4 in the basis at optimal_omega(g), as a numpy array."""
+    from .eig import eig_selfadjoint
+    from .oscbasis import build_hamiltonian_1d, optimal_omega
+
     _require_float_range(g, [g])
     g = float(g)
     ham = build_hamiltonian_1d({2: 1.0, 4: g}, n_max=n_max, omega=optimal_omega(g))
@@ -196,6 +202,11 @@ def _lowest_levels(poly, nmax: int, omega: float, count: int) -> list[str]:
     orthogonal projections of the full matrix with zero coupling between
     them, so the merged levels are the full matrix's spectrum.
     """
+    import numpy as np
+
+    from .eig import eig_selfadjoint
+    from .oscbasis import BasisSpec, swap_blocks
+
     blocks = swap_blocks(poly, BasisSpec(nmax, nmax, omega=omega))
     levels = np.sort(np.concatenate([np.repeat(eig_selfadjoint(mat).eigenvalues, times) for mat, times in blocks]))
     return [_fmt(e) for e in levels[:count]]
@@ -255,6 +266,8 @@ def _omega_for(args, poly) -> float:
         # BasisSpec rejects a value that is not positive and finite
         return float(policy.split(":", 1)[1])
     if policy == "optimal":
+        from .oscbasis import optimal_omega
+
         # strongest quartic growth direction sets the effective 1D coupling
         neg = poly.homogeneous_part(4).scale(-1)
         qmax = -quartic_form_min(neg)[0]
@@ -280,6 +293,9 @@ def _lowest_resonance(args, lam: Fraction):
 
     A potential that is not unbounded from below has a discrete spectrum and
     no resonance, so it is refused before the sweep."""
+    from .oscbasis import BasisSpec
+    from .resonance import NoStationaryPoint, find_lowest_resonance
+
     poly = _float_case(3, lam).potential
     verdict = is_bounded_below(poly)
     if verdict is not Boundedness.UNBOUNDED:

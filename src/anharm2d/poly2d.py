@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from enum import Enum
 
-import numpy as np
-
 from .exactnum import SqrtTwoRational
 from .maps import OrthogonalMap2
 
@@ -157,7 +155,10 @@ def quartic_form_min(poly: PolynomialPotential) -> tuple[float, float]:
     q(t) = Q(1, t), or at pi/2 when q has none; so does a potential without a
     quartic part (the harmonic limit lambda = 0). Otherwise the float values at
     pi/2 and at the real roots (companion matrix) of the stationarity quartic
-    in t = tan(phi) are compared.
+    in t = tan(phi) are compared, and the first smallest wins. Minima that tie
+    exactly are therefore told apart only by rounding: case 3's two, which
+    (x, y) -> (y, x) swaps, give phi ~ -0.3649 at lambda = 1/10 but
+    phi ~ -1.2059 at lambda = 1/100, from the last bits of np.roots.
     """
     q = _tan_poly(poly)
     if not q:
@@ -181,6 +182,8 @@ def quartic_form_min(poly: PolynomialPotential) -> tuple[float, float]:
     ]
     candidates = [math.pi / 2.0]  # cos(phi) = 0 is not a finite t
     if any(deriv):  # all zero only for c (x^2 + y^2)^2, constant on the circle
+        import numpy as np
+
         for r in np.roots(deriv):
             if abs(r.imag) < 1e-9 * max(1.0, abs(r)):
                 candidates.append(math.atan(float(r.real)))
@@ -234,6 +237,8 @@ def _root_angle(p: list[SqrtTwoRational]) -> float:
         return math.atan(float(-p[0] / p[1]))
     if not _has_real_root(p):
         return math.pi / 2.0
+    import numpy as np
+
     roots = np.roots([float(c) for c in reversed(p)])
     return math.atan(float(min(roots, key=lambda r: abs(r.imag)).real))
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anharm2d import cli, rpm
+from anharm2d import cli, oscbasis, resonance, rpm
 from anharm2d.cases import case_preset
 from anharm2d.maps import flip_x
 from anharm2d.poly2d import apply_linear_map
@@ -172,7 +172,7 @@ def test_resonance_prints_stability_to_three_digits(monkeypatch, capsys, stabili
     def resonance_stub(poly, basis, theta_window, n_points):
         return Resonance(energy=2.07 - 4.6e-4j, theta_star=0.25, stability=stability, converged=True)
 
-    monkeypatch.setattr(cli, "find_lowest_resonance", resonance_stub)
+    monkeypatch.setattr(resonance, "find_lowest_resonance", resonance_stub)
     assert cli.main(["resonance"]) == 0
     assert json.loads(capsys.readouterr().out)["stability"] == printed
 
@@ -375,8 +375,8 @@ def test_unbounded_potential_has_no_variational_spectrum(capsys, monkeypatch, ar
     def no_solve(*args, **kwargs):
         raise AssertionError("an unbounded potential was diagonalized")
 
-    monkeypatch.setattr(cli, "swap_blocks", no_solve)
-    monkeypatch.setattr(cli, "build_hamiltonian_1d", no_solve)
+    monkeypatch.setattr(oscbasis, "swap_blocks", no_solve)
+    monkeypatch.setattr(oscbasis, "build_hamiltonian_1d", no_solve)
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
@@ -480,9 +480,11 @@ def test_cli_import_does_not_load_concurrent_futures():
     assert proc.stdout.split() == ["True", "False"]
 
 
-# mpmath and anharm2d.rpm load only in the commands that compute in arbitrary
-# precision (case 1|2 and rpm), and scipy only in complex scaling.
-_LAZY = ("mpmath", "anharm2d.rpm", "scipy")
+# numpy and the numeric modules load only in the commands that build a matrix
+# or call np.roots, mpmath and anharm2d.rpm only in those that compute in
+# arbitrary precision (case 1|2 and rpm), and scipy only in complex scaling.
+_LAZY = ("numpy", "anharm2d.oscbasis", "anharm2d.eig", "anharm2d.resonance", "mpmath", "anharm2d.rpm", "scipy")
+_NUMERIC = ["anharm2d.eig", "anharm2d.oscbasis", "numpy"]  # what _levels_1d and _lowest_levels load
 _LOADED = f"sorted(set({_LAZY!r}) & set(sys.modules))"  # in a child: the modules of _LAZY it holds
 
 
@@ -524,7 +526,7 @@ def test_float_commands_leave_mpmath_unloaded():
     )
     _, codes, loaded = _child_main(*argvs)
     assert codes == [0] * len(argvs)
-    assert loaded == ["scipy"]  # case 3's complex scaling
+    assert loaded == sorted(_NUMERIC + ["anharm2d.resonance", "scipy"])  # and case 3's complex scaling
 
 
 @pytest.mark.parametrize(
@@ -535,30 +537,66 @@ def test_float_commands_leave_mpmath_unloaded():
 def test_rpm_commands_load_mpmath_and_print_the_in_process_bytes(capsys, argv):
     out, codes, loaded = _child_main(argv)
     assert codes == [0]
-    assert loaded == ["anharm2d.rpm", "mpmath"]
+    assert loaded == sorted(_NUMERIC + ["anharm2d.rpm", "mpmath"])  # numpy for the variational seed
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == out
 
 
-def test_rpm_exports_resolve_on_first_access():
-    rpm_names = ["RiccatiSeries", "riccati_coeffs", "rpm_eigenvalue"]
+@pytest.mark.parametrize("lam", SURVEY_COUPLINGS)
+def test_exact_commands_leave_numpy_unloaded_and_print_the_in_process_bytes(capsys, lam):
+    """transform, and symmetry of the cases whose quartic form is MARGINAL,
+    compute over Q(sqrt(2)) only: 8 of the 14 survey commands."""
+    argvs = [["transform", "--case", str(k)] + _coupling(lam) for k in range(1, 6)]
+    argvs += [["symmetry", "--case", str(k)] + _coupling(lam) for k in (1, 4, 5)]
+    out, codes, loaded = _child_main(*argvs)
+    assert codes == [0] * len(argvs)
+    assert loaded == []
+    assert [cli.main(argv) for argv in argvs] == codes
+    assert capsys.readouterr().out == out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["symmetry", "--case", "2"],  # np.roots: the form is not MARGINAL
+        ["spectrum", "--case", "5", "--nmax", "4"],
+        ["case", "4", "--nmax", "4"],
+        ["case", "3", "--nmax", "6", "--theta-steps", "5"],
+        ["resonance", "--nmax", "6", "--theta-steps", "5"],
+        ["case", "1", "--dmax", "6", "--digits", "20"],
+        ["rpm", "--g", "1", "--dmax", "6", "--digits", "20"],
+    ],
+    ids=" ".join,
+)
+def test_numeric_commands_load_numpy(argv):
+    _, codes, loaded = _child_main(argv)
+    assert codes == [0]
+    assert "numpy" in loaded
+
+
+def test_package_exports_resolve_on_first_access():
+    """dir() lists every name of __all__ before anything numeric loads, and
+    each name is the object of the module that defines it."""
     code = (
         "import json, sys\n"
         "import anharm2d\n"
-        f"listed = sorted(set({rpm_names!r}) & set(dir(anharm2d)))\n"
+        "unlisted = sorted(set(anharm2d.__all__) - set(dir(anharm2d)))\n"
         f"before = {_LOADED}\n"
-        "missing = [name for name in anharm2d.__all__ if getattr(anharm2d, name, None) is None]\n"
+        "exports = {name: getattr(anharm2d, name) for name in anharm2d.__all__}\n"
+        "foreign = [name for name, obj in exports.items() if not obj.__module__.startswith('anharm2d.')\n"
+        "           or getattr(sys.modules[obj.__module__], name) is not obj]\n"
         "try:\n"
         "    anharm2d.no_such_name\n"
         "    raised = False\n"
         "except AttributeError:\n"
         "    raised = True\n"
-        "from anharm2d import rpm, rpm_eigenvalue\n"
-        "print(json.dumps([listed, before, missing, raised, rpm_eigenvalue is rpm.rpm_eigenvalue]))"
+        "from anharm2d import oscbasis, rpm\n"
+        "same = [anharm2d.BasisSpec is oscbasis.BasisSpec, anharm2d.rpm_eigenvalue is rpm.rpm_eigenvalue]\n"
+        "print(json.dumps([unlisted, before, foreign, raised, same]))"
     )
     proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [rpm_names, [], [], True, True]
+    assert json.loads(proc.stdout) == [[], [], [], True, [True, True]]
 
 
 @pytest.mark.parametrize(
@@ -666,8 +704,8 @@ def test_isospectral_max_diff_comes_from_the_exact_flip_check(lam):
     ids=lambda value: " ".join(map(str, value)),
 )
 def test_one_variational_solve_per_separated_factor(capsys, monkeypatch, argv, sizes):
-    calls, build = [], cli.build_hamiltonian_1d
-    monkeypatch.setattr(cli, "build_hamiltonian_1d", lambda *a, **k: calls.append(k["n_max"]) or build(*a, **k))
+    calls, build = [], oscbasis.build_hamiltonian_1d
+    monkeypatch.setattr(oscbasis, "build_hamiltonian_1d", lambda *a, **k: calls.append(k["n_max"]) or build(*a, **k))
     assert cli.main(argv) == 0
     capsys.readouterr()
     assert calls == sizes
