@@ -21,6 +21,12 @@ is exact, so when the flipped case 4 equals case 1 exactly their float
 coefficients agree bit for bit in assembly order, and case 4's matrix is
 case 1's conjugated by diag((-1)^nx): the two spectra are equal.
 
+rpm prints energy to --digits, and its trail entry for r_D below D_max only
+to the digits r_D shares with r_{D+1} (rpm.shared_digits), at least 1 and at
+most --digits: past them r_D is not a value of the eigenvalue, and the trail
+computes each r_D below D_max - 1 only to about that many digits plus a
+margin (see rpm.rpm_eigenvalue). The D_max entry is the energy string.
+
 Exit codes: 0 success, 2 flag/validation error (argparse convention; also an
 --out path that cannot be opened for writing, which is opened before the
 computation, like a shell redirection, a coupling that puts a coefficient
@@ -334,7 +340,7 @@ def _cmd_resonance(args) -> dict | str:
 def _cmd_rpm(args) -> dict:
     import mpmath as mp
 
-    from .rpm import rpm_eigenvalue
+    from .rpm import rpm_eigenvalue, shared_digits
 
     digits = args.digits
     g = exact_lambda(args.g)
@@ -343,15 +349,21 @@ def _cmd_rpm(args) -> dict:
     result = rpm_eigenvalue(
         [0, 1, g], s=s, d=args.displacement, D_max=args.dmax, seed=seed, precision_digits=digits
     )
+    energy = mp.nstr(result.e_value, digits)
+    # each r_D below D_max to the digits it shares with r_{D+1} (module docstring)
+    trail = [
+        {"D": D, "E": mp.nstr(root, max(1, shared_digits(root, after, digits)))}
+        for (D, root), (_, after) in zip(result.trail, result.trail[1:])
+    ]
     return {
         "g": str(g),
         "state": args.state,
         "d": args.displacement,
         "D_max": args.dmax,
         "precision_digits": digits,
-        "energy": mp.nstr(result.e_value, digits),
+        "energy": energy,
         "stabilized_digits": result.stabilized_digits,
-        "trail": [{"D": D, "E": mp.nstr(root, digits)} for D, root in result.trail],
+        "trail": trail + [{"D": args.dmax, "E": energy}],
     }
 
 
@@ -372,11 +384,7 @@ def _case_separable_report(preset, digits: int, d_max: int) -> dict:
                 grounds[g] = (mp.mpf(1), 1.0)
                 continue
             level = float(_levels_1d(g, 60)[0])
-            # only the D_max root is printed, so the trail below it runs at the
-            # precision its own agreement needs (see rpm_eigenvalue)
-            rpm = rpm_eigenvalue(
-                [0, 1, g], s=0, d=0, D_max=d_max, seed=level, precision_digits=digits, ramp=True
-            ).e_value
+            rpm = rpm_eigenvalue([0, 1, g], s=0, d=0, D_max=d_max, seed=level, precision_digits=digits).e_value
             grounds[g] = (rpm, level)
         total = mp.fsum(grounds[g][0] for g in ab)
         variational = sum(grounds[g][1] for g in ab)

@@ -220,7 +220,7 @@ def theta_factors(poly: PolynomialPotential, basis: BasisSpec) -> list[tuple]:
     products of _products and the terms follow in its order, each the CSC of
     its _pairs on those states, so rotated(part, theta) is the full rotated
     matrix at rows and columns `rows`, bit for bit. basis.theta is not read;
-    scipy is imported here, not at load.
+    scipy is imported at the first block, not at load.
 
     Row order moves the bits of SuperLU and ARPACK. At 1 BLAS thread,
     sector-major rows moved case 3's Im E by up to 3e-10 relative at the four
@@ -229,15 +229,27 @@ def theta_factors(poly: PolynomialPotential, basis: BasisSpec) -> list[tuple]:
     halves (ascending ones moved the 12th printed digit of 8 of 92 Hermitian
     commands); its whole blocks take ascending rows, which moved none.
     """
+    shape, products = (basis.n_max_x, basis.n_max_y), _products(poly, basis)
+    return [_theta_block(products, sectors, shape) for sectors in _sector_blocks(poly.terms, shape)]
+
+
+def theta_block(poly: PolynomialPotential, basis: BasisSpec, state: int) -> tuple:
+    """The entry of theta_factors(poly, basis) whose rows hold `state`, a row
+    of the full basis, bit for bit, without assembling the other blocks."""
+    shape = (basis.n_max_x, basis.n_max_y)
+    nx, ny = divmod(state, basis.n_max_y)
+    sectors = next(b for b in _sector_blocks(poly.terms, shape) if (nx % 2, ny % 2) in b)
+    return _theta_block(_products(poly, basis), sectors, shape)
+
+
+def _theta_block(products, sectors, shape: tuple[int, int]) -> tuple:
+    """(rows, (K, terms)) of theta_factors on the block of `sectors`; scipy is imported here, not at load."""
     from scipy import sparse
 
-    shape, products, blocks = (basis.n_max_x, basis.n_max_y), _products(poly, basis), []
-    for sectors in _sector_blocks(poly.terms, shape):
-        row, rows = _block_map(sectors, shape)
-        pairs = (_pairs(row, a, b) for _, _, a, b in products)
-        kx_iy, ix_ky, *mats = [sparse.csc_matrix((v, (i, j)), shape=(rows.size, rows.size)) for i, j, v in pairs]
-        blocks.append((rows, (kx_iy + ix_ky, [(c, k, m) for (c, k, _, _), m in zip(products[2:], mats)])))
-    return blocks
+    row, rows = _block_map(sectors, shape)
+    pairs = (_pairs(row, a, b) for _, _, a, b in products)
+    kx_iy, ix_ky, *mats = [sparse.csc_matrix((v, (i, j)), shape=(rows.size, rows.size)) for i, j, v in pairs]
+    return rows, (kx_iy + ix_ky, [(c, k, m) for (c, k, _, _), m in zip(products[2:], mats)])
 
 
 def rotated(factors, theta: float):

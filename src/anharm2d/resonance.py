@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .eig import apriori_bound, eig_complex, eig_nearest
-from .oscbasis import BasisSpec, OperatorMatrix, rotated, theta_factors
+from .oscbasis import BasisSpec, OperatorMatrix, rotated, theta_block, theta_factors
 from .poly2d import PolynomialPotential
 
 
@@ -143,7 +143,7 @@ def _drift(poly: PolynomialPotential, basis: BasisSpec, theta: float, energy: co
     states per mode, on the block that holds `state`, a row of basis."""
     bigger = BasisSpec(basis.n_max_x + 5, basis.n_max_y + 5, basis.omega)
     nx, ny = divmod(state, basis.n_max_y)
-    part = next(part for rows, part in theta_factors(poly, bigger) if nx * bigger.n_max_y + ny in rows)
+    _, part = theta_block(poly, bigger, nx * bigger.n_max_y + ny)
     nearest = eig_nearest(rotated(part, theta), 1, energy)
     return float(np.min(np.abs(nearest - energy)))
 
@@ -199,8 +199,9 @@ def find_lowest_resonance(
     raised (a spurious Ritz value near a degenerate bound level, as at
     lambda = 0, fails here). Convergence is always checked: the resonance is
     converged when the n+5 basis at theta* has an eigenvalue within
-    `_DRIFT_TOL` = 1e-4 of it, in the block that holds the pick's states
-    (for case 3, 613 of the 1225 rows at nmax 30).
+    `_DRIFT_TOL` = 1e-4 of it, in the block that holds the pick's states,
+    assembled alone by oscbasis.theta_block (for case 3, 613 of the 1225
+    rows at nmax 30).
     """
     lo, hi = theta_window
     if not (0.0 < lo < hi < math.pi / 4):

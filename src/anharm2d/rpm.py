@@ -29,16 +29,16 @@ singularity threshold ||A||_1 * eps, as for the harmonic series, whose
 moments all vanish.
 
 Each root r_D agrees with the limit to only about 2D digits, and the next
-dimension needs r_D only for its start. So `rpm_eigenvalue(..., ramp=True)`
-solves each dimension 5 <= D < D_max - 1 at the digits on which the last two
-roots agree plus `RAMP_MARGIN`, at least `RAMP_FLOOR` and at most the working
-precision. The D_max - 1 and D_max roots stay at the working precision, and
-the certificate at twice it: the root comes from them, and so does
-`stabilized_digits`, which therefore means what it means without the ramp.
-The ramp is off by default, because `rpm --g` prints every trail root to its
-`--digits`; `case 1|2` print only the D_max root and turn it on. At their
-D_max 25 and 80 digits, 90-94 determinants, 57-59 of them at 23-61
-digits, then replace 131-139 at 80.
+dimension needs r_D only for its start. So `rpm_eigenvalue` solves each
+dimension 5 <= D < D_max - 1 at the digits on which the last two roots agree
+(`shared_digits`) plus `RAMP_MARGIN`, at least `RAMP_FLOOR` and at most the
+working precision. The D_max - 1 and D_max roots stay at the working
+precision, and the certificate at twice it: the root comes from them, and so
+does `stabilized_digits`. At D_max 25 and 80 digits a trail takes 90-96
+determinants, 57-59 of them at 23-61 digits, where the working precision
+throughout took 131-139. Those ramped roots carry about RAMP_MARGIN - 10
+digits past that agreement, not the working precision, and `rpm --g` prints
+each trail root below D_max only to the digits it shares with the next root.
 """
 
 from __future__ import annotations
@@ -233,6 +233,15 @@ def _log2(x) -> float:
     return math.log2(man >> cut) + exp + cut
 
 
+def shared_digits(x, y, cap: int) -> int:
+    """The digits on which the mpfs x and y agree, at most cap: -log10|x - y|,
+    relative to |x| where |x| > 1, rounded down; cap where x == y. The
+    difference is exact, so the count does not depend on the working
+    precision."""
+    agree = (max(_log2(x), 0.0) - _log2(mp.fsub(x, y, exact=True))) / _LOG2_10
+    return math.floor(min(agree, cap))
+
+
 def _curvature_step(r: float, fa: float, fb: float):
     """The quadratic's correction to the secant step, in the coordinate y of
     x = c + y (b - c): the three points lie at y = r, 1 and 0, with the
@@ -353,8 +362,6 @@ def rpm_eigenvalue(
     D_max: int = 25,
     seed=None,
     precision_digits: int = 80,
-    *,
-    ramp: bool = False,
 ) -> RpmResult:
     """Track the Hankel root from D = 2 up to D_max. The root iteration for
     dimension D (`_three_point_root`) starts from the first terms of the
@@ -376,28 +383,19 @@ def rpm_eigenvalue(
     last two dimensions agree (the truncation in D), and the digits that the
     D_max determinant at the last two roots, at twice the working precision,
     certifies for a root of any multiplicity up to D_max (the cancellation
-    noise of the working precision). The root and trail themselves come from
-    the working precision only.
+    noise of the working precision). The roots themselves come from at most
+    the working precision.
 
-    With `ramp`, each dimension 5 <= D < D_max - 1 runs at min(dps, max(
-    RAMP_FLOOR, agree + RAMP_MARGIN)) digits, where agree is the number of
-    digits on which r_{D-1} and r_{D-2} agree; its start offset and stop
+    Each dimension 5 <= D < D_max - 1 runs at min(precision_digits,
+    max(RAMP_FLOOR, agree + RAMP_MARGIN)) digits, where agree is
+    `shared_digits` of r_{D-1} and r_{D-2}; its start offset and stop
     threshold 10^(10-dps) follow that precision. D = 2 ... 4, before the
     trail has three roots, and the D_max - 1 and D_max roots, which give the
-    result and both counts of `stabilized_digits`, run at the full precision,
-    and the certificate at twice it. Those roots start from ramped ones, so
-    the D_max root can differ from the unramped run's in its last bits: it
-    was equal bit for bit, with the same `stabilized_digits`, in 284 of 288
-    trails (g from 1/10 to 2*10^6, s = 0 and 1, D_max 20-35, 30, 80 and 120
-    digits), and 10^-81 to 10^-79 relative off in the other four. The
-    printed trail of `rpm --g` keeps the full precision (the default, ramp
-    off): its roots below D_max - 1 would lose the digits past agree +
-    RAMP_MARGIN. Measured for the margin: 20 digits cut the determinant
-    count by 29% over those trails; 15 left 2 of 32 D_max 25 and 35 roots off
-    by an ulp, and with 10 the noise of a determinant near its root reads as
-    a complex pair (NewtonDivergence at D = 23 of g = 1/10, s = 0). The
-    floor, above the 10 digits of the stop threshold, binds only where the
-    last two roots share no digit.
+    result and both counts of `stabilized_digits`, run at the full
+    precision, and the certificate at twice it. The floor, above the 10
+    digits of the stop threshold, binds only where the last two roots share
+    no digit. A ramped root is a root of its H_D to about agree +
+    RAMP_MARGIN - 10 digits, not to the working precision.
     """
     if seed is None or not mp.isfinite(_to_mpf(seed)):
         raise ValueError("an explicit finite seed (e.g. a variational estimate) is required")
@@ -414,10 +412,8 @@ def rpm_eigenvalue(
         scale = _scale_exponent(v, s, roots[0], 2 * D_max - 1 + d)
         for D in range(2, D_max + 1):
             dps = precision_digits
-            if ramp and 4 < D < D_max - 1:
-                # the digits on which the last two roots agree; inf where they are equal
-                agree = (max(_log2(roots[-1]), 0.0) - _log2(roots[-1] - roots[-2])) / _LOG2_10
-                agree = math.floor(min(agree, precision_digits))
+            if 4 < D < D_max - 1:
+                agree = shared_digits(roots[-1], roots[-2], precision_digits)
                 dps = min(precision_digits, max(RAMP_FLOOR, agree + RAMP_MARGIN))
             with mp.workdps(dps):
                 # Start from the trail's geometric extrapolation once it has

@@ -23,6 +23,7 @@ from anharm2d.oscbasis import (
     position_matrix_1d,
     rotated,
     swap_blocks,
+    theta_block,
     theta_factors,
 )
 from anharm2d.poly2d import PolynomialPotential, apply_linear_map, make_quartic
@@ -297,6 +298,30 @@ def test_theta_factor_blocks_are_the_components(terms, nx, ny, omega):
     for rows, part in blocks:
         got[np.ix_(rows, rows)] = rotated(part, 0.1).toarray()
     assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
+
+
+def _csc_bytes(mat):
+    return mat.dtype, mat.shape, mat.data.tobytes(), mat.indices.tobytes(), mat.indptr.tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    terms=st.dictionaries(st.sampled_from(_MONOMIALS), _COEFFS, max_size=8),
+    nx=st.integers(1, 8),
+    ny=st.integers(1, 8),
+    data=st.data(),
+)
+def test_theta_block_is_the_entry_of_theta_factors(terms, nx, ny, data):
+    """theta_block of a state is the entry of theta_factors whose rows hold
+    it: the same rows, K and terms, bit for bit."""
+    poly = PolynomialPotential({(2, 0): 1, (0, 2): 1, **terms})
+    basis = BasisSpec(nx, ny)
+    state = data.draw(st.integers(0, nx * ny - 1))
+    rows, (kin, products) = theta_block(poly, basis, state)
+    want_rows, (want_kin, want_products) = next(b for b in theta_factors(poly, basis) if state in b[0])
+    assert np.array_equal(rows, want_rows)
+    assert _csc_bytes(kin) == _csc_bytes(want_kin)
+    assert [(c, k, _csc_bytes(m)) for c, k, m in products] == [(c, k, _csc_bytes(m)) for c, k, m in want_products]
 
 
 def test_parity_blocks_reject_a_rotated_basis():

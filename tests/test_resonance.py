@@ -58,9 +58,10 @@ def _dense_resonance(poly, basis, thetas=DEFAULT_THETAS):
 def _sweep_spies(monkeypatch):
     """The k of every theta_trajectory call that find_lowest_resonance makes,
     one per decoupled component and window scale, and the (n_max_x, n_max_y)
-    of every basis it assembles theta_factors for."""
+    of every basis it assembles theta_factors or one theta_block for, the
+    latter marked "block"."""
     sizes, bases = [], []
-    sweep, assemble = resonance.theta_trajectory, resonance.theta_factors
+    sweep, assemble, assemble_one = resonance.theta_trajectory, resonance.theta_factors, resonance.theta_block
 
     def spy(factors, thetas, k):
         sizes.append(k)
@@ -70,8 +71,13 @@ def _sweep_spies(monkeypatch):
         bases.append((basis.n_max_x, basis.n_max_y))
         return assemble(poly, basis)
 
+    def block_spy(poly, basis, state):
+        bases.append((basis.n_max_x, basis.n_max_y, "block"))
+        return assemble_one(poly, basis, state)
+
     monkeypatch.setattr(resonance, "theta_trajectory", spy)
     monkeypatch.setattr(resonance, "theta_factors", assembly_spy)
+    monkeypatch.setattr(resonance, "theta_block", block_spy)
     return sizes, bases
 
 
@@ -167,7 +173,8 @@ def test_sweeps_repeat_bit_for_bit():
 # 4 x 4 the windows are the whole spectrum. The two nx + ny parity components
 # have equal rows at these n, so each window scale gives both the same k, and
 # the windows grow when more than one k is seen. However often they grow,
-# theta_factors runs once for the basis and once for the n+5 check.
+# theta_factors runs once for the basis, and the n+5 check assembles only
+# the block that holds the pick.
 @pytest.mark.parametrize(
     "lam, n, grows",
     [(lam, 12, False) for lam in ("1/10", "12/100", "13/100", "14/100", "1/5", "1/2", "1/100")]
@@ -181,7 +188,7 @@ def test_window_sweep_equals_the_dense_sweep(monkeypatch, lam, n, grows):
     res = find_lowest_resonance(poly, basis)
     assert (res.energy, res.theta_star) == (want_energy, want_theta)
     assert (len(set(sizes)) > 1) == grows
-    assert bases == [(n, n), (n + 5, n + 5)]
+    assert bases == [(n, n), (n + 5, n + 5, "block")]
 
 
 FAR, NEAR = 2.1 - 0.01j, 3.0 - 0.01j  # stable decaying levels; FAR has the lesser Re E

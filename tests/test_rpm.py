@@ -1,5 +1,6 @@
 import json
 import warnings
+from decimal import Decimal
 from fractions import Fraction
 
 import mpmath as mp
@@ -21,6 +22,13 @@ from anharm2d.rpm import (
     rpm_eigenvalue,
     scaled_hankel_det,
 )
+
+
+def _full_precision(monkeypatch):
+    """Run every D of the trail at the working precision, as the trail ran
+    before the ramp: with a margin of 10^6 digits, min(precision_digits,
+    agree + RAMP_MARGIN) is precision_digits at every D."""
+    monkeypatch.setattr(rpm, "RAMP_MARGIN", 10**6)
 
 
 def test_harmonic_ground_series_terminates():
@@ -211,6 +219,54 @@ def test_trail_report_json(capsys):
     assert report["stabilized_digits"] == result.stabilized_digits
 
 
+def _last_digit(text: str):
+    """The unit of the last digit of an mp.nstr string. strip_zeros leaves
+    no trailing zero after the point but the one it adds to an integer
+    (17.83 to 2 digits prints "18.0"), which is not a digit of the value."""
+    mantissa, _, exponent = text.partition("e")
+    mantissa = mantissa.removesuffix(".0")
+    return mp.mpf(10) ** Decimal(f"{mantissa}e{exponent or 0}").as_tuple().exponent
+
+
+@pytest.mark.parametrize("g", ["1", "3/2", "5/4", "6/5", "1/10", "100"])
+@pytest.mark.parametrize("state", ["even", "odd"])
+def test_printed_trail_keeps_only_its_digits(monkeypatch, capsys, g, state):
+    """`rpm --g` prints each trail root below D_max to the digits it shares
+    with the next root, and the D_max root as `energy`. Each printed root
+    lies within its last printed digit of the root of the trail run at the
+    full precision, and has at most one digit past its agreement with the
+    eigenvalue; `energy` and `stabilized_digits` are the full-precision
+    run's."""
+    assert cli.main(["rpm", "--g", g, "--state", state]) == 0
+    report = json.loads(capsys.readouterr().out)
+    coupling, s = cli.exact_lambda(g), ("even", "odd").index(state)
+    seed = float(cli._levels_1d(coupling, 40)[s])
+    _full_precision(monkeypatch)
+    full = rpm_eigenvalue([0, 1, coupling], s=s, seed=seed)
+    assert [entry["D"] for entry in report["trail"]] == [D for D, _ in full.trail]
+    assert report["trail"][-1]["E"] == report["energy"] == mp.nstr(full.e_value, 80)
+    assert report["stabilized_digits"] == full.stabilized_digits
+    with mp.workdps(200):
+        for entry, (D, root) in zip(report["trail"][:-1], full.trail):
+            unit = _last_digit(entry["E"])
+            assert abs(mp.mpf(entry["E"]) - root) <= unit, D
+            assert unit >= abs(root - full.e_value) / 10, D
+
+
+def test_low_precision_trail_meets_a_complex_pair(capsys):
+    """At 20 digits the D = 27 determinants of g = 1/10, s = 1 are all
+    cancellation noise, and the root tracker stops on what reads as a
+    complex pair: exit 3, also with every D at the full precision. This pins
+    the known failure; a kernel that knows its own noise should change it."""
+    argv = ["rpm", "--g", "1/10", "--state", "odd", "--dmax", "35", "--digits", "20"]
+    assert cli.main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)
+    assert error["error"] == "NewtonDivergence"
+    assert error["detail"].startswith("complex pair of roots near D=27, E=-5.48488")
+
+
 def test_precision_scaling_only_extends_digits():
     low = rpm_eigenvalue([0, 1, 4], s=0, D_max=12, seed=1.9, precision_digits=40)
     high = rpm_eigenvalue([0, 1, 4], s=0, D_max=12, seed=1.9, precision_digits=80)
@@ -291,7 +347,9 @@ def _libmp_reference_det(v, s, energy, D, d, t):
 def test_rpm_result_agrees_with_mp_det_path(monkeypatch, v, s, seed, d_max, dps):
     # The integer kernel rounds differently from mp.det's LU on the libmp
     # series, so the roots agree to about 2/3 of the digits (measured:
-    # 1.2e-41 and 1.7e-42 relative here).
+    # 1.2e-41 and 1.7e-42 relative here). Both trails run at the full
+    # precision, which ramped roots below D_max - 1 do not keep.
+    _full_precision(monkeypatch)
     mine = rpm_eigenvalue(v, s=s, D_max=d_max, seed=seed, precision_digits=dps)
     monkeypatch.setattr(rpm, "scaled_hankel_det", _libmp_reference_det)
     ref = rpm_eigenvalue(v, s=s, D_max=d_max, seed=seed, precision_digits=dps)
@@ -365,7 +423,9 @@ def test_integer_kernel_is_as_accurate_as_mp_det(g, s, d, D, energy, dps):
 def test_scale_exponent_does_not_move_the_roots(monkeypatch, v, s, seed):
     """The rescaling 2^{t(j+1)} is exact, so t and t +- 3 find the same roots
     and certify the same digits. Only the fixed point's rounding moves: the
-    trails differ by at most 1.9e-44 relative at 60 digits (measured)."""
+    trails, each at the full precision, differ by at most 1.9e-44 relative at
+    60 digits (measured)."""
+    _full_precision(monkeypatch)
     runs = {}
     for dt in (0, 3, -3):
         monkeypatch.setattr(rpm, "_scale_exponent", lambda *args, dt=dt: _scale_exponent(*args) + dt)
@@ -432,8 +492,9 @@ def test_trail_roots_equal_the_secant_oracle(monkeypatch, g, s):
     """At the command line's settings (D_max 25, 80 digits, 40-state seed) the
     three-point tracker finds every trail root of the secant, to 10^-65
     relative (7.3e-75 at most measured on the `rpm --g` commands), and
-    certifies the same digits."""
+    certifies the same digits. Both trails run at the full precision."""
     seed = float(cli._levels_1d(Fraction(g), 40)[s])
+    _full_precision(monkeypatch)
     mine = rpm_eigenvalue([0, 1, g], s=s, seed=seed)
     monkeypatch.setattr(rpm, "_three_point_root", _secant_oracle)
     ref = rpm_eigenvalue([0, 1, g], s=s, seed=seed)
@@ -445,14 +506,15 @@ def test_trail_roots_equal_the_secant_oracle(monkeypatch, g, s):
 
 
 def test_rpm_g1_determinant_budget(monkeypatch, capsys):
-    """`rpm --g 1` evaluates at most 150 Hankel determinants, the two of the
-    certificate included: 133 measured, where the secant tracker took 175.
-    The count is the same on every host."""
+    """`rpm --g 1` evaluates at most 100 Hankel determinants, the two of the
+    certificate included: 90 measured with the ramp, 133 with every D at
+    the full precision, where the secant tracker took 175. The count is the
+    same on every host."""
     calls, kernel = [], rpm.scaled_hankel_det
     monkeypatch.setattr(rpm, "scaled_hankel_det", lambda *args: calls.append(args) or kernel(*args))
     assert cli.main(["rpm", "--g", "1"]) == 0
     capsys.readouterr()
-    assert len(calls) <= 150
+    assert len(calls) <= 100
 
 
 def _determinant(monkeypatch, func):
@@ -510,15 +572,16 @@ def test_curvature_step_tells_no_real_root_from_a_float_failure():
 @pytest.mark.parametrize("D_max", [25, 35])
 @pytest.mark.parametrize("g", [Fraction(1, 10), 1, 4, 2 * 10**6])
 @pytest.mark.parametrize("s", [0, 1])
-def test_ramped_trail_ends_on_the_full_precision_root(g, s, D_max):
+def test_ramped_trail_ends_on_the_full_precision_root(monkeypatch, g, s, D_max):
     """With the ramp, D = 5 ... D_max - 2 run at the digits on which the
     trail agrees plus RAMP_MARGIN, and the last two at the full 80 digits:
     the D_max root and `stabilized_digits` are the full-precision run's, bit
     for bit. Each ramped root is far closer to its full-precision twin than
     the twin is to the D_max root: 11 digits closer at least, measured."""
     seed = float(cli._levels_1d(Fraction(g), 60)[s])
+    ramped = rpm_eigenvalue([0, 1, g], s=s, D_max=D_max, seed=seed)
+    _full_precision(monkeypatch)
     full = rpm_eigenvalue([0, 1, g], s=s, D_max=D_max, seed=seed)
-    ramped = rpm_eigenvalue([0, 1, g], s=s, D_max=D_max, seed=seed, ramp=True)
     assert ramped.e_value._mpf_ == full.e_value._mpf_
     assert ramped.stabilized_digits == full.stabilized_digits
     assert [D for D, _ in ramped.trail] == [D for D, _ in full.trail]
@@ -559,16 +622,19 @@ def test_non_monotone_trail_warns_on_a_coarse_stall_only(monkeypatch, ramp):
     """A trail whose steps grow again at 10^-12, far above the coarse
     threshold 10^-(80 // 3), warns NonMonotoneTrail; a trail that contracts
     by 10 a dimension does not. With the ramp, both pass through its lower
-    precisions and keep their verdicts."""
+    precisions and keep their verdicts; without it (`_full_precision`) every
+    D runs at 80 digits."""
+    if not ramp:
+        _full_precision(monkeypatch)
     stall = _fake_trail(
         monkeypatch, lambda D: 1 + mp.mpf(10) ** -D if D <= 15 else 1 + (-1) ** D * (D - 14) * mp.mpf(10) ** -12
     )
     with pytest.warns(NonMonotoneTrail):
-        rpm_eigenvalue([0, 1, 1], s=0, D_max=25, seed=1.39, ramp=ramp)
+        rpm_eigenvalue([0, 1, 1], s=0, D_max=25, seed=1.39)
     contract = _fake_trail(monkeypatch, lambda D: 1 + mp.mpf(10) ** -D)
     with warnings.catch_warnings():
         warnings.simplefilter("error", NonMonotoneTrail)
-        rpm_eigenvalue([0, 1, 1], s=0, D_max=25, seed=1.39, ramp=ramp)
+        rpm_eigenvalue([0, 1, 1], s=0, D_max=25, seed=1.39)
     for precisions in (stall, contract):
         assert len(precisions) == 24
         assert (min(precisions) < 80) == ramp
